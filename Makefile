@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fault fuzz bench bench-smoke bench-json bench-fmt bench-diff bench-gate bench-sweep experiments perf-smoke sweep-smoke fmt cover clean
+.PHONY: all build vet test test-short race fault fuzz bench bench-smoke bench-fmt bench-diff bench-gate bench-sweep experiments sweep-smoke fmt cover clean
 
 all: build vet test
 
@@ -19,8 +19,7 @@ test: race fault fuzz
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -short ./internal/workload ./internal/sim ./internal/trace ./internal/telemetry ./internal/cpu \
-		./internal/perfstore ./internal/perfstore/perfserver ./internal/perfstore/client
+	$(GO) test -race -short ./internal/workload ./internal/sim ./internal/trace ./internal/telemetry ./internal/cpu
 
 # The fault-injection suite always runs under the race detector: it is the
 # one place panics, corrupted captures, and worker cancellation all cross
@@ -36,12 +35,6 @@ FUZZTIME ?= 2s
 fuzz:
 	for t in FuzzReaderV1 FuzzReaderV2 FuzzAutoReader FuzzCursor FuzzBlocks FuzzStore; do \
 		$(GO) test -run '^$$' -fuzz "^$${t}$$" -fuzztime $(FUZZTIME) ./internal/trace || exit 1; \
-	done
-	for t in FuzzSegmentScan FuzzRecordRoundTrip; do \
-		$(GO) test -run '^$$' -fuzz "^$${t}$$" -fuzztime $(FUZZTIME) ./internal/perfstore || exit 1; \
-	done
-	for t in FuzzParseUploadMeta FuzzUploadHandler; do \
-		$(GO) test -run '^$$' -fuzz "^$${t}$$" -fuzztime $(FUZZTIME) ./internal/perfstore/perfserver || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/benchfmt
 	for t in FuzzParseSpec FuzzParseAxis; do \
@@ -59,16 +52,9 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/trace ./internal/sim
 
-# Write a legacy single-run benchjson snapshot (the committed baseline is
-# the benchfmt one below; this format remains for tooling interop).
-BENCH_JSON ?= /tmp/bench.json
-bench-json:
-	$(GO) run ./cmd/tcsim -exp all -benchjson $(BENCH_JSON) > /dev/null
-
-# Write an N-repetition snapshot in the standard Go benchmark format —
-# the statistically useful sibling of bench-json. The first (warm-up)
-# repetition is discarded so the one-time capture build does not pollute
-# the samples; the result interops with stock benchstat.
+# Write an N-repetition snapshot in the standard Go benchmark format. The
+# first (warm-up) repetition is discarded so the one-time capture build
+# does not pollute the samples; the result interops with stock benchstat.
 BENCH_FMT ?= BENCH_baseline.txt
 bench-fmt:
 	$(GO) run ./cmd/tcsim -exp all -count 5 -warmup 1 -benchfmt $(BENCH_FMT) > /dev/null
@@ -77,10 +63,10 @@ bench-fmt:
 # with order-statistic confidence intervals, a Mann-Whitney p-value, and
 # an exit code that fires only on statistically significant regressions
 # past the tolerance floor. Either side accepts a comma-separated list of
-# snapshots; files may be benchfmt (tcsim -benchfmt -count N) or legacy
-# benchjson — every (file, repetition) contributes one sample. Override
-# BENCH_NEW with a fresh `make bench-fmt BENCH_FMT=...` snapshot to gate a
-# change against the committed baseline.
+# benchfmt snapshots (tcsim -benchfmt -count N); every (file, repetition)
+# contributes one sample. Override BENCH_NEW with a fresh
+# `make bench-fmt BENCH_FMT=...` snapshot to gate a change against the
+# committed baseline.
 BENCH_OLD ?= BENCH_baseline.txt
 BENCH_NEW ?= BENCH_baseline.txt
 bench-diff:
@@ -114,16 +100,9 @@ bench-sweep:
 experiments:
 	$(GO) run ./cmd/tcsim -exp all
 
-# The tcperf crash-safety smoke: builds the real binary, uploads through
-# the retrying client, SIGTERMs and SIGKILLs the server mid-stream, and
-# verifies every acknowledged upload survives restart with a clean fsck.
-perf-smoke:
-	$(GO) test -run 'TestE2E' -v ./cmd/tcperf
-
 # The sweep engine smoke: builds the real tcsweep binary, interrupts a
-# checkpointed run with SIGINT and with kill -9, resumes it, requires the
-# resumed frontier report byte-identical to an uninterrupted run, and
-# publishes a sweep/v1 document to a live tcperf server.
+# checkpointed run with SIGINT and with kill -9, resumes it, and requires
+# the resumed frontier report byte-identical to an uninterrupted run.
 sweep-smoke:
 	$(GO) test -run 'TestE2E' -v ./cmd/tcsweep
 

@@ -17,8 +17,6 @@ package main
 // confidently call a 2% shift.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -39,9 +37,6 @@ type options struct {
 	maxNoise   float64 // CI half-width fraction above which a row is too noisy to call
 	filter     string  // benchproc filter expression
 	groupBy    string  // benchproc projection for row keys
-	uploadURL  string
-	commit     string
-	experiment string
 }
 
 func defaultOptions() options {
@@ -70,19 +65,18 @@ const (
 
 // row is one rendered comparison.
 type row struct {
-	Key     string             `json:"key"`
-	Old     *benchmath.Summary `json:"old,omitempty"` // ms
-	New     *benchmath.Summary `json:"new,omitempty"` // ms
-	P       float64            `json:"p"`             // NaN when no test ran
-	Delta   float64            `json:"delta"`         // fractional change of medians
-	Verdict verdict            `json:"verdict"`
+	Key     string
+	Old     *benchmath.Summary // ms
+	New     *benchmath.Summary // ms
+	P       float64            // NaN when no test ran
+	Delta   float64            // fractional change of medians
+	Verdict verdict
 }
 
 // runDiff is the whole program behind flag parsing; it returns the
-// process exit code. Each side argument is a comma-separated list of
-// snapshot files, every file either Go benchmark format (`tcsim
-// -benchfmt`, possibly with `-count` reps) or legacy bench JSON
-// (`tcsim -benchjson`). Every (file, rep) contributes one sample.
+// process exit code. Each side argument is a comma-separated list of Go
+// benchmark format snapshot files (`tcsim -benchfmt`, possibly with
+// `-count` reps). Every (file, rep) contributes one sample.
 func runDiff(opts options, oldArg, newArg string, stdout, stderr io.Writer) int {
 	filter, err := benchproc.NewFilter(opts.filter)
 	if err != nil {
@@ -94,29 +88,22 @@ func runDiff(opts options, oldArg, newArg string, stdout, stderr io.Writer) int 
 		fmt.Fprintln(stderr, "tcbenchdiff:", err)
 		return 2
 	}
-	oldS, err := loadSide(oldArg, filter, proj, stderr)
+	oldS, oldM, err := loadSide(oldArg, filter, proj, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "tcbenchdiff:", err)
 		return 1
 	}
-	newS, err := loadSide(newArg, filter, proj, stderr)
+	newS, newM, err := loadSide(newArg, filter, proj, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "tcbenchdiff:", err)
 		return 1
+	}
+	if diffs := machineDiffs(oldM, newM); diffs != "" {
+		fmt.Fprintln(stderr, "tcbenchdiff: warning: OLD and NEW were measured on different machines ("+diffs+"); timings may not compare")
 	}
 
 	rows := compare(opts, oldS, newS)
 	render(rows, stdout)
-
-	// Upload before the verdict: a regressed measurement is still a
-	// measurement, and the trend endpoint is how cross-commit regressions
-	// get spotted in the first place.
-	if opts.uploadURL != "" {
-		if err := uploadAll(opts, newArg, rows); err != nil {
-			fmt.Fprintln(stderr, "tcbenchdiff: upload:", err)
-			return 1
-		}
-	}
 
 	var regressions []string
 	for _, r := range rows {
@@ -138,17 +125,23 @@ func runDiff(opts options, oldArg, newArg string, stdout, stderr io.Writer) int 
 }
 
 // loadSide reads one side's snapshot list into per-key samples of wall
-// milliseconds.
-func loadSide(arg string, filter *benchproc.Filter, proj *benchproc.Projection, stderr io.Writer) (map[string][]float64, error) {
+// milliseconds, plus the distinct values each benchfmt.MachineKeys key
+// takes across the results that contributed a sample.
+func loadSide(arg string, filter *benchproc.Filter, proj *benchproc.Projection, stderr io.Writer) (map[string][]float64, machineSet, error) {
 	samples := map[string][]float64{}
+	machine := machineSet{}
 	for _, path := range strings.Split(arg, ",") {
-		data, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		results, err := parseSnapshot(path, data, stderr)
+		results, problems, err := benchfmt.ReadAll(f, path)
+		f.Close()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		for _, p := range problems {
+			fmt.Fprintln(stderr, "tcbenchdiff: warning:", p)
 		}
 		for i := range results {
 			r := &results[i]
@@ -161,63 +154,52 @@ func loadSide(arg string, filter *benchproc.Filter, proj *benchproc.Projection, 
 			}
 			key := proj.Project(r)
 			samples[key] = append(samples[key], ns/1e6)
+			machine.add(r)
 		}
 	}
-	return samples, nil
+	return samples, machine, nil
 }
 
-// legacyEntry mirrors one experiment's record in `tcsim -benchjson`
-// output, the pre-benchfmt snapshot format this tool keeps accepting.
-type legacyEntry struct {
-	WallMS       float64 `json:"wall_ms"`
-	Cells        int64   `json:"cells"`
-	Instructions int64   `json:"instructions"`
+// machineSet maps each machine key to the set of values one side's
+// results carry for it.
+type machineSet map[string]map[string]bool
+
+func (m machineSet) add(r *benchfmt.Result) {
+	for _, k := range benchfmt.MachineKeys {
+		if v, ok := r.Lookup(k); ok {
+			if m[k] == nil {
+				m[k] = map[string]bool{}
+			}
+			m[k][v] = true
+		}
+	}
 }
 
-// parseSnapshot turns one snapshot file into benchfmt results. Legacy
-// JSON entries are synthesized into the same shape benchfmt yields
-// ("BenchmarkSuite/exp=<id>"), so filters and projections treat both
-// formats identically.
-func parseSnapshot(path string, data []byte, stderr io.Writer) ([]benchfmt.Result, error) {
-	if isLegacyJSON(data) {
-		var m map[string]legacyEntry
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		names := make([]string, 0, len(m))
-		for name := range m {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		results := make([]benchfmt.Result, 0, len(m))
-		for _, name := range names {
-			e := m[name]
-			results = append(results, benchfmt.Result{
-				FullName: "BenchmarkSuite/exp=" + name,
-				Iters:    1,
-				Values: []benchfmt.Value{
-					{Value: e.WallMS * 1e6, Unit: "ns/op"},
-					{Value: float64(e.Cells), Unit: "cells/op"},
-					{Value: float64(e.Instructions), Unit: "instrs/op"},
-				},
-			})
-		}
-		return results, nil
+// values renders one key's value set, sorted and comma-joined.
+func (m machineSet) values(k string) string {
+	vs := make([]string, 0, len(m[k]))
+	for v := range m[k] {
+		vs = append(vs, v)
 	}
-	results, problems, err := benchfmt.ReadAll(bytes.NewReader(data), path)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range problems {
-		fmt.Fprintln(stderr, "tcbenchdiff: warning:", p)
-	}
-	return results, nil
+	sort.Strings(vs)
+	return strings.Join(vs, ",")
 }
 
-// isLegacyJSON sniffs a snapshot: benchjson documents are a JSON object.
-func isLegacyJSON(data []byte) bool {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	return len(trimmed) > 0 && trimmed[0] == '{'
+// machineDiffs describes the machine keys both sides record but with
+// different values, e.g. "cpu: A vs B; gomaxprocs: 2 vs 8", or "" when
+// they agree. A key only one side records (snapshots older than machine
+// tagging) is not a disagreement.
+func machineDiffs(oldM, newM machineSet) string {
+	var diffs []string
+	for _, k := range benchfmt.MachineKeys {
+		if oldM[k] == nil || newM[k] == nil {
+			continue
+		}
+		if o, n := oldM.values(k), newM.values(k); o != n {
+			diffs = append(diffs, fmt.Sprintf("%s: %s vs %s", k, o, n))
+		}
+	}
+	return strings.Join(diffs, "; ")
 }
 
 // compare builds the comparison rows for the union of keys, sorted.

@@ -2,17 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -53,20 +48,6 @@ func TestGoldenBenchfmt(t *testing.T) {
 		t.Errorf("stderr does not name the regressed experiment:\n%s", errOut.String())
 	}
 	checkGolden(t, "golden_benchfmt.txt", out.String())
-}
-
-// TestGoldenLegacy pins the same table driven by comma-separated legacy
-// `tcsim -benchjson` files, one repetition per file — the pre-benchfmt
-// workflow keeps working and feeds the same statistics.
-func TestGoldenLegacy(t *testing.T) {
-	oldArg := "testdata/legacy_old_1.json,testdata/legacy_old_2.json,testdata/legacy_old_3.json,testdata/legacy_old_4.json"
-	newArg := "testdata/legacy_new_1.json,testdata/legacy_new_2.json,testdata/legacy_new_3.json,testdata/legacy_new_4.json"
-	var out, errOut bytes.Buffer
-	code := runDiff(defaultOptions(), oldArg, newArg, &out, &errOut)
-	if code != 1 {
-		t.Errorf("exit = %d, want 1 (table4 regressed); stderr:\n%s", code, errOut.String())
-	}
-	checkGolden(t, "golden_legacy.txt", out.String())
 }
 
 // TestSeededNoiseFalsePositive is the acceptance scenario for retiring
@@ -241,94 +222,48 @@ func TestMissingFileExit1(t *testing.T) {
 	}
 }
 
-// TestUploadAll runs the full diff with -upload against a fake tcperf
-// server: the NEW snapshot must arrive byte-for-byte with its schema
-// tag, followed by one benchdiff/v1 document whose rows carry CI bounds
-// and p-values (null for one-sided rows, which have no test).
-func TestUploadAll(t *testing.T) {
-	type recorded struct {
-		kind, schema, commit string
-		body                 []byte
-	}
-	var mu sync.Mutex
-	var got []recorded
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/api/v1/upload" {
-			http.NotFound(w, r)
-			return
+// TestMachineMismatchWarns: snapshots from different machines still
+// diff, with the same tables and exit code, but stderr carries one
+// warning naming each disagreeing key. Snapshots that agree, or where one
+// side predates machine tagging, stay silent.
+func TestMachineMismatchWarns(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, header string) string {
+		t.Helper()
+		var b bytes.Buffer
+		b.WriteString(header)
+		for _, ms := range []float64{10, 10.1, 10.2, 10.3, 10.4} {
+			fmt.Fprintf(&b, "BenchmarkSuite/exp=table2 1 %g ns/op\n", ms*1e6)
 		}
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		q := r.URL.Query()
-		mu.Lock()
-		got = append(got, recorded{q.Get("kind"), q.Get("schema"), q.Get("commit"), body})
-		n := len(got)
-		mu.Unlock()
-		fmt.Fprintf(w, `{"id":"id-%d","duplicate":false}`, n)
-	}))
-	defer srv.Close()
+		return path
+	}
+	boxA := write("a.txt", "goos: linux\ncpu: Box A\ngomaxprocs: 2\ngo: go1.24.0\n")
+	boxA2 := write("a2.txt", "goos: linux\ncpu: Box A\ngomaxprocs: 2\ngo: go1.24.0\n")
+	boxB := write("b.txt", "goos: linux\ncpu: Box B\ngomaxprocs: 8\ngo: go1.24.0\n")
+	untagged := write("untagged.txt", "suite: tcsim\n")
 
-	opts := defaultOptions()
-	opts.uploadURL = srv.URL
-	opts.commit = "deadbeef"
-	opts.experiment = "all"
-	var out, errOut bytes.Buffer
-	// Exit 1: the fixture contains a real regression — but the upload
-	// must happen anyway (a regressed measurement is still a measurement).
-	if code := runDiff(opts, "testdata/old.txt", "testdata/new.txt", &out, &errOut); code != 1 {
-		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, errOut.String())
+	run := func(oldArg, newArg string) (code int, stdout, stderr string) {
+		var out, errOut bytes.Buffer
+		code = runDiff(defaultOptions(), oldArg, newArg, &out, &errOut)
+		return code, out.String(), errOut.String()
 	}
-
-	if len(got) != 2 {
-		t.Fatalf("got %d uploads, want 2 (snapshot + diff rows)", len(got))
+	sameCode, sameOut, sameErr := run(boxA, boxA2)
+	if sameErr != "" {
+		t.Errorf("same machine: unexpected stderr:\n%s", sameErr)
 	}
-	snap, diff := got[0], got[1]
-	if snap.kind != "benchfmt" || snap.schema != "go-benchfmt/v1" || snap.commit != "deadbeef" {
-		t.Errorf("snapshot upload meta = %s/%s/%s", snap.kind, snap.schema, snap.commit)
+	code, out, errOut := run(boxA, boxB)
+	if code != sameCode || out != sameOut {
+		t.Errorf("machine mismatch changed the result: exit %d vs %d\n%s\nvs\n%s", code, sameCode, out, sameOut)
 	}
-	raw, err := os.ReadFile("testdata/new.txt")
-	if err != nil {
-		t.Fatal(err)
+	want := "tcbenchdiff: warning: OLD and NEW were measured on different machines (cpu: Box A vs Box B; gomaxprocs: 2 vs 8); timings may not compare\n"
+	if errOut != want {
+		t.Errorf("stderr = %q, want %q", errOut, want)
 	}
-	if !bytes.Equal(snap.body, raw) {
-		t.Error("snapshot upload is not byte-identical to the input file")
-	}
-	if diff.kind != "benchdiff" || diff.schema != "benchdiff/v1" {
-		t.Errorf("diff upload meta = %s/%s", diff.kind, diff.schema)
-	}
-	var doc struct {
-		Alpha float64 `json:"alpha"`
-		Rows  []struct {
-			Key     string   `json:"key"`
-			P       *float64 `json:"p"`
-			Verdict string   `json:"verdict"`
-			New     *struct {
-				N    int     `json:"n"`
-				LoMS float64 `json:"lo_ms"`
-				HiMS float64 `json:"hi_ms"`
-			} `json:"new"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(diff.body, &doc); err != nil {
-		t.Fatalf("diff rows are not valid JSON: %v\n%s", err, diff.body)
-	}
-	if doc.Alpha != opts.alpha || len(doc.Rows) != 8 {
-		t.Fatalf("doc alpha=%g rows=%d, want alpha=%g rows=8", doc.Alpha, len(doc.Rows), opts.alpha)
-	}
-	byKey := map[string]int{}
-	for i, r := range doc.Rows {
-		byKey[r.Key] = i
-	}
-	if i, ok := byKey["retired"]; !ok || doc.Rows[i].P != nil || doc.Rows[i].Verdict != "gone" {
-		t.Errorf("retired row: want p=null verdict=gone, got %+v", doc.Rows[byKey["retired"]])
-	}
-	if i, ok := byKey["table4"]; !ok || doc.Rows[i].P == nil || *doc.Rows[i].P >= 0.05 || doc.Rows[i].Verdict != "regression" {
-		t.Errorf("table4 row: want p<0.05 verdict=regression, got %+v", doc.Rows[byKey["table4"]])
-	}
-	if i := byKey["table4"]; doc.Rows[i].New == nil || doc.Rows[i].New.N != 5 || doc.Rows[i].New.LoMS >= doc.Rows[i].New.HiMS {
-		t.Errorf("table4 new-side summary missing CI bounds: %+v", doc.Rows[i].New)
+	if _, _, errOut := run(untagged, boxB); errOut != "" {
+		t.Errorf("untagged OLD: unexpected stderr:\n%s", errOut)
 	}
 }

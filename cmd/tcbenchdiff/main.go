@@ -6,14 +6,13 @@
 // (-tolerance). One noisy run can no longer fail a build, and a
 // consistent 2% slowdown no longer hides under a 10% threshold.
 //
-// Each side is a comma-separated list of snapshot files. A file is
-// either the standard Go benchmark format (`tcsim -benchfmt`, ideally
-// with `-count N -warmup 1` so it carries N repetitions) or legacy
-// `tcsim -benchjson` output. Every (file, repetition) contributes one
-// sample, so all of these work:
+// Each side is a comma-separated list of snapshot files in the standard
+// Go benchmark format (`tcsim -benchfmt` or `tcsweep -benchfmt`, ideally
+// with `-count N -warmup 1` so each carries N repetitions). Every (file,
+// repetition) contributes one sample, so all of these work:
 //
 //	tcbenchdiff old.txt new.txt                    # N-rep benchfmt sets
-//	tcbenchdiff OLD1.json,OLD2.json NEW1.json,NEW2.json
+//	tcbenchdiff OLD1.txt,OLD2.txt NEW1.txt,NEW2.txt
 //	tcbenchdiff -filter "exp:table4" -group-by exp old.txt new.txt
 //
 // Verdicts per experiment:
@@ -27,6 +26,11 @@
 // The "too noisy" skip replaces the old point-estimate -min-ms floor:
 // instead of exempting experiments that were fast once, it exempts
 // experiments whose measured variance genuinely cannot support a claim.
+//
+// Snapshots record the machine they ran on (goos, goarch, cpu,
+// gomaxprocs, go). When OLD and NEW disagree on any of those, a one-line
+// warning goes to stderr: the comparison still runs, but its timings are
+// not like for like.
 package main
 
 import (
@@ -43,21 +47,14 @@ func main() {
 	flag.Float64Var(&opts.maxNoise, "max-noise", opts.maxNoise, "CI half-width fraction above which an experiment is too noisy to call")
 	flag.StringVar(&opts.filter, "filter", "", `result filter, e.g. "exp:table4" or "workload:cxx !model:event"`)
 	flag.StringVar(&opts.groupBy, "group-by", opts.groupBy, `projection for row keys, e.g. "exp" or ".name,workload"`)
-	flag.StringVar(&opts.uploadURL, "upload", "", "tcperf server base URL; uploads the NEW snapshots and the diff rows after the comparison")
-	flag.StringVar(&opts.commit, "commit", "", "commit id to tag uploads with (required by -upload)")
-	flag.StringVar(&opts.experiment, "experiment", "all", "experiment tag for uploads")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: tcbenchdiff [flags] OLD[,OLD2,...] NEW[,NEW2,...]\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Files are Go benchmark format (tcsim -benchfmt -count N) or legacy bench JSON.\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "Files are Go benchmark format (tcsim -benchfmt -count N).\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	if flag.NArg() != 2 {
 		flag.Usage()
-		os.Exit(2)
-	}
-	if opts.uploadURL != "" && opts.commit == "" {
-		fmt.Fprintln(os.Stderr, "tcbenchdiff: -upload needs -commit to tag the results")
 		os.Exit(2)
 	}
 	if opts.alpha <= 0 || opts.alpha >= 1 {

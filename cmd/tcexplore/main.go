@@ -102,8 +102,8 @@ func main() {
 }
 
 // renderFrontierFile re-renders a sweep/v1 document previously written by
-// tcsweep -doc (or fetched back from a tcperf server), so a recorded
-// design-space sweep can be inspected without re-simulating.
+// tcsweep -doc, so a recorded design-space sweep can be inspected without
+// re-simulating.
 func renderFrontierFile(path string, asCSV bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -26,7 +26,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"syscall"
@@ -34,7 +33,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/benchfmt"
-	"repro/internal/perfstore/client"
+	"repro/internal/fsutil"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -61,7 +60,6 @@ func run() int {
 		resume     = flag.String("resume", "", "run manifest path: completed experiments are recorded there and replayed on restart")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchJSON  = flag.String("benchjson", "", "write per-experiment wall time and work counters to this JSON file")
 		benchFmt   = flag.String("benchfmt", "", "write per-experiment results in the standard Go benchmark format to this file")
 		count      = flag.Int("count", 1, "repetitions of the whole suite; each rep adds one result set to -benchfmt")
 		warmup     = flag.Int("warmup", 0, "unrecorded warm-up repetitions before the -count recorded ones (prime caches and capture memos)")
@@ -70,9 +68,7 @@ func run() int {
 		events     = flag.Int("events", 0, "misprediction events retained per simulation cell (0 = no event log)")
 		sites      = flag.Bool("sites", false, "print the per-site misprediction report after the experiment tables")
 		sitesTop   = flag.Int("sites-top", 10, "sites shown per cell in the -sites report (0 = all)")
-		uploadURL  = flag.String("upload", "", "tcperf server base URL; uploads the -benchjson and -telemetry outputs after the run")
-		commit     = flag.String("commit", "", "commit id to tag uploads with (required by -upload)")
-		outbox     = flag.String("outbox", "", "spool directory for uploads when the tcperf server is unreachable")
+		commit     = flag.String("commit", "", "commit id to tag -benchfmt output with")
 	)
 	flag.Parse()
 
@@ -146,17 +142,8 @@ func run() int {
 	default:
 		return fail("tcsim: unknown output format %q (want text, json or csv)", *format)
 	}
-	if *uploadURL != "" {
-		if *benchJSON == "" && *telemOut == "" && *benchFmt == "" {
-			return fail("tcsim: -upload needs -benchjson, -benchfmt or -telemetry (there is nothing else to upload)")
-		}
-		if *commit == "" {
-			return fail("tcsim: -upload needs -commit to tag the results")
-		}
-	} else if *outbox != "" {
-		return fail("tcsim: -outbox only makes sense with -upload")
-	} else if *commit != "" && *benchFmt == "" {
-		return fail("tcsim: -commit only makes sense with -upload or -benchfmt")
+	if *commit != "" && *benchFmt == "" {
+		return fail("tcsim: -commit only makes sense with -benchfmt")
 	}
 	if *count > 1 || *warmup > 0 {
 		// Repetitions exist to collect independent samples for the
@@ -247,7 +234,6 @@ func run() int {
 		stop()
 	}()
 
-	benchOut := make(map[string]bench.ExperimentReport, len(toRun))
 	var fmtReports []bench.ExperimentReport
 	var logw *os.File
 	if !*quiet {
@@ -261,9 +247,7 @@ func run() int {
 	// capture cost and would pollute the sample with a huge outlier).
 	// Only the first recorded rep renders tables (the output is
 	// byte-identical across reps by construction); every recorded rep
-	// appends its reports to the -benchfmt result set. benchjson keeps
-	// the final rep: its memoized captures are warm, making it the
-	// steadier single-number snapshot.
+	// appends its reports to the -benchfmt result set.
 	var res *bench.SuiteResult
 	var digests []string
 	for rep := 1 - *warmup; rep <= *count; rep++ {
@@ -278,7 +262,6 @@ func run() int {
 		}
 		if recorded {
 			opts.OnExperiment = func(r bench.ExperimentReport) {
-				benchOut[r.ID] = r
 				fmtReports = append(fmtReports, r)
 			}
 		}
@@ -324,11 +307,10 @@ func run() int {
 		}
 	}
 
-	// Telemetry and benchjson outputs are written even when the run was
+	// Telemetry and benchfmt outputs are written even when the run was
 	// interrupted (partial telemetry covers the cells that finished), and
-	// atomically (temp + rename), so a drained SIGINT run always leaves
-	// valid JSON behind — never a truncated file.
-	var telemReport *telemetry.Report
+	// atomically (temp + rename), so a drained SIGINT run always leaves a
+	// valid file behind — never a truncated one.
 	if recorder != nil {
 		replayCalls, captureCount := workload.MemoCounters()
 		_, memoBytes := workload.MemoStats()
@@ -352,7 +334,6 @@ func run() int {
 			SpilledBytes:        spilledBytes,
 			Interrupted:         res.Interrupted,
 		})
-		telemReport = rep
 		if *sites {
 			fmt.Println("== telemetry: per-site indirect-jump report ==")
 			fmt.Println()
@@ -361,29 +342,19 @@ func run() int {
 			}
 		}
 		if *telemOut != "" {
-			if err := writeJSONFile(*telemOut, rep); err != nil {
+			if err := fsutil.WriteFileAtomic(*telemOut, func(w io.Writer) error {
+				enc := json.NewEncoder(w)
+				enc.SetIndent("", "  ")
+				return enc.Encode(rep)
+			}); err != nil {
 				return fail("%v", err)
 			}
 		}
 	}
 
-	if *benchJSON != "" {
-		if err := writeJSONFile(*benchJSON, benchOut); err != nil {
-			return fail("%v", err)
-		}
-	}
 	if *benchFmt != "" {
 		if err := writeBenchFmt(*benchFmt, fmtReports, params, *model, *commit); err != nil {
 			return fail("%v", err)
-		}
-	}
-	// Uploads run on their own context: the run context is already
-	// cancelled after a drained interrupt, and partial results are still
-	// worth shipping. With -outbox an unreachable server spools instead of
-	// failing the run.
-	if *uploadURL != "" {
-		if err := uploadResults(*uploadURL, *outbox, *commit, *exp, benchOut, *benchJSON != "", telemReport, *telemOut != "", *benchFmt); err != nil {
-			return fail("tcsim: upload: %v", err)
 		}
 	}
 	if *memProfile != "" {
@@ -416,13 +387,9 @@ func run() int {
 // writeBenchFmt writes the accumulated per-experiment reports in the
 // standard Go benchmark text format (atomically: temp + rename), one
 // result line per (experiment, rep) in completion order, preceded by the
-// run configuration. The file is what stock benchstat — and this repo's
-// tcbenchdiff — consume.
+// run configuration and the machine identity. The file is what stock
+// benchstat — and this repo's tcbenchdiff — consume.
 func writeBenchFmt(path string, reports []bench.ExperimentReport, params bench.Params, model, commit string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return err
-	}
 	cfg := []benchfmt.Config{
 		{Key: "suite", Value: "tcsim"},
 		{Key: "model", Value: model},
@@ -432,115 +399,24 @@ func writeBenchFmt(path string, reports []bench.ExperimentReport, params bench.P
 	if commit != "" {
 		cfg = append(cfg, benchfmt.Config{Key: "commit", Value: commit})
 	}
-	w := benchfmt.NewWriter(f)
-	for _, r := range reports {
-		res := benchfmt.Result{
-			FullName: "BenchmarkSuite/exp=" + r.ID,
-			Iters:    1,
-			Values: []benchfmt.Value{
-				{Value: r.WallMS * 1e6, Unit: "ns/op"},
-				{Value: float64(r.Cells), Unit: "cells/op"},
-				{Value: float64(r.Instructions), Unit: "instrs/op"},
-			},
-			Config: cfg,
-		}
-		if err == nil {
-			err = w.Write(&res)
-		}
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return os.Rename(f.Name(), path)
-}
-
-// uploadResults ships the run's JSON outputs to a tcperf server: any
-// spooled leftovers first, then the benchjson and telemetry documents,
-// tagged with this machine's fingerprint, the given commit, and the
-// experiment selector. Content-hash IDs make re-running the same upload a
-// no-op on the server.
-func uploadResults(baseURL, outbox, commit, exp string, benchOut map[string]bench.ExperimentReport, haveBench bool, telem *telemetry.Report, haveTelem bool, benchFmtPath string) error {
-	c, err := client.New(client.Config{BaseURL: baseURL, Outbox: outbox})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if outbox != "" {
-		if sent, remaining, ferr := c.FlushOutbox(ctx); ferr == nil && sent > 0 {
-			fmt.Fprintf(os.Stderr, "tcsim: flushed %d spooled uploads (%d left)\n", sent, remaining)
-		}
-	}
-	machine := client.Fingerprint()
-	upload := func(kind, schema string, body []byte) error {
-		res, err := c.Do(ctx, client.Upload{
-			Kind: kind, Machine: machine, Commit: commit, Experiment: exp, Schema: schema, Body: body,
-		})
-		if err != nil {
-			return err
-		}
-		switch {
-		case res.Spooled:
-			fmt.Fprintf(os.Stderr, "tcsim: %s upload spooled to %s (server unreachable)\n", kind, res.SpoolPath)
-		case res.Duplicate:
-			fmt.Fprintf(os.Stderr, "tcsim: %s already uploaded (%s)\n", kind, res.ID)
-		default:
-			fmt.Fprintf(os.Stderr, "tcsim: uploaded %s as %s\n", kind, res.ID)
+	cfg = append(cfg, benchfmt.MachineConfig()...)
+	return fsutil.WriteFileAtomic(path, func(out io.Writer) error {
+		w := benchfmt.NewWriter(out)
+		for _, r := range reports {
+			res := benchfmt.Result{
+				FullName: "BenchmarkSuite/exp=" + r.ID,
+				Iters:    1,
+				Values: []benchfmt.Value{
+					{Value: r.WallMS * 1e6, Unit: "ns/op"},
+					{Value: float64(r.Cells), Unit: "cells/op"},
+					{Value: float64(r.Instructions), Unit: "instrs/op"},
+				},
+				Config: cfg,
+			}
+			if err := w.Write(&res); err != nil {
+				return err
+			}
 		}
 		return nil
-	}
-	if haveBench {
-		body, err := json.Marshal(benchOut)
-		if err != nil {
-			return err
-		}
-		if err := upload("benchjson", "", body); err != nil {
-			return err
-		}
-	}
-	if haveTelem && telem != nil {
-		body, err := json.Marshal(telem)
-		if err != nil {
-			return err
-		}
-		if err := upload("telemetry", "", body); err != nil {
-			return err
-		}
-	}
-	if benchFmtPath != "" {
-		// Byte-for-byte as written, so the server's record is exactly the
-		// file local tooling diffs against.
-		body, err := os.ReadFile(benchFmtPath)
-		if err != nil {
-			return err
-		}
-		if err := upload("benchfmt", "go-benchfmt/v1", body); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeJSONFile writes v as indented JSON via a temp file + rename, so an
-// interrupt or error mid-write never leaves a truncated file at path.
-func writeJSONFile(path string, v any) error {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(v)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return os.Rename(f.Name(), path)
+	})
 }

@@ -1,22 +1,18 @@
 package main
 
-// End-to-end interrupt/resume and publish campaign against the real
-// tcsweep binary:
+// End-to-end interrupt/resume campaign against the real tcsweep binary:
 //
 //   - SIGINT drain: the run checkpoints completed shards, exits asking to
 //     be resumed, and the resumed run's report is byte-identical to an
 //     uninterrupted one;
 //   - SIGKILL (kill -9): same contract with no chance to drain — the
-//     atomic manifest protocol alone must carry the run;
-//   - publish: the sweep/v1 document uploads to a live tcperf server,
-//     queries back byte-identical, and parses as a sweep document.
+//     atomic manifest protocol alone must carry the run.
 //
 // CI runs these as the sweep smoke job (make sweep-smoke).
 
 import (
-	"bufio"
 	"bytes"
-	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -26,10 +22,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"repro/internal/perfstore"
-	"repro/internal/perfstore/client"
-	"repro/internal/sweep"
 )
 
 // e2eSpec is small enough to finish in well under a second unthrottled,
@@ -47,13 +39,12 @@ const e2eSpec = `{
 
 var binOnce struct {
 	sync.Once
-	tcsweep string
-	tcperf  string
-	err     error
+	path string
+	err  error
 }
 
-// buildBinaries compiles cmd/tcsweep and cmd/tcperf once per test run.
-func buildBinaries(t *testing.T) (tcsweep, tcperf string) {
+// buildBinary compiles cmd/tcsweep once per test run.
+func buildBinary(t *testing.T) string {
 	t.Helper()
 	binOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "tcsweep-e2e-*")
@@ -61,26 +52,18 @@ func buildBinaries(t *testing.T) (tcsweep, tcperf string) {
 			binOnce.err = err
 			return
 		}
-		for _, b := range []struct {
-			name string
-			dst  *string
-		}{
-			{"tcsweep", &binOnce.tcsweep},
-			{"tcperf", &binOnce.tcperf},
-		} {
-			bin := filepath.Join(dir, b.name)
-			out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/"+b.name).CombinedOutput()
-			if err != nil {
-				binOnce.err = fmt.Errorf("go build %s: %v\n%s", b.name, err, out)
-				return
-			}
-			*b.dst = bin
+		bin := filepath.Join(dir, "tcsweep")
+		out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/tcsweep").CombinedOutput()
+		if err != nil {
+			binOnce.err = fmt.Errorf("go build tcsweep: %v\n%s", err, out)
+			return
 		}
+		binOnce.path = bin
 	})
 	if binOnce.err != nil {
 		t.Fatal(binOnce.err)
 	}
-	return binOnce.tcsweep, binOnce.tcperf
+	return binOnce.path
 }
 
 func writeSpec(t *testing.T, dir string) string {
@@ -173,112 +156,36 @@ func interruptAndResume(t *testing.T, bin, specPath string, sig syscall.Signal, 
 }
 
 func TestE2ESigintResume(t *testing.T) {
-	tcsweepBin, _ := buildBinaries(t)
+	tcsweepBin := buildBinary(t)
 	specPath := writeSpec(t, t.TempDir())
 	want := referenceRun(t, tcsweepBin, specPath)
 	interruptAndResume(t, tcsweepBin, specPath, syscall.SIGINT, want)
 }
 
 func TestE2EKillNineResume(t *testing.T) {
-	tcsweepBin, _ := buildBinaries(t)
+	tcsweepBin := buildBinary(t)
 	specPath := writeSpec(t, t.TempDir())
 	want := referenceRun(t, tcsweepBin, specPath)
 	interruptAndResume(t, tcsweepBin, specPath, syscall.SIGKILL, want)
 }
 
-// TestE2EPublish runs a sweep with -doc and -upload against a live tcperf
-// server, then queries the document back and checks it is byte-identical
-// and parses as sweep/v1.
-func TestE2EPublish(t *testing.T) {
-	tcsweepBin, tcperfBin := buildBinaries(t)
-	dir := t.TempDir()
-	specPath := writeSpec(t, dir)
-
-	// Start tcperf serve on a random port.
-	srv := exec.Command(tcperfBin, "serve", "-dir", filepath.Join(dir, "store"), "-addr", "127.0.0.1:0")
-	stderrPipe, err := srv.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Process.Signal(syscall.SIGTERM)
-		srv.Wait()
-	}()
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderrPipe)
-		for sc.Scan() {
-			if rest, ok := strings.CutPrefix(sc.Text(), "tcperf: listening on "); ok {
-				select {
-				case addrCh <- strings.TrimSpace(rest):
-				default:
-				}
-			}
+// TestCommitNeedsBenchfmt: -commit only tags -benchfmt output, so on its
+// own it is a usage error, and the retired upload flags are unknown.
+func TestCommitNeedsBenchfmt(t *testing.T) {
+	bin := buildBinary(t)
+	specPath := writeSpec(t, t.TempDir())
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-spec", specPath, "-commit", "abc"}, "-commit only makes sense with -benchfmt"},
+		{[]string{"-spec", specPath, "-upload", "http://127.0.0.1:1", "-commit", "abc"}, "flag provided but not defined: -upload"},
+		{[]string{"-spec", specPath, "-outbox", t.TempDir()}, "flag provided but not defined: -outbox"},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.want) {
+			t.Errorf("tcsweep %v: err = %v, want exit 2 with %q; output:\n%s", tc.args, err, tc.want, out)
 		}
-	}()
-	var baseURL string
-	select {
-	case addr := <-addrCh:
-		baseURL = "http://" + addr
-	case <-time.After(10 * time.Second):
-		t.Fatal("tcperf did not report a listen address")
-	}
-
-	docPath := filepath.Join(dir, "doc.json")
-	out, err := exec.Command(tcsweepBin,
-		"-spec", specPath, "-quiet", "-workers", "2",
-		"-doc", docPath,
-		"-upload", baseURL, "-commit", "e2e-test").CombinedOutput()
-	if err != nil {
-		t.Fatalf("tcsweep upload run: %v\n%s", err, out)
-	}
-	local, err := os.ReadFile(docPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := client.New(client.Config{BaseURL: baseURL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	metas, err := c.Query(ctx, perfstore.Query{Kind: "sweep", Experiment: "e2e"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(metas) != 1 {
-		t.Fatalf("query returned %d sweep records, want 1: %+v", len(metas), metas)
-	}
-	if metas[0].Schema != sweep.DocumentSchema {
-		t.Errorf("stored schema = %q, want %q", metas[0].Schema, sweep.DocumentSchema)
-	}
-	remote, err := c.Record(ctx, metas[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(remote, local) {
-		t.Error("stored sweep document differs from the local -doc file")
-	}
-	doc, err := sweep.ParseDocument(remote)
-	if err != nil {
-		t.Fatalf("stored document does not parse as sweep/v1: %v", err)
-	}
-	if doc.Name != "e2e" || len(doc.Rows) == 0 {
-		t.Fatalf("stored document lost content: name=%q rows=%d", doc.Name, len(doc.Rows))
-	}
-
-	// Re-uploading the identical document is a no-op on the server.
-	out, err = exec.Command(tcsweepBin,
-		"-spec", specPath, "-quiet", "-workers", "2",
-		"-upload", baseURL, "-commit", "e2e-test").CombinedOutput()
-	if err != nil {
-		t.Fatalf("tcsweep re-upload: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "already uploaded") {
-		t.Errorf("re-upload was not deduplicated:\n%s", out)
 	}
 }

@@ -14,9 +14,8 @@
 //	tcsweep -spec sweep.json
 //	tcsweep -spec sweep.json -workers 8 -resume sweep.manifest
 //	tcsweep -spec sweep.json -csv all-points.csv -doc frontier.json
-//	tcsweep -spec sweep.json -doc frontier.json -upload http://host:8344 -commit $(git rev-parse HEAD)
 //	tcsweep -spec sweep.json -expand
-//	tcsweep -spec sweep.json -gang 8 -benchfmt sweep.txt -count 5 -warmup 1
+//	tcsweep -spec sweep.json -gang 8 -benchfmt sweep.txt -count 5 -warmup 1 -commit $(git rev-parse HEAD)
 //
 // With -resume, completed shards are checkpointed atomically: an
 // interrupted run — Ctrl-C, SIGTERM, or kill -9 — restarts where it left
@@ -34,14 +33,13 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/benchfmt"
-	"repro/internal/perfstore/client"
+	"repro/internal/fsutil"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -69,10 +67,7 @@ func run() int {
 		benchFmt = flag.String("benchfmt", "", "write per-rep sweep wall time in the standard Go benchmark format to this file")
 		count    = flag.Int("count", 1, "repetitions of the whole sweep; each rep adds one result line to -benchfmt")
 		warmup   = flag.Int("warmup", 0, "unrecorded warm-up repetitions before the -count recorded ones (prime capture memos)")
-
-		uploadURL = flag.String("upload", "", "tcperf server base URL; uploads the sweep/v1 document after the run")
-		commit    = flag.String("commit", "", "commit id to tag the upload with (required by -upload)")
-		outbox    = flag.String("outbox", "", "spool directory for uploads when the tcperf server is unreachable")
+		commit   = flag.String("commit", "", "commit id to tag -benchfmt output with")
 	)
 	flag.Parse()
 
@@ -109,11 +104,8 @@ func run() int {
 	if *benchFmt != "" && *resume != "" {
 		return fail("tcsweep: -benchfmt repetitions cannot be combined with -resume (resumed reps would skip the simulation being timed)")
 	}
-	if *uploadURL != "" && *commit == "" {
-		return fail("tcsweep: -upload needs -commit to tag the results")
-	}
-	if *uploadURL == "" && *outbox != "" {
-		return fail("tcsweep: -outbox only makes sense with -upload")
+	if *commit != "" && *benchFmt == "" {
+		return fail("tcsweep: -commit only makes sense with -benchfmt")
 	}
 
 	var data []byte
@@ -201,19 +193,16 @@ func run() int {
 	report.Render(os.Stdout)
 
 	if *csvPath != "" {
-		if err := writeFileAtomic(*csvPath, func(w io.Writer) error { return report.WriteCSV(w) }); err != nil {
-			return fail("tcsweep: %v", err)
-		}
-	}
-	var docBytes []byte
-	if *docPath != "" || *uploadURL != "" {
-		docBytes, err = report.Document().Encode()
-		if err != nil {
+		if err := fsutil.WriteFileAtomic(*csvPath, func(w io.Writer) error { return report.WriteCSV(w) }); err != nil {
 			return fail("tcsweep: %v", err)
 		}
 	}
 	if *docPath != "" {
-		if err := writeFileAtomic(*docPath, func(w io.Writer) error {
+		docBytes, err := report.Document().Encode()
+		if err != nil {
+			return fail("tcsweep: %v", err)
+		}
+		if err := fsutil.WriteFileAtomic(*docPath, func(w io.Writer) error {
 			_, werr := w.Write(docBytes)
 			return werr
 		}); err != nil {
@@ -254,18 +243,12 @@ func run() int {
 			DirectPoints:   outcome.DirectPoints,
 			GangFallbacks:  outcome.GangFallbacks,
 		})
-		if err := writeFileAtomic(*telemOut, func(w io.Writer) error {
+		if err := fsutil.WriteFileAtomic(*telemOut, func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			return enc.Encode(metrics)
 		}); err != nil {
 			return fail("tcsweep: %v", err)
-		}
-	}
-
-	if *uploadURL != "" {
-		if err := uploadDoc(*uploadURL, *outbox, *commit, spec.Name, docBytes); err != nil {
-			return fail("tcsweep: upload: %v", err)
 		}
 	}
 	return 0
@@ -311,18 +294,19 @@ func formatBytes(n int64) string {
 // wall-clock as ns/op plus the run's work and amortization counters. The
 // benchmark name carries only the spec, so snapshots taken at different
 // gang widths diff cleanly under tcbenchdiff; the width lands in the
-// file-level config lines.
+// file-level config lines, followed by the machine identity.
 func writeBenchFmt(path, specName string, budget int64, gang, workers int, commit string, walls []time.Duration, outcome *sweep.Outcome) error {
-	return writeFileAtomic(path, func(out io.Writer) error {
-		cfg := []benchfmt.Config{
-			{Key: "suite", Value: "tcsweep"},
-			{Key: "gang-width", Value: fmt.Sprint(gang)},
-			{Key: "workers", Value: fmt.Sprint(workers)},
-			{Key: "budget", Value: fmt.Sprint(budget)},
-		}
-		if commit != "" {
-			cfg = append(cfg, benchfmt.Config{Key: "commit", Value: commit})
-		}
+	cfg := []benchfmt.Config{
+		{Key: "suite", Value: "tcsweep"},
+		{Key: "gang-width", Value: fmt.Sprint(gang)},
+		{Key: "workers", Value: fmt.Sprint(workers)},
+		{Key: "budget", Value: fmt.Sprint(budget)},
+	}
+	if commit != "" {
+		cfg = append(cfg, benchfmt.Config{Key: "commit", Value: commit})
+	}
+	cfg = append(cfg, benchfmt.MachineConfig()...)
+	return fsutil.WriteFileAtomic(path, func(out io.Writer) error {
 		w := benchfmt.NewWriter(out)
 		passes := outcome.FusedGangs + outcome.DirectPoints
 		for _, wall := range walls {
@@ -343,55 +327,4 @@ func writeBenchFmt(path, specName string, budget int64, gang, workers int, commi
 		}
 		return nil
 	})
-}
-
-// uploadDoc ships the sweep/v1 document to a tcperf server, flushing any
-// spooled leftovers first. Content-hash IDs make re-uploading the same
-// sweep a no-op on the server.
-func uploadDoc(baseURL, outbox, commit, specName string, body []byte) error {
-	c, err := client.New(client.Config{BaseURL: baseURL, Outbox: outbox})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if outbox != "" {
-		if sent, remaining, ferr := c.FlushOutbox(ctx); ferr == nil && sent > 0 {
-			fmt.Fprintf(os.Stderr, "tcsweep: flushed %d spooled uploads (%d left)\n", sent, remaining)
-		}
-	}
-	res, err := c.Do(ctx, client.Upload{
-		Kind: "sweep", Machine: client.Fingerprint(), Commit: commit,
-		Experiment: specName, Schema: sweep.DocumentSchema, Body: body,
-	})
-	if err != nil {
-		return err
-	}
-	switch {
-	case res.Spooled:
-		fmt.Fprintf(os.Stderr, "tcsweep: sweep upload spooled to %s (server unreachable)\n", res.SpoolPath)
-	case res.Duplicate:
-		fmt.Fprintf(os.Stderr, "tcsweep: sweep already uploaded (%s)\n", res.ID)
-	default:
-		fmt.Fprintf(os.Stderr, "tcsweep: uploaded sweep as %s\n", res.ID)
-	}
-	return nil
-}
-
-// writeFileAtomic writes via a temp file + rename, so an interrupt or
-// error mid-write never leaves a truncated file at path.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return os.Rename(f.Name(), path)
 }

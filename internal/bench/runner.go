@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
+	"repro/internal/fsutil"
 	"repro/internal/stats"
 )
 
@@ -44,19 +44,19 @@ type SuiteOptions struct {
 	// Log, when non-nil, receives one summary line per experiment.
 	Log io.Writer
 	// OnExperiment, when non-nil, is called after each experiment with
-	// its execution report (the -benchjson hook).
+	// its execution report.
 	OnExperiment func(ExperimentReport)
 }
 
 // ExperimentReport summarises one experiment's execution.
 type ExperimentReport struct {
-	ID           string  `json:"-"`
-	WallMS       float64 `json:"wall_ms"`
-	Cells        int64   `json:"cells"`
-	Instructions int64   `json:"instructions"`
+	ID           string
+	WallMS       float64
+	Cells        int64
+	Instructions int64
 	// Resumed marks experiments replayed from the manifest; their
 	// counters are the recorded ones from the run that computed them.
-	Resumed bool `json:"resumed,omitempty"`
+	Resumed bool
 }
 
 // SuiteResult reports what a RunSuite call did.
@@ -159,19 +159,10 @@ func (m *manifest) save(path string) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".manifest-*")
-	if err != nil {
+	return fsutil.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
 		return err
-	}
-	_, err = tmp.Write(append(data, '\n'))
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }
 
 // jsonExperiment is the element shape of the suite's JSON output.

@@ -191,3 +191,31 @@ func resultsEqual(a, b []Result) bool {
 	}
 	return true
 }
+
+// TestMachineConfig: the machine lines carry every MachineKeys key in
+// order, with non-empty values that survive a write/read round trip.
+func TestMachineConfig(t *testing.T) {
+	cfg := MachineConfig()
+	if len(cfg) != len(MachineKeys) {
+		t.Fatalf("MachineConfig has %d entries, MachineKeys %d", len(cfg), len(MachineKeys))
+	}
+	for i, kv := range cfg {
+		if kv.Key != MachineKeys[i] || kv.Value == "" {
+			t.Errorf("entry %d = %+v, want key %q with a value", i, kv, MachineKeys[i])
+		}
+	}
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).Write(&Result{FullName: "BenchmarkX", Iters: 1,
+		Values: []Value{{1, "ns/op"}}, Config: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	got, probs, err := ReadAll(&buf, "machine")
+	if err != nil || len(probs) != 0 || len(got) != 1 {
+		t.Fatalf("read back %d results, problems %v, err %v", len(got), probs, err)
+	}
+	for _, kv := range cfg {
+		if v, ok := got[0].Lookup(kv.Key); !ok || v != kv.Value {
+			t.Errorf("Lookup(%q) = %q, %v; want %q", kv.Key, v, ok, kv.Value)
+		}
+	}
+}

@@ -7,11 +7,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
+	"repro/internal/fsutil"
 	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -181,19 +182,10 @@ func (m *manifestFile) save(path string) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".sweep-manifest-*")
-	if err != nil {
+	return fsutil.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
 		return err
-	}
-	_, err = tmp.Write(append(data, '\n'))
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }
 
 // runPoint simulates one point. The capture store hands every point of a

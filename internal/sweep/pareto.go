@@ -22,7 +22,7 @@ type Row struct {
 }
 
 // Report is a sweep's result set with frontiers computed, ready to render
-// or publish.
+// or store.
 type Report struct {
 	Name        string `json:"name"`
 	Fingerprint string `json:"fingerprint"`
@@ -182,17 +182,17 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// DocumentSchema is the perfstore schema identifier for published sweeps.
+// DocumentSchema is the schema identifier carried by sweep documents.
 const DocumentSchema = "sweep/v1"
 
-// Document is the published form of a report: the Report shape plus the
-// schema tag, so a perfstore query can identify and parse it.
+// Document is the stored form of a report: the Report shape plus the
+// schema tag, so a reader can identify and parse it.
 type Document struct {
 	Schema string `json:"schema"`
 	Report
 }
 
-// Document wraps the report for publication.
+// Document wraps the report with its schema tag.
 func (r *Report) Document() *Document {
 	return &Document{Schema: DocumentSchema, Report: *r}
 }

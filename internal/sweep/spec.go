@@ -6,7 +6,7 @@
 // checkpoints completed shards to an atomic resume manifest. Results
 // aggregate into a Pareto frontier report — indirect-jump misprediction
 // rate versus storage bits versus simulated work — rendered as text or
-// CSV and publishable to a tcperf server as a sweep/v1 document.
+// CSV, or stored as a sweep/v1 JSON document.
 //
 // The paper itself is a design-space study (tables of target-cache
 // geometries, history depths and predictor variants compared on accuracy);
@@ -255,7 +255,7 @@ type Grid struct {
 // Spec is a declarative sweep: the cross product of each grid's axes,
 // against each workload, at one instruction budget.
 type Spec struct {
-	// Name labels the sweep in reports and uploads.
+	// Name labels the sweep in reports and benchmark snapshots.
 	Name string `json:"name"`
 	// Budget is the per-point accuracy-simulation instruction budget.
 	Budget int64 `json:"budget"`

@@ -123,7 +123,7 @@ func TestCaptureBlocksMatchDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := trace.CaptureSized(trace.NewLimit(w.Open(), budget), budget)
+			rep := trace.Capture(trace.NewLimit(w.Open(), budget))
 			built := rep.Blocks()
 			decoded := trace.NewReplayBytes(rep.Bytes(), rep.Len()).Blocks()
 			if built.Len() != decoded.Len() {

@@ -71,20 +71,13 @@ func (rec *Recorder) Finish() *Replay {
 }
 
 // Capture drains src into a new Replay.
-func Capture(src Source) *Replay {
-	return CaptureSized(src, 0)
-}
-
-// CaptureSized is Capture with a record-count hint, kept for API
-// compatibility: the arena-backed block builder sizes itself, so the hint
-// is no longer consulted. Any n (including 0) is correct.
 //
 // Capture builds only the decoded Blocks form — the representation every
 // simulation kernel consumes. The compact v2 buffer is re-encoded lazily
 // on first Bytes/Size/Cursor use (encoding is deterministic, so the bytes
 // are identical to recording the source directly; replay_test pins this),
 // which removes the varint-encode pass from the capture hot path entirely.
-func CaptureSized(src Source, n int64) *Replay {
+func Capture(src Source) *Replay {
 	var bb blockBuilder
 	var r Record
 	for src.Next(&r) {

@@ -116,7 +116,7 @@ func (w *Workload) Replay(budget int64) trace.BlockSource {
 	e.once.Do(func() {
 		captures.Add(1)
 		if tf := TestCaptureTransform; tf != nil {
-			e.bs = tf(w.Name, budget, trace.CaptureSized(trace.NewLimit(w.Open(), budget), budget))
+			e.bs = tf(w.Name, budget, trace.Capture(trace.NewLimit(w.Open(), budget)))
 			return
 		}
 		if cfg.Threshold > 0 && budget >= cfg.Threshold {
@@ -127,7 +127,7 @@ func (w *Workload) Replay(budget int64) trace.BlockSource {
 			// Spill failures (disk full, unwritable dir) fall back to the
 			// in-memory path: slower or riskier for RAM, never wrong.
 		}
-		e.bs = trace.CaptureSized(trace.NewLimit(w.Open(), budget), budget)
+		e.bs = trace.Capture(trace.NewLimit(w.Open(), budget))
 	})
 	return e.bs
 }

@@ -128,7 +128,7 @@ func TestReplayPrefixShares(t *testing.T) {
 
 	// The prefix really is the prefix: simulating budget records over the
 	// shared capture equals a dedicated budget-sized capture.
-	dedicated := trace.CaptureSized(trace.NewLimit(w.Open(), 30_000), 30_000)
+	dedicated := trace.Capture(trace.NewLimit(w.Open(), 30_000))
 	sharedRecs := trace.Collect(trace.NewLimit(shared.Open(), 30_000))
 	dedRecs := trace.Collect(dedicated.Open())
 	if len(sharedRecs) != len(dedRecs) {
@@ -187,7 +187,7 @@ func TestSpillCapture(t *testing.T) {
 	}
 
 	// The spilled stream equals the in-memory capture record for record.
-	mem := trace.CaptureSized(trace.NewLimit(w.Open(), 60_000), 60_000)
+	mem := trace.Capture(trace.NewLimit(w.Open(), 60_000))
 	got := trace.Collect(big.Open())
 	want := trace.Collect(mem.Open())
 	if len(got) != len(want) {
