@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fault fuzz bench bench-smoke bench-fmt bench-diff bench-gate bench-sweep experiments sweep-smoke fmt cover clean
+.PHONY: all build vet test test-short race fault fuzz bench bench-module bench-smoke bench-fmt bench-diff bench-gate bench-sweep experiments sweep-smoke fmt cover clean
 
 all: build vet test
 
@@ -46,6 +46,12 @@ test-short:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# benchmark/ is a Go module of its own (its go.mod replaces repro => ../),
+# so the ./... patterns above never build it. It calls sim's public API;
+# vet and build it whenever that API changes.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 # One-iteration benchmark smoke pass over the hot-path packages: catches
 # benchmarks that no longer compile or crash, without the timing cost.

@@ -51,13 +51,31 @@ func RunAccuracy(factory trace.Factory, budget int64, cfg Config) AccuracyResult
 // instruction-count boundaries and stops early with Err set to ctx.Err()
 // when cancelled, returning the partial counts accumulated so far.
 //
-// When factory is a memoized trace.Replay (or pre-decoded trace.Blocks),
-// the run uses the batched decode-once kernel with devirtualized predictor
-// calls; results are identical to the streaming loop below, which remains
-// the reference path for arbitrary sources.
+// When factory is a memoized trace.Replay (or any other decoded
+// trace.BlockSource), the run is a one-member gang on the batched
+// decode-once kernel with devirtualized predictor calls; results are
+// identical to the streaming loop in RunAccuracyWithFlushesCtx, which
+// remains the reference path for arbitrary sources.
 func RunAccuracyCtx(ctx context.Context, factory trace.Factory, budget int64, cfg Config) AccuracyResult {
+	return RunAccuracyWithFlushesCtx(ctx, factory, budget, 0, cfg)
+}
+
+// RunAccuracyWithFlushes is RunAccuracy with the entire front end reset
+// every flushInterval instructions, modelling context switches that wipe
+// predictor state. It measures how quickly each structure re-warms: the
+// BTB needs one encounter per jump, a history-indexed target cache one
+// encounter per (jump, history) pair, so frequent switches erode the
+// target cache's advantage first — a classic objection the experiment
+// quantifies. An interval of 0 never flushes.
+func RunAccuracyWithFlushes(factory trace.Factory, budget, flushInterval int64, cfg Config) AccuracyResult {
+	return RunAccuracyWithFlushesCtx(context.Background(), factory, budget, flushInterval, cfg)
+}
+
+// RunAccuracyWithFlushesCtx is RunAccuracyWithFlushes under a context; see
+// RunAccuracyCtx for the cancellation contract and the batched path.
+func RunAccuracyWithFlushesCtx(ctx context.Context, factory trace.Factory, budget, flushInterval int64, cfg Config) AccuracyResult {
 	if bs, ok := blocksFor(factory); ok {
-		return runAccuracyBlocks(ctx, bs, budget, 0, cfg)
+		return soloGang(cfg).run(ctx, span{bs: bs, end: budget, flushInterval: flushInterval})[0]
 	}
 	engine := NewEngine(cfg)
 	var res AccuracyResult
@@ -70,6 +88,9 @@ func RunAccuracyCtx(ctx context.Context, factory trace.Factory, budget int64, cf
 				res.Err = err
 				return res
 			}
+		}
+		if flushInterval > 0 && res.Instructions%flushInterval == 0 {
+			engine.Reset()
 		}
 		if !r.Class.IsBranch() {
 			continue

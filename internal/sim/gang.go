@@ -3,18 +3,17 @@ package sim
 import (
 	"context"
 
-	"repro/internal/core"
-	"repro/internal/history"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 // Fused gang replay: one pass over a decoded block stream drives K
 // predictor configurations in lockstep. The sweep engine's grids multiply
-// hundreds of points over the same handful of captures, and before this
-// kernel every point re-traversed its capture end to end; here the
+// hundreds of points over the same handful of captures, and without
+// fusion every point re-traverses its capture end to end; here the
 // traversal — and everything in the front end that evolves identically
 // for every member — happens once per gang instead of once per point.
+// The batched kernel (kernel.go) is written for gangs throughout: a solo
+// accuracy run is the gang of one.
 //
 // What makes fusion sound: the baseline front-end structures (BTB, return
 // address stack, direction predictor) and the branch-history registers
@@ -61,18 +60,6 @@ type GangPoint struct {
 	HistShare string
 }
 
-// gangMember is the per-member state of a fused run. The slice of these
-// is the gang's only per-member allocation besides the target caches
-// themselves; counters here record only the records whose outcome
-// diverged per member (their prediction consulted the member's target
-// cache) — the shared skeleton counters live once in the kernel.
-type gangMember struct {
-	hist int32 // index into the shared provider table
-
-	cond, direct, returns, indirect, overall stats.Counter
-	tcCovered                                int64
-}
-
 // RunAccuracyGang is RunAccuracyGangCtx under context.Background.
 func RunAccuracyGang(factory trace.Factory, budget int64, pts []GangPoint) ([]AccuracyResult, bool) {
 	return RunAccuracyGangCtx(context.Background(), factory, budget, pts)
@@ -107,295 +94,5 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 			return nil, false
 		}
 	}
-
-	// One shared front end, built from the common config with the
-	// per-member structures stripped.
-	front.NewTargetCache, front.NewHistory, front.Telemetry = nil, nil, nil
-	engine := NewEngine(front)
-
-	members := make([]gangMember, len(pts))
-	tcs := make([]core.TargetCache, len(pts))
-	var providers []history.Provider
-	shared := make(map[string]int32, len(pts))
-	for i, pt := range pts {
-		tcs[i] = pt.Config.NewTargetCache()
-		if key := pt.HistShare; key != "" {
-			if idx, ok := shared[key]; ok {
-				members[i].hist = idx
-				continue
-			}
-			shared[key] = int32(len(providers))
-		}
-		members[i].hist = int32(len(providers))
-		providers = append(providers, pt.Config.NewHistory())
-	}
-
-	// Monomorphize the kernel over the members' concrete target-cache type
-	// when the gang is family-homogeneous. Grid expansion emits points
-	// family by family, so shards — and the gangs cut from them — mix
-	// families only at grid boundaries; the homogeneous instantiations make
-	// the per-member Predict/Update calls direct (and inlinable) exactly
-	// like the solo kernel's, and the rare mixed gang takes the
-	// interface-typed instantiation of the same kernel.
-	switch {
-	case allOf[*core.Tagless](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Tagless](tcs), providers), true
-	case allOf[*core.Tagged](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Tagged](tcs), providers), true
-	case allOf[*core.Cascaded](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Cascaded](tcs), providers), true
-	case allOf[*core.ITTAGE](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.ITTAGE](tcs), providers), true
-	}
-	return dispatchGangHist(ctx, bs, budget, engine, members, tcs, providers), true
-}
-
-// dispatchGangHist monomorphizes over the providers' concrete type for an
-// already-resolved target-cache type. The sweep groups gangs by history
-// scheme, so gangs are history-homogeneous in practice; heterogeneous
-// gangs take the interface-typed instantiation.
-func dispatchGangHist[TC targetCache](
-	ctx context.Context, bs trace.BlockSource, budget int64,
-	engine *Engine, members []gangMember, tcs []TC, providers []history.Provider,
-) []AccuracyResult {
-	if hs, ok := homogeneous[history.PatternProvider](providers); ok {
-		return gangKernel(ctx, bs, budget, engine, members, tcs, hs)
-	}
-	if hs, ok := homogeneous[*history.Path](providers); ok {
-		return gangKernel(ctx, bs, budget, engine, members, tcs, hs)
-	}
-	return gangKernel(ctx, bs, budget, engine, members, tcs, providers)
-}
-
-// homogeneous converts the provider slice to its concrete element type
-// when every element has it.
-func homogeneous[H historySource](providers []history.Provider) ([]H, bool) {
-	hs := make([]H, len(providers))
-	for i, p := range providers {
-		h, ok := p.(H)
-		if !ok {
-			return nil, false
-		}
-		hs[i] = h
-	}
-	return hs, true
-}
-
-// allOf reports whether every target cache has concrete type TC.
-func allOf[TC targetCache](tcs []core.TargetCache) bool {
-	for _, tc := range tcs {
-		if _, ok := tc.(TC); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// cast converts the target-cache slice to its concrete element type;
-// callers check allOf first.
-func cast[TC targetCache](tcs []core.TargetCache) []TC {
-	out := make([]TC, len(tcs))
-	for i, tc := range tcs {
-		out[i] = tc.(TC)
-	}
-	return out
-}
-
-// gangKernel is the fused accuracy loop. It mirrors accuracyKernel record
-// for record — same context-poll positions, same lean materialization,
-// same clean-prefix error contract — with the per-branch work split into
-// a shared skeleton (run once) and a per-member tail (run only when a
-// member's target cache is consulted).
-func gangKernel[TC targetCache, H historySource](
-	ctx context.Context, bs trace.BlockSource, budget int64,
-	engine *Engine, members []gangMember, tcs []TC, hists []H,
-) []AccuracyResult {
-	var res AccuracyResult // shared skeleton counters
-	// sharedInd counts indirect-class records whose prediction never
-	// consulted a target cache (BTB miss, not-taken direction, or a stale
-	// non-indirect BTB class): their outcome is identical for every
-	// member.
-	var sharedInd stats.Counter
-	btbT, ras, dir := engine.BTB, engine.RAS, engine.Dir
-	phVals := make([]uint64, len(hists))
-
-	limit := budget
-	if limit < 0 {
-		limit = 0
-	}
-	effEnd := limit
-	if clean := bs.CleanLen(); clean < effEnd {
-		effEnd = clean
-	}
-	var insns int64
-	var r trace.Record
-
-	// finish assembles the per-member results: the shared skeleton plus
-	// each member's divergence counters, every member reporting the same
-	// instruction count and error a solo run stopped at this record would.
-	finish := func(err error) []AccuracyResult {
-		out := make([]AccuracyResult, len(members))
-		for mi := range members {
-			m := &members[mi]
-			mr := res
-			mr.Instructions = insns
-			mr.Conditional.Add(m.cond)
-			mr.Direct.Add(m.direct)
-			mr.Returns.Add(m.returns)
-			mr.Indirect = sharedInd
-			mr.Indirect.Add(m.indirect)
-			mr.Overall.Add(m.overall)
-			mr.TCCovered = m.tcCovered
-			mr.Err = err
-			out[mi] = mr
-		}
-		return out
-	}
-
-	for bi := 0; insns < effEnd; bi++ {
-		blk, err := bs.BlockAt(bi)
-		if err != nil {
-			return finish(err)
-		}
-		base := int64(bi) * trace.BlockLen
-		meta := blk.Meta
-		m := len(meta)
-		if rem := effEnd - base; int64(m) > rem {
-			m = int(rem)
-		}
-		meta = meta[:m]
-		pcs := blk.PC[:m]
-		tgts := blk.Target[:m]
-		addrs := blk.Addr[:m]
-		for i := 0; i < m; i++ {
-			insns = base + int64(i) + 1
-			if insns&ctxCheckMask == 0 {
-				if err := ctx.Err(); err != nil {
-					return finish(err)
-				}
-			}
-			mb := meta[i]
-			cls := trace.Class(mb & trace.MetaClassMask)
-			if cls == trace.ClassOther {
-				continue
-			}
-			res.Branches++
-			r.PC = pcs[i]
-			r.Target = tgts[i]
-			r.Addr = addrs[i]
-			r.Class = cls
-			r.Op = trace.OpClass(mb >> trace.MetaOpShift & trace.MetaOpMask)
-			r.Taken = mb&trace.MetaTaken != 0
-
-			// ---- shared fetch skeleton: BTB probe and direction ----
-			entry, bref, hit := btbT.Probe(r.PC)
-			var pTaken bool
-			if hit {
-				if entry.Class == trace.ClassCondDirect {
-					pTaken = dir.Predict(r.PC)
-				} else {
-					pTaken = true
-				}
-			}
-			indirectCls := cls == trace.ClassIndJump || cls == trace.ClassIndCall
-			// perMember: the prediction consults the target cache, so the
-			// outcome can differ per member. This keys on the BTB's
-			// *detected* class, exactly like the solo kernels.
-			perMember := hit && pTaken &&
-				(entry.Class == trace.ClassIndJump || entry.Class == trace.ClassIndCall)
-
-			if perMember || indirectCls {
-				// Value is pure and providers are not trained until the
-				// resolve phase below, so one read per scheme serves every
-				// member — the same value a solo run would see.
-				for pi := range hists {
-					phVals[pi] = hists[pi].Value(r.PC)
-				}
-			}
-
-			if perMember {
-				for mi := range members {
-					mem := &members[mi]
-					pTarget, pFromTC := entry.Target, false
-					if tgt, ok := tcs[mi].Predict(r.PC, phVals[mem.hist]); ok {
-						pTarget, pFromTC = tgt, true
-					}
-					correct := pTaken == r.Taken && (!r.Taken || pTarget == r.Target)
-					switch cls {
-					case trace.ClassCondDirect:
-						mem.cond.Record(correct)
-					case trace.ClassUncondDirect, trace.ClassCall:
-						mem.direct.Record(correct)
-					case trace.ClassReturn:
-						mem.returns.Record(correct)
-					case trace.ClassIndJump, trace.ClassIndCall:
-						mem.indirect.Record(correct)
-						if pFromTC {
-							mem.tcCovered++
-						}
-					}
-					mem.overall.Record(correct)
-				}
-			} else {
-				// No target cache consulted: the prediction — and its
-				// correctness — is identical for every member. Count once.
-				var pTarget uint64
-				var pHasTarget bool
-				if hit && pTaken {
-					switch entry.Class {
-					case trace.ClassReturn:
-						if addr, ok := ras.Peek(); ok {
-							pTarget, pHasTarget = addr, true
-						}
-					default:
-						pTarget, pHasTarget = entry.Target, true
-					}
-				}
-				correct := pTaken == r.Taken && (!r.Taken || (pHasTarget && pTarget == r.Target))
-				switch cls {
-				case trace.ClassCondDirect:
-					res.Conditional.Record(correct)
-				case trace.ClassUncondDirect, trace.ClassCall:
-					res.Direct.Record(correct)
-				case trace.ClassReturn:
-					res.Returns.Record(correct)
-				case trace.ClassIndJump, trace.ClassIndCall:
-					sharedInd.Record(correct)
-				}
-				res.Overall.Record(correct)
-			}
-
-			// ---- resolve: per-member target-cache training, then the
-			// shared structures, in the solo kernels' exact order ----
-			if indirectCls {
-				for mi := range members {
-					tcs[mi].Update(r.PC, phVals[members[mi].hist], r.Target)
-				}
-			}
-			if cls == trace.ClassCall || cls == trace.ClassIndCall {
-				ras.Push(r.FallThrough())
-			}
-			if cls == trace.ClassReturn {
-				ras.Pop()
-			}
-			if cls == trace.ClassCondDirect {
-				dir.Update(r.PC, r.Taken)
-			}
-			for pi := range hists {
-				hists[pi].Observe(&r)
-			}
-			if hit {
-				btbT.UpdateHit(bref, &r)
-			} else {
-				btbT.Update(&r)
-			}
-		}
-	}
-	var tailErr error
-	// Same clean-prefix contract as the solo kernels: damage past the
-	// budget is never surfaced.
-	if limit > bs.CleanLen() {
-		tailErr = bs.TailErr()
-	}
-	return finish(tailErr)
+	return newGang(pts).run(ctx, span{bs: bs, end: budget}), true
 }

@@ -43,6 +43,9 @@ func gangPoints() []GangPoint {
 		{Config: DefaultConfig().WithTargetCache(
 			func() core.TargetCache { return core.NewITTAGE(core.DefaultITTAGEConfig()) },
 			path(8)), HistShare: "path-indjmp#8"},
+		{Config: DefaultConfig().WithTargetCache(
+			func() core.TargetCache { return core.DefaultChooser() },
+			pattern(6)), HistShare: "pattern#6"},
 		// No share key: a private provider even though pattern#9 exists.
 		{Config: DefaultConfig().WithTargetCache(
 			func() core.TargetCache { return core.NewLastTarget(256, 2) },

@@ -5,13 +5,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/history"
+	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// Batched accuracy kernel: when the trace factory is a decoded replay
-// (the memoized captures every experiment cell runs over), the accuracy
-// drivers switch from the streaming Cursor loop to this kernel. It differs
-// from the generic loop in two ways, neither observable in the results:
+// Batched accuracy kernel: every accuracy run over a decoded block stream —
+// a solo run (a gang of one), a run with periodic flushes, a segment
+// worker's priming walk and its simulated span, and a fused sweep gang —
+// executes gangKernel below. It differs from the streaming reference loop
+// (RunAccuracyWithFlushesCtx over an arbitrary source) in ways none of
+// which is observable in the results:
 //
 //   - Decode-once iteration. Records come from trace.Blocks — the capture
 //     varint-decoded a single time process-wide — and non-branch records
@@ -21,37 +25,47 @@ import (
 //     inlined here and instantiated per concrete (target cache, history)
 //     pair, so the hot path is direct calls on concrete structs instead
 //     of interface dispatch through core.TargetCache/history.Provider.
+//   - Fusion. K members share one front end and one history register per
+//     scheme; see gang.go for why that is exact.
 //
 // The inlined sequence must mirror Engine.Predict/Engine.Resolve exactly;
-// TestKernelMatchesGenericLoop and the bench golden report pin the
-// equivalence, and internal/sim's overhead test cross-checks the counters
-// against an independently maintained copy of the generic loop.
+// TestKernelMatchesGenericLoop, TestGangMatchesSolo and the bench golden
+// report pin the equivalence, and internal/sim's overhead test
+// cross-checks the streaming loop against an independently maintained
+// copy.
 
 // targetCache is the compile-time constraint for the kernel's target-cache
-// parameter: the hot subset of core.TargetCache.
+// parameter: the hot subset of core.TargetCache, plus Reset for flushes.
 type targetCache interface {
 	Predict(pc, hist uint64) (target uint64, ok bool)
 	Update(pc, hist, target uint64)
+	Reset()
 }
 
-// historySource is the hot subset of history.Provider.
+// historySource is the hot subset of history.Provider, plus Reset.
 type historySource interface {
 	Value(pc uint64) uint64
 	Observe(r *trace.Record)
+	Reset()
 }
 
-// noTC and noHist instantiate the kernel for the BTB-only baseline
-// (Config.NewTargetCache == nil). Their no-op methods inline to nothing,
-// reproducing the nil-interface guards in Engine.Predict/Resolve.
+// noTC and noHist stand in for the BTB-only baseline's missing target
+// cache and history (Config.NewTargetCache == nil). Their no-op methods
+// inline to nothing, reproducing the nil-interface guards in
+// Engine.Predict/Resolve.
 type noTC struct{}
 
 func (noTC) Predict(pc, hist uint64) (uint64, bool) { return 0, false }
 func (noTC) Update(pc, hist, target uint64)         {}
+func (noTC) CostBits() int                          { return 0 }
+func (noTC) Reset()                                 {}
 
 type noHist struct{}
 
 func (noHist) Value(pc uint64) uint64  { return 0 }
 func (noHist) Observe(r *trace.Record) {}
+func (noHist) Len() int                { return 0 }
+func (noHist) Reset()                  {}
 
 // blocksFor unwraps the decoded-batch representation behind a factory: a
 // memoized Replay (decoded once, cached), an explicit Blocks, or any
@@ -66,87 +80,189 @@ func blocksFor(factory trace.Factory) (trace.BlockSource, bool) {
 	return nil, false
 }
 
-// runAccuracyBlocks dispatches the batched kernel over the concrete
-// (target cache, history) pair the engine was built with. Unlisted pairs
-// (the followup predictors: cascaded, ITTAGE, chooser) fall back to an
-// interface-typed instantiation of the same kernel — still decode-once,
-// just without devirtualized predictor calls.
-func runAccuracyBlocks(ctx context.Context, bs trace.BlockSource, budget, flushInterval int64, cfg Config) AccuracyResult {
-	engine := NewEngine(cfg)
-	return runAccuracyEngine(ctx, bs, 0, budget, flushInterval, engine)
+// gangMember is the per-member state of a kernel run. The slice of these
+// is the gang's only per-member allocation besides the target caches
+// themselves; counters here record only the records whose outcome
+// diverged per member (their prediction consulted the member's target
+// cache) — the shared skeleton counters live once in the kernel.
+type gangMember struct {
+	hist int32                // index into the shared provider table
+	tel  *telemetry.Collector // nil when the member collects no telemetry
+
+	cond, direct, returns, indirect, overall stats.Counter
+	tcCovered                                int64
 }
 
-// runAccuracyEngine dispatches an already-constructed engine over records
-// [start, budget); the segmented driver uses start to resume a primed
-// engine at its seam, the plain path passes start = 0.
-func runAccuracyEngine(ctx context.Context, bs trace.BlockSource, start, budget, flushInterval int64, engine *Engine) AccuracyResult {
-	switch tc := engine.TC.(type) {
-	case nil:
-		return accuracyKernel(ctx, bs, start, budget, flushInterval, engine, noTC{}, noHist{})
-	case *core.Tagless:
-		return dispatchHist(ctx, bs, start, budget, flushInterval, engine, tc)
-	case *core.Tagged:
-		return dispatchHist(ctx, bs, start, budget, flushInterval, engine, tc)
-	case *core.Cascaded:
-		return dispatchHist(ctx, bs, start, budget, flushInterval, engine, tc)
-	case *core.ITTAGE:
-		return dispatchHist(ctx, bs, start, budget, flushInterval, engine, tc)
-	case *core.Chooser:
-		return dispatchHist(ctx, bs, start, budget, flushInterval, engine, tc)
-	}
-	return accuracyKernel[core.TargetCache, history.Provider](ctx, bs, start, budget, flushInterval, engine, engine.TC, engine.Hist)
+// gang is the instantiated state the kernel runs over: one front end
+// shared by every member (its Engine carries no target cache, history or
+// collector), and per member a target cache and an index into the shared
+// history providers.
+type gang struct {
+	engine    *Engine
+	members   []gangMember
+	tcs       []core.TargetCache
+	providers []history.Provider
+	telemetry bool // some member carries a collector
 }
 
-// dispatchHist instantiates the kernel over the engine's concrete history
-// type for an already-resolved target cache.
-func dispatchHist[TC targetCache](ctx context.Context, bs trace.BlockSource, start, budget, flushInterval int64, engine *Engine, tc TC) AccuracyResult {
-	switch h := engine.Hist.(type) {
-	case history.PatternProvider:
-		return accuracyKernel(ctx, bs, start, budget, flushInterval, engine, tc, h)
-	case *history.Path:
-		return accuracyKernel(ctx, bs, start, budget, flushInterval, engine, tc, h)
+// newGang instantiates pts over the first member's front-end config; the
+// caller guarantees every member shares it. A member without a target
+// cache (the BTB-only baseline) runs with noTC and a private noHist.
+func newGang(pts []GangPoint) *gang {
+	front := pts[0].Config
+	front.NewTargetCache, front.NewHistory, front.Telemetry = nil, nil, nil
+	g := &gang{
+		engine:  NewEngine(front),
+		members: make([]gangMember, len(pts)),
+		tcs:     make([]core.TargetCache, len(pts)),
 	}
-	return accuracyKernel[TC, history.Provider](ctx, bs, start, budget, flushInterval, engine, tc, engine.Hist)
+	shared := make(map[string]int32, len(pts))
+	for i, pt := range pts {
+		cfg := pt.Config
+		m := &g.members[i]
+		m.tel = cfg.Telemetry
+		g.telemetry = g.telemetry || m.tel != nil
+		if cfg.NewTargetCache == nil {
+			g.tcs[i] = noTC{}
+			m.hist = int32(len(g.providers))
+			g.providers = append(g.providers, noHist{})
+			continue
+		}
+		if cfg.NewHistory == nil {
+			panic("sim: target cache configured without a history")
+		}
+		g.tcs[i] = cfg.NewTargetCache()
+		if key := pt.HistShare; key != "" {
+			if idx, ok := shared[key]; ok {
+				m.hist = idx
+				continue
+			}
+			shared[key] = int32(len(g.providers))
+		}
+		m.hist = int32(len(g.providers))
+		g.providers = append(g.providers, cfg.NewHistory())
+	}
+	return g
 }
 
-// accuracyKernel is the batched, devirtualized accuracy loop over records
-// [start, budget). tc and hist are the engine's own target cache and
-// history, passed at their concrete types; engine is retained for Reset
-// (flush intervals) and telemetry. Instruction indices (context polls,
-// flush points, telemetry clocks) are absolute trace positions, so a
-// segment kernel behaves exactly like the same span of a streaming run;
-// res.Instructions counts only the records processed in the span.
-func accuracyKernel[TC targetCache, H historySource](
-	ctx context.Context, bs trace.BlockSource, start, budget, flushInterval int64,
-	engine *Engine, tc TC, hist H,
-) AccuracyResult {
-	var res AccuracyResult
-	btbT, ras, dir, tel := engine.BTB, engine.RAS, engine.Dir, engine.Tel
+// soloGang is the one-member gang a solo run of cfg executes.
+func soloGang(cfg Config) *gang { return newGang([]GangPoint{{Config: cfg}}) }
 
-	limit := budget
-	if limit < 0 {
-		limit = 0
+// span is one kernel walk over records [start, end) of a block stream.
+type span struct {
+	bs            trace.BlockSource
+	start, end    int64
+	flushInterval int64 // reset every structure each flushInterval instructions; 0 never
+	// prime walks for the state mutations only: no counters, no
+	// telemetry, and none of the pure lookups that only feed them.
+	prime bool
+}
+
+// run executes the kernel over sp at the members' concrete target-cache
+// and history types. Solo runs are trivially homogeneous, and grid
+// expansion emits sweep points family by family, so gangs mix families
+// only at grid boundaries; a heterogeneous gang (or an unlisted type) takes
+// the interface-typed instantiation of the same kernel.
+func (g *gang) run(ctx context.Context, sp span) []AccuracyResult {
+	switch {
+	case allOf[noTC](g.tcs):
+		return runHist(ctx, sp, g, cast[noTC](g.tcs))
+	case allOf[*core.Tagless](g.tcs):
+		return runHist(ctx, sp, g, cast[*core.Tagless](g.tcs))
+	case allOf[*core.Tagged](g.tcs):
+		return runHist(ctx, sp, g, cast[*core.Tagged](g.tcs))
+	case allOf[*core.Cascaded](g.tcs):
+		return runHist(ctx, sp, g, cast[*core.Cascaded](g.tcs))
+	case allOf[*core.ITTAGE](g.tcs):
+		return runHist(ctx, sp, g, cast[*core.ITTAGE](g.tcs))
+	case allOf[*core.Chooser](g.tcs):
+		return runHist(ctx, sp, g, cast[*core.Chooser](g.tcs))
 	}
-	if start < 0 {
-		start = 0
+	return runHist(ctx, sp, g, g.tcs)
+}
+
+// runHist is run's second half: it instantiates the kernel over the
+// providers' concrete type for an already-resolved target-cache type.
+func runHist[TC targetCache](ctx context.Context, sp span, g *gang, tcs []TC) []AccuracyResult {
+	if hs, ok := homogeneous[history.PatternProvider](g.providers); ok {
+		return gangKernel(ctx, sp, g, tcs, hs)
 	}
+	if hs, ok := homogeneous[*history.Path](g.providers); ok {
+		return gangKernel(ctx, sp, g, tcs, hs)
+	}
+	if hs, ok := homogeneous[noHist](g.providers); ok {
+		return gangKernel(ctx, sp, g, tcs, hs)
+	}
+	return gangKernel(ctx, sp, g, tcs, g.providers)
+}
+
+// homogeneous converts the provider slice to its concrete element type
+// when every element has it.
+func homogeneous[H historySource](providers []history.Provider) ([]H, bool) {
+	hs := make([]H, len(providers))
+	for i, p := range providers {
+		h, ok := p.(H)
+		if !ok {
+			return nil, false
+		}
+		hs[i] = h
+	}
+	return hs, true
+}
+
+// allOf reports whether every target cache has concrete type TC.
+func allOf[TC targetCache](tcs []core.TargetCache) bool {
+	for _, tc := range tcs {
+		if _, ok := tc.(TC); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// cast converts the target-cache slice to its concrete element type;
+// callers check allOf first.
+func cast[TC targetCache](tcs []core.TargetCache) []TC {
+	out := make([]TC, len(tcs))
+	for i, tc := range tcs {
+		out[i] = tc.(TC)
+	}
+	return out
+}
+
+// gangKernel is the batched accuracy loop over records [sp.start, sp.end),
+// with the per-branch work split into a shared skeleton (run once) and a
+// per-member tail (run only when a member's target cache is consulted).
+// Instruction indices (context polls, flush points, telemetry clocks) are
+// absolute trace positions, so a segment's span behaves exactly like the
+// same span of a streaming run; each result's Instructions counts only the
+// records processed in the span.
+func gangKernel[TC targetCache, H historySource](
+	ctx context.Context, sp span, g *gang, tcs []TC, hists []H,
+) []AccuracyResult {
+	var res AccuracyResult // shared skeleton counters
+	// sharedInd counts indirect-class records whose prediction never
+	// consulted a target cache (BTB miss, not-taken direction, or a stale
+	// non-indirect BTB class): their outcome is identical for every
+	// member.
+	var sharedInd stats.Counter
+	bs, members := sp.bs, g.members
+	btbT, ras, dir := g.engine.BTB, g.engine.RAS, g.engine.Dir
+	count, tel := !sp.prime, !sp.prime && g.telemetry
+	phVals := make([]uint64, len(hists))
+
+	limit := max(sp.end, 0)
 	// The block layout invariant (block i covers records [i*BlockLen,
-	// i*BlockLen+len)) lets the kernel seek straight to the seam block.
-	effEnd := limit
-	if clean := bs.CleanLen(); clean < effEnd {
-		effEnd = clean
-	}
-	if start > effEnd {
-		start = effEnd
-	}
+	// i*BlockLen+len)) lets the kernel seek straight to the start block.
+	effEnd := min(limit, bs.CleanLen())
+	start := min(max(sp.start, 0), effEnd)
 	insns := start
 	var r trace.Record
+
 	for bi := int(start / trace.BlockLen); insns < effEnd; bi++ {
 		blk, err := bs.BlockAt(bi)
 		if err != nil {
-			res.Instructions = insns - start
-			res.Err = err
-			return res
+			return g.results(res, sharedInd, insns-start, err)
 		}
 		base := int64(bi) * trace.BlockLen
 		meta := blk.Meta
@@ -168,20 +284,23 @@ func accuracyKernel[TC targetCache, H historySource](
 			insns = base + int64(i) + 1
 			if insns&ctxCheckMask == 0 {
 				if err := ctx.Err(); err != nil {
-					res.Instructions = insns - start
-					res.Err = err
-					return res
+					return g.results(res, sharedInd, insns-start, err)
 				}
 			}
-			if flushInterval > 0 && insns%flushInterval == 0 {
-				engine.Reset()
+			if sp.flushInterval > 0 && insns%sp.flushInterval == 0 {
+				g.engine.Reset()
+				for mi := range tcs {
+					tcs[mi].Reset()
+				}
+				for pi := range hists {
+					hists[pi].Reset()
+				}
 			}
 			mb := meta[i]
 			cls := trace.Class(mb & trace.MetaClassMask)
 			if cls == trace.ClassOther {
 				continue
 			}
-			res.Branches++
 			// Lean materialization: only the fields the predictors read
 			// (the register operands stay zero; no consumer below looks
 			// at them).
@@ -192,62 +311,108 @@ func accuracyKernel[TC targetCache, H historySource](
 			r.Op = trace.OpClass(mb >> trace.MetaOpShift & trace.MetaOpMask)
 			r.Taken = mb&trace.MetaTaken != 0
 
-			// ---- Engine.Predict, inlined at concrete types ----
-			// The history value is computed lazily: only indirect jumps
-			// consume it, and hist is not mutated until Observe below, so
-			// deferring the read cannot change its value.
-			var pTaken, pHasTarget, pFromTC, phOK bool
-			var pTarget, ph uint64
+			// ---- shared fetch skeleton: one BTB probe ----
 			entry, bref, hit := btbT.Probe(r.PC)
-			if hit {
-				if entry.Class == trace.ClassCondDirect {
-					pTaken = dir.Predict(r.PC)
-				} else {
-					pTaken = true
+			indirectCls := cls == trace.ClassIndJump || cls == trace.ClassIndCall
+			// perMember: the prediction consults the target cache, so the
+			// outcome can differ per member. This keys on the BTB's
+			// *detected* class, like Engine.Predict; an indirect class is
+			// always predicted taken, so no direction lookup gates it.
+			perMember := hit && (entry.Class == trace.ClassIndJump || entry.Class == trace.ClassIndCall)
+
+			if perMember || indirectCls {
+				// Value is pure and providers are not trained until the
+				// resolve phase below, so one read per scheme serves every
+				// member — the same value a solo run would see.
+				for pi := range hists {
+					phVals[pi] = hists[pi].Value(r.PC)
 				}
-				if pTaken {
-					switch entry.Class {
+			}
+
+			if count {
+				res.Branches++
+			}
+			if perMember {
+				// Priming still looks up every member: a tagged cache's
+				// Predict ticks replacement state on a hit.
+				for mi := range members {
+					mem := &members[mi]
+					ph := phVals[mem.hist]
+					pTarget, pFromTC := entry.Target, false
+					if tgt, ok := tcs[mi].Predict(r.PC, ph); ok {
+						pTarget, pFromTC = tgt, true
+					}
+					if !count {
+						continue
+					}
+					correct := r.Taken && pTarget == r.Target
+					switch cls {
+					case trace.ClassCondDirect:
+						mem.cond.Record(correct)
+					case trace.ClassUncondDirect, trace.ClassCall:
+						mem.direct.Record(correct)
 					case trace.ClassReturn:
+						mem.returns.Record(correct)
+					case trace.ClassIndJump, trace.ClassIndCall:
+						mem.indirect.Record(correct)
+						if pFromTC {
+							mem.tcCovered++
+						}
+						// Accuracy runs have no cycle clock; telemetry
+						// events are stamped with the instruction index.
+						if mem.tel != nil {
+							mem.tel.SetClock(insns)
+							mem.tel.Indirect(r.PC, ph, pTarget, true, r.Target, correct)
+						}
+					}
+					mem.overall.Record(correct)
+				}
+			} else if count {
+				// No target cache consulted: the prediction — and its
+				// correctness — is identical for every member. Count once.
+				pTaken := hit
+				if hit && entry.Class == trace.ClassCondDirect {
+					pTaken = dir.Predict(r.PC)
+				}
+				var pTarget uint64
+				var pHasTarget bool
+				if pTaken {
+					if entry.Class == trace.ClassReturn {
 						if addr, ok := ras.Peek(); ok {
 							pTarget, pHasTarget = addr, true
 						}
-					case trace.ClassIndJump, trace.ClassIndCall:
-						ph = hist.Value(r.PC)
-						phOK = true
-						if tgt, ok := tc.Predict(r.PC, ph); ok {
-							pTarget, pHasTarget, pFromTC = tgt, true, true
-						} else {
-							pTarget, pHasTarget = entry.Target, true
-						}
-					default:
+					} else {
 						pTarget, pHasTarget = entry.Target, true
 					}
 				}
-			}
-			correct := pTaken == r.Taken && (!r.Taken || (pHasTarget && pTarget == r.Target))
-
-			switch cls {
-			case trace.ClassCondDirect:
-				res.Conditional.Record(correct)
-			case trace.ClassUncondDirect, trace.ClassCall:
-				res.Direct.Record(correct)
-			case trace.ClassReturn:
-				res.Returns.Record(correct)
-			case trace.ClassIndJump, trace.ClassIndCall:
-				res.Indirect.Record(correct)
-				if pFromTC {
-					res.TCCovered++
+				correct := pTaken == r.Taken && (!r.Taken || (pHasTarget && pTarget == r.Target))
+				switch cls {
+				case trace.ClassCondDirect:
+					res.Conditional.Record(correct)
+				case trace.ClassUncondDirect, trace.ClassCall:
+					res.Direct.Record(correct)
+				case trace.ClassReturn:
+					res.Returns.Record(correct)
+				case trace.ClassIndJump, trace.ClassIndCall:
+					sharedInd.Record(correct)
+					if tel {
+						for mi := range members {
+							if mem := &members[mi]; mem.tel != nil {
+								mem.tel.SetClock(insns)
+								mem.tel.Indirect(r.PC, phVals[mem.hist], pTarget, pTaken && pHasTarget, r.Target, correct)
+							}
+						}
+					}
 				}
+				res.Overall.Record(correct)
 			}
-			res.Overall.Record(correct)
 
-			// ---- Engine.Resolve, inlined at concrete types ----
-			if (cls == trace.ClassIndJump || cls == trace.ClassIndCall) && !phOK {
-				ph = hist.Value(r.PC)
-			}
-			if tel != nil && (cls == trace.ClassIndJump || cls == trace.ClassIndCall) {
-				tel.SetClock(insns)
-				tel.Indirect(r.PC, ph, pTarget, pTaken && pHasTarget, r.Target, correct)
+			// ---- resolve: per-member target-cache training, then the
+			// shared structures, in Engine.Resolve's order ----
+			if indirectCls {
+				for mi := range members {
+					tcs[mi].Update(r.PC, phVals[members[mi].hist], r.Target)
+				}
 			}
 			if cls == trace.ClassCall || cls == trace.ClassIndCall {
 				ras.Push(r.FallThrough())
@@ -258,10 +423,9 @@ func accuracyKernel[TC targetCache, H historySource](
 			if cls == trace.ClassCondDirect {
 				dir.Update(r.PC, r.Taken)
 			}
-			if cls == trace.ClassIndJump || cls == trace.ClassIndCall {
-				tc.Update(r.PC, ph, r.Target)
+			for pi := range hists {
+				hists[pi].Observe(&r)
 			}
-			hist.Observe(&r)
 			if hit {
 				btbT.UpdateHit(bref, &r)
 			} else {
@@ -269,12 +433,34 @@ func accuracyKernel[TC targetCache, H historySource](
 			}
 		}
 	}
-	res.Instructions = insns - start
+	var tailErr error
 	// The streaming loop surfaces a decode error only when the budget
 	// reaches past the cleanly decoded prefix (a Limit that stops earlier
 	// never touches the damage). Mirror that exactly.
 	if limit > bs.CleanLen() {
-		res.Err = bs.TailErr()
+		tailErr = bs.TailErr()
 	}
-	return res
+	return g.results(res, sharedInd, insns-start, tailErr)
+}
+
+// results assembles the per-member results: the shared skeleton plus
+// each member's divergence counters, every member reporting the same
+// instruction count and error a solo run stopped at this record would.
+func (g *gang) results(res AccuracyResult, sharedInd stats.Counter, insns int64, err error) []AccuracyResult {
+	out := make([]AccuracyResult, len(g.members))
+	for mi := range g.members {
+		m := &g.members[mi]
+		mr := res
+		mr.Instructions = insns
+		mr.Conditional.Add(m.cond)
+		mr.Direct.Add(m.direct)
+		mr.Returns.Add(m.returns)
+		mr.Indirect = sharedInd
+		mr.Indirect.Add(m.indirect)
+		mr.Overall.Add(m.overall)
+		mr.TCCovered = m.tcCovered
+		mr.Err = err
+		out[mi] = mr
+	}
+	return out
 }

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/history"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -17,7 +19,7 @@ type opaqueFactory struct{ rep trace.Factory }
 
 func (f opaqueFactory) Open() trace.Source { return f.rep.Open() }
 
-// kernelConfigs covers every dispatch arm in runAccuracyBlocks: the
+// kernelConfigs covers every dispatch arm of the batched kernel: the
 // BTB-only baseline, each devirtualized (target cache, history) pairing,
 // and a cache outside the switch that lands on the interface-typed
 // fallback instantiation.
@@ -46,6 +48,10 @@ func kernelConfigs() map[string]Config {
 			func() core.TargetCache { return core.NewITTAGE(core.DefaultITTAGEConfig()) },
 			func() history.Provider { return history.NewPatternProvider(9) },
 		),
+		"chooser": DefaultConfig().WithTargetCache(
+			func() core.TargetCache { return core.DefaultChooser() },
+			func() history.Provider { return history.NewPatternProvider(9) },
+		),
 		"fallback-lasttarget": DefaultConfig().WithTargetCache(
 			func() core.TargetCache { return core.NewLastTarget(256, 2) },
 			func() history.Provider { return history.NewPatternProvider(9) },
@@ -71,6 +77,35 @@ func TestKernelMatchesGenericLoop(t *testing.T) {
 			want := RunAccuracyWithFlushesCtx(ctx, opaqueFactory{rep}, budget, flush, cfg)
 			if got != want {
 				t.Errorf("%s flush=%d: kernel result diverges\n  kernel  %+v\n  generic %+v", name, flush, got, want)
+			}
+		}
+	}
+}
+
+// TestKernelTelemetryMatchesGenericLoop pins the kernel's telemetry hook:
+// a collector fed by the batched kernel ends up deep-equal — site stats,
+// event ring and instruction-index clock — to one fed by the streaming
+// loop, for every dispatch arm, with and without periodic flushes.
+func TestKernelTelemetryMatchesGenericLoop(t *testing.T) {
+	w, err := workload.ByName("perl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 60_000
+	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+	ctx := context.Background()
+	for name, cfg := range kernelConfigs() {
+		for _, flush := range []int64{0, 7_777} {
+			cfg.Telemetry = telemetry.NewCollector(telemetry.Config{Events: 64})
+			got := RunAccuracyWithFlushesCtx(ctx, rep, budget, flush, cfg)
+			gotTel := cfg.Telemetry
+			cfg.Telemetry = telemetry.NewCollector(telemetry.Config{Events: 64})
+			want := RunAccuracyWithFlushesCtx(ctx, opaqueFactory{rep}, budget, flush, cfg)
+			if got != want {
+				t.Errorf("%s flush=%d: kernel result diverges\n  kernel  %+v\n  generic %+v", name, flush, got, want)
+			}
+			if !reflect.DeepEqual(gotTel, cfg.Telemetry) {
+				t.Errorf("%s flush=%d: kernel telemetry diverges from the streaming loop's", name, flush)
 			}
 		}
 	}

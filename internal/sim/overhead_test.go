@@ -1,10 +1,11 @@
 package sim_test
 
 // Telemetry cost guard: the instrumentation layer promises that DISABLED
-// telemetry costs the accuracy kernel essentially nothing (one nil check
-// per resolved indirect jump plus a nil-safe clock call). The test below
-// holds the instrumented kernel to within 2% of a telemetry-free copy of
-// the same loop; the benchmarks report the enabled cost for profiling.
+// telemetry costs the streaming accuracy loop essentially nothing (a
+// nil-safe clock call per indirect jump plus one nil check in
+// Engine.Resolve). The test below holds sim.RunAccuracy's streaming loop to
+// within 2% of a telemetry-free copy of that same loop; the benchmarks
+// report the enabled cost on the batched kernel for profiling.
 
 import (
 	"context"
@@ -17,10 +18,17 @@ import (
 	"repro/internal/workload"
 )
 
-// plainAccuracyLoop is sim.RunAccuracyCtx with every telemetry touchpoint
-// deleted — the pre-instrumentation kernel, kept here as the throughput
-// reference. If the two drift apart structurally, update this copy.
-func plainAccuracyLoop(factory trace.Factory, budget int64, cfg sim.Config) sim.AccuracyResult {
+// streamOnly hides a capture's decoded blocks, so sim.RunAccuracy takes
+// its streaming loop over it instead of the batched kernel.
+type streamOnly struct{ f trace.Factory }
+
+func (s streamOnly) Open() trace.Source { return s.f.Open() }
+
+// plainAccuracyLoop is sim.RunAccuracyWithFlushesCtx's streaming loop with
+// every telemetry touchpoint deleted — the pre-instrumentation loop, kept
+// here as the throughput reference. If the two drift apart structurally,
+// update this copy.
+func plainAccuracyLoop(factory trace.Factory, budget, flushInterval int64, cfg sim.Config) sim.AccuracyResult {
 	ctx := context.Background()
 	engine := sim.NewEngine(cfg)
 	var res sim.AccuracyResult
@@ -33,6 +41,9 @@ func plainAccuracyLoop(factory trace.Factory, budget int64, cfg sim.Config) sim.
 				res.Err = err
 				return res
 			}
+		}
+		if flushInterval > 0 && res.Instructions%flushInterval == 0 {
+			engine.Reset()
 		}
 		if !r.Class.IsBranch() {
 			continue
@@ -61,9 +72,10 @@ func plainAccuracyLoop(factory trace.Factory, budget int64, cfg sim.Config) sim.
 }
 
 // TestDisabledTelemetryOverhead pins the <2% disabled-cost budget. Both
-// kernels run interleaved and best-of-N, which suppresses one-off noise
-// (GC, scheduler) well enough for a regression guard; the whole
-// measurement retries a few times before declaring a failure.
+// loops run interleaved and best-of-N over the same streaming source,
+// which suppresses one-off noise (GC, scheduler) well enough for a
+// regression guard; the whole measurement retries a few times before
+// declaring a failure.
 func TestDisabledTelemetryOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput measurement simulates tens of millions of instructions")
@@ -73,16 +85,16 @@ func TestDisabledTelemetryOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := w.Replay(budget)
+	src := streamOnly{w.Replay(budget)}
 	cfg := sim.DefaultConfig()
 
 	// Warm up: fault in the replay and JIT-warm both paths, and make sure
-	// the two kernels still compute identical results (a drifted copy
-	// would make the comparison meaningless).
-	plain := plainAccuracyLoop(rep, budget, cfg)
-	inst := sim.RunAccuracy(rep, budget, cfg)
+	// the two loops still compute identical results (a drifted copy would
+	// make the comparison meaningless).
+	plain := plainAccuracyLoop(src, budget, 0, cfg)
+	inst := sim.RunAccuracy(src, budget, cfg)
 	if plain != inst {
-		t.Fatalf("reference kernel drifted from sim.RunAccuracy:\nplain: %+v\ninst:  %+v", plain, inst)
+		t.Fatalf("reference loop drifted from sim.RunAccuracy:\nplain: %+v\ninst:  %+v", plain, inst)
 	}
 
 	measure := func(f func()) time.Duration {
@@ -100,8 +112,8 @@ func TestDisabledTelemetryOverhead(t *testing.T) {
 	const maxOverhead = 1.02
 	var ratio float64
 	for attempt := 0; attempt < 3; attempt++ {
-		base := measure(func() { plainAccuracyLoop(rep, budget, cfg) })
-		with := measure(func() { sim.RunAccuracy(rep, budget, cfg) })
+		base := measure(func() { plainAccuracyLoop(src, budget, 0, cfg) })
+		with := measure(func() { sim.RunAccuracy(src, budget, cfg) })
 		ratio = float64(with) / float64(base)
 		if ratio <= maxOverhead {
 			return

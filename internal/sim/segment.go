@@ -5,17 +5,17 @@ package sim
 // predictor structure (BTB, RAS, direction predictor, history register,
 // target cache) is a deterministic function of the branch stream consumed
 // so far, so a worker that first *primes* its engine over the full prefix
-// [0, seam) — performing exactly the state mutations the real kernel
+// [0, seam) — performing exactly the state mutations the counted walk
 // would, but accumulating no results — and then simulates [seam, next)
 // produces byte-identical per-record outcomes to the streaming run.
 // Results join in segment order; TestSegmentedMatchesStreaming pins the
 // equivalence across segment counts, seam positions and predictor
 // configurations.
 //
-// Priming costs strictly less than simulating (no counters, no direction
-// lookup, no result bookkeeping), but every worker still walks the whole
-// prefix: total work grows with K even as the critical path shrinks. The
-// seams are therefore placed geometrically (early segments long, late
+// Priming is the kernel's walk with counting off, so it costs less than
+// simulating (no counters, no direction lookup, no RAS peek), but every
+// worker still walks the whole prefix: total work grows with K even as
+// the critical path shrinks. The seams are therefore placed geometrically (early segments long, late
 // segments short) so each worker's prime+simulate cost is equal; see
 // planSegments. The timing model is not segmented: its pipeline rings and
 // data cache are consumed by the very instructions that build them, so a
@@ -27,16 +27,20 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
-	"repro/internal/history"
 	"repro/internal/trace"
 )
 
 // primeCostRatio is the measured cost of priming one record relative to
-// simulating it (the mutation-only walk skips result bookkeeping but
-// still probes every structure). Only seam placement depends on it;
-// correctness does not.
-const primeCostRatio = 0.75
+// simulating it (the priming walk skips the direction lookup, the RAS peek
+// and all counting but still probes and trains every structure). Only
+// seam placement depends on it; correctness does not. It is the median
+// prime/simulate ratio over 12 pairs of
+//
+//	go test -run '^$' -bench PrimeVsSimulate -benchtime 10x -count 6 ./internal/sim
+//
+// on a shared 2-vCPU x86-64 host: tagless 0.65-0.92 (median 0.86), tagged
+// 0.63-1.10 (median 0.67).
+const primeCostRatio = 0.70
 
 // minSegmentSpan is the smallest worthwhile segment: below two blocks the
 // goroutine and priming overhead dwarfs the simulated span.
@@ -186,142 +190,15 @@ func mergeSegments(results []AccuracyResult) AccuracyResult {
 	return merged
 }
 
-// runSegment builds a fresh engine, primes it over [0, start) and
-// simulates [start, end), dispatching over the engine's concrete types
-// exactly like runAccuracyEngine so prime and simulate devirtualize the
-// same instances.
+// runSegment builds a fresh one-member gang, primes it over [0, start) and
+// simulates [start, end) — two walks of the same kernel, the first with
+// counting off.
 func runSegment(ctx context.Context, bs trace.BlockSource, start, end int64, cfg Config) AccuracyResult {
-	engine := NewEngine(cfg)
-	switch tc := engine.TC.(type) {
-	case nil:
-		return segmentKernel(ctx, bs, start, end, engine, noTC{}, noHist{}, false)
-	case *core.Tagless:
-		return segDispatchHist(ctx, bs, start, end, engine, tc, false)
-	case *core.Tagged:
-		return segDispatchHist(ctx, bs, start, end, engine, tc, true)
-	case *core.Cascaded:
-		return segDispatchHist(ctx, bs, start, end, engine, tc, true)
-	case *core.ITTAGE:
-		return segDispatchHist(ctx, bs, start, end, engine, tc, false)
-	case *core.Chooser:
-		return segDispatchHist(ctx, bs, start, end, engine, tc, true)
-	}
-	// Unknown target-cache implementations are primed conservatively, as
-	// if their Predict mutated internal state.
-	return segmentKernel[core.TargetCache, history.Provider](ctx, bs, start, end, engine, engine.TC, engine.Hist, true)
-}
-
-func segDispatchHist[TC targetCache](ctx context.Context, bs trace.BlockSource, start, end int64, engine *Engine, tc TC, tcMutates bool) AccuracyResult {
-	switch h := engine.Hist.(type) {
-	case history.PatternProvider:
-		return segmentKernel(ctx, bs, start, end, engine, tc, h, tcMutates)
-	case *history.Path:
-		return segmentKernel(ctx, bs, start, end, engine, tc, h, tcMutates)
-	}
-	return segmentKernel[TC, history.Provider](ctx, bs, start, end, engine, tc, engine.Hist, tcMutates)
-}
-
-func segmentKernel[TC targetCache, H historySource](
-	ctx context.Context, bs trace.BlockSource, start, end int64,
-	engine *Engine, tc TC, hist H, tcMutates bool,
-) AccuracyResult {
+	g := soloGang(cfg)
 	if start > 0 {
-		if err := primeKernel(ctx, bs, start, engine, tc, hist, tcMutates); err != nil {
+		if err := g.run(ctx, span{bs: bs, end: start, prime: true})[0].Err; err != nil {
 			return AccuracyResult{Err: err}
 		}
 	}
-	return accuracyKernel(ctx, bs, start, end, 0, engine, tc, hist)
-}
-
-// primeKernel replays records [0, end) through the engine's predictor
-// structures performing every state mutation the accuracy kernel would —
-// and nothing else. Per branch the full kernel mutates:
-//
-//   - the BTB, on every probe (replacement tick) and on update;
-//   - the target cache, on Predict for implementations whose lookup
-//     ticks internal replacement state (tagged/cascaded/chooser;
-//     tcMutates selects this) and on Update for indirect jumps;
-//   - the RAS on calls and returns, the direction predictor on
-//     conditionals, and the history register on every branch.
-//
-// The full kernel reaches tc.Predict exactly when the BTB hit and the
-// hit entry's class is indirect: for those classes the predicted-taken
-// flag is unconditionally true, so the direction predictor (whose
-// Predict is pure) cannot gate it. Everything else the kernel computes —
-// direction lookups, RAS peeks, correctness checks, counters — reads
-// state without writing it and is skipped here.
-func primeKernel[TC targetCache, H historySource](
-	ctx context.Context, bs trace.BlockSource, end int64,
-	engine *Engine, tc TC, hist H, tcMutates bool,
-) error {
-	btbT, ras, dir := engine.BTB, engine.RAS, engine.Dir
-	if clean := bs.CleanLen(); clean < end {
-		end = clean
-	}
-	var insns int64
-	var r trace.Record
-	for bi := 0; insns < end; bi++ {
-		blk, err := bs.BlockAt(bi)
-		if err != nil {
-			return err
-		}
-		base := int64(bi) * trace.BlockLen
-		meta := blk.Meta
-		m := len(meta)
-		if rem := end - base; int64(m) > rem {
-			m = int(rem)
-		}
-		meta = meta[:m]
-		pcs := blk.PC[:m]
-		tgts := blk.Target[:m]
-		addrs := blk.Addr[:m]
-		for i := 0; i < m; i++ {
-			insns = base + int64(i) + 1
-			if insns&ctxCheckMask == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			mb := meta[i]
-			cls := trace.Class(mb & trace.MetaClassMask)
-			if cls == trace.ClassOther {
-				continue
-			}
-			r.PC = pcs[i]
-			r.Target = tgts[i]
-			r.Addr = addrs[i]
-			r.Class = cls
-			r.Op = trace.OpClass(mb >> trace.MetaOpShift & trace.MetaOpMask)
-			r.Taken = mb&trace.MetaTaken != 0
-
-			entry, bref, hit := btbT.Probe(r.PC)
-			indirect := cls == trace.ClassIndJump || cls == trace.ClassIndCall
-			var ph uint64
-			if indirect {
-				ph = hist.Value(r.PC)
-			}
-			if tcMutates && hit && (entry.Class == trace.ClassIndJump || entry.Class == trace.ClassIndCall) {
-				tc.Predict(r.PC, hist.Value(r.PC))
-			}
-			if cls == trace.ClassCall || cls == trace.ClassIndCall {
-				ras.Push(r.FallThrough())
-			}
-			if cls == trace.ClassReturn {
-				ras.Pop()
-			}
-			if cls == trace.ClassCondDirect {
-				dir.Update(r.PC, r.Taken)
-			}
-			if indirect {
-				tc.Update(r.PC, ph, r.Target)
-			}
-			hist.Observe(&r)
-			if hit {
-				btbT.UpdateHit(bref, &r)
-			} else {
-				btbT.Update(&r)
-			}
-		}
-	}
-	return nil
+	return g.run(ctx, span{bs: bs, start: start, end: end})[0]
 }

@@ -210,3 +210,28 @@ func TestPlanSegments(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPrimeVsSimulate measures the two kernel walks a segment worker
+// makes over the same capture — the priming walk (counting off) and the
+// counted walk — in ns per instruction. Their ratio is primeCostRatio.
+func BenchmarkPrimeVsSimulate(b *testing.B) {
+	const budget = 1_000_000
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep := w.Replay(budget)
+	ctx := context.Background()
+	for _, name := range []string{"tagless-pattern", "tagged-path"} {
+		cfg := kernelConfigs()[name]
+		for _, walk := range []string{"prime", "simulate"} {
+			sp := span{bs: rep, end: budget, prime: walk == "prime"}
+			b.Run(name+"/"+walk, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					soloGang(cfg).run(ctx, sp)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(budget*int64(b.N)), "ns/instr")
+			})
+		}
+	}
+}

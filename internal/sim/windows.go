@@ -19,15 +19,17 @@ type WindowedResult struct {
 }
 
 // RunAccuracyWindows is RunAccuracy with the trace split into
-// budget/windows-sized windows. The predictor state carries across
-// windows (one continuous run); only the accounting is windowed.
+// budget/windows-sized windows (at least one instruction each). The
+// predictor state carries across windows (one continuous run); only the
+// accounting is windowed. Overall.Err reports a corrupt source like
+// RunAccuracy does.
 func RunAccuracyWindows(factory trace.Factory, budget int64, windows int, cfg Config) WindowedResult {
 	if windows < 1 {
 		windows = 1
 	}
 	engine := NewEngine(cfg)
 	var out WindowedResult
-	perWindow := budget / int64(windows)
+	perWindow := max(budget/int64(windows), 1)
 	src := trace.NewLimit(factory.Open(), budget)
 	var r trace.Record
 	var winPred, winMiss int64
@@ -56,6 +58,7 @@ func RunAccuracyWindows(factory trace.Factory, budget int64, windows int, cfg Co
 			winPred, winMiss = 0, 0
 		}
 	}
+	out.Overall.Err = trace.SourceErr(src)
 	return out
 }
 

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/history"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -46,6 +48,38 @@ func TestRunAccuracyWindows(t *testing.T) {
 	}
 	t.Logf("windows=%v mean=%.4f stddev=%.4f warmup=%d",
 		res.Windows, res.Mean(), res.StdDev(), res.WarmupWindows(0.01))
+}
+
+// TestRunAccuracyWindowsEdgeCases pins two contracts: a budget smaller
+// than the window count gives one-instruction windows instead of an
+// integer divide by zero, and a corrupt source surfaces in Overall.Err
+// exactly as RunAccuracy reports it.
+func TestRunAccuracyWindowsEdgeCases(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny := RunAccuracyWindows(w, 5, 8, DefaultConfig())
+	if len(tiny.Windows) != 5 || tiny.Overall.Instructions != 5 || tiny.Overall.Err != nil {
+		t.Errorf("budget 5 over 8 windows: got %d windows, %d instructions, err %v; want 5, 5, nil",
+			len(tiny.Windows), tiny.Overall.Instructions, tiny.Overall.Err)
+	}
+
+	rep := trace.Capture(trace.NewLimit(w.Open(), 20_000))
+	buf := rep.Bytes()
+	damaged := trace.NewReplayBytes(buf[:len(buf)*3/4], rep.Len())
+	want := RunAccuracy(damaged, rep.Len(), DefaultConfig())
+	if !errors.Is(want.Err, trace.ErrCorrupt) {
+		t.Fatalf("RunAccuracy over a truncated capture: err=%v", want.Err)
+	}
+	got := RunAccuracyWindows(damaged, rep.Len(), 8, DefaultConfig())
+	if got.Overall.Err == nil || got.Overall.Err.Error() != want.Err.Error() {
+		t.Errorf("windowed run over a truncated capture: err=%v, want %v", got.Overall.Err, want.Err)
+	}
+	if got.Overall.Instructions != want.Instructions || got.Overall.Indirect != want.Indirect {
+		t.Errorf("windowed run stopped elsewhere: %d instructions, indirect %+v; want %d, %+v",
+			got.Overall.Instructions, got.Overall.Indirect, want.Instructions, want.Indirect)
+	}
 }
 
 func TestWindowedResultStatsEdgeCases(t *testing.T) {
