@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/history"
@@ -49,23 +50,16 @@ type historySource interface {
 	Reset()
 }
 
-// noTC and noHist stand in for the BTB-only baseline's missing target
-// cache and history (Config.NewTargetCache == nil). Their no-op methods
-// inline to nothing, reproducing the nil-interface guards in
-// Engine.Predict/Resolve.
+// noTC stands in for the BTB-only baseline's missing target cache
+// (Config.NewTargetCache == nil), reproducing the nil-interface guards in
+// Engine.Predict/Resolve. The baseline has no history provider at all: it
+// reads the spare history slot past the providers, which stays 0.
 type noTC struct{}
 
 func (noTC) Predict(pc, hist uint64) (uint64, bool) { return 0, false }
 func (noTC) Update(pc, hist, target uint64)         {}
 func (noTC) CostBits() int                          { return 0 }
 func (noTC) Reset()                                 {}
-
-type noHist struct{}
-
-func (noHist) Value(pc uint64) uint64  { return 0 }
-func (noHist) Observe(r *trace.Record) {}
-func (noHist) Len() int                { return 0 }
-func (noHist) Reset()                  {}
 
 // blocksFor unwraps the decoded-batch representation behind a factory: a
 // memoized Replay (decoded once, cached), an explicit Blocks, or any
@@ -86,7 +80,7 @@ func blocksFor(factory trace.Factory) (trace.BlockSource, bool) {
 // diverged per member (their prediction consulted the member's target
 // cache) — the shared skeleton counters live once in the kernel.
 type gangMember struct {
-	hist int32                // index into the shared provider table
+	hist int32                // index into the shared provider table (len for none)
 	tel  *telemetry.Collector // nil when the member collects no telemetry
 
 	cond, direct, returns, indirect, overall stats.Counter
@@ -107,7 +101,7 @@ type gang struct {
 
 // newGang instantiates pts over the first member's front-end config; the
 // caller guarantees every member shares it. A member without a target
-// cache (the BTB-only baseline) runs with noTC and a private noHist.
+// cache (the BTB-only baseline) runs with noTC and no history.
 func newGang(pts []GangPoint) *gang {
 	front := pts[0].Config
 	front.NewTargetCache, front.NewHistory, front.Telemetry = nil, nil, nil
@@ -124,8 +118,7 @@ func newGang(pts []GangPoint) *gang {
 		g.telemetry = g.telemetry || m.tel != nil
 		if cfg.NewTargetCache == nil {
 			g.tcs[i] = noTC{}
-			m.hist = int32(len(g.providers))
-			g.providers = append(g.providers, noHist{})
+			m.hist = -1
 			continue
 		}
 		if cfg.NewHistory == nil {
@@ -141,6 +134,11 @@ func newGang(pts []GangPoint) *gang {
 		}
 		m.hist = int32(len(g.providers))
 		g.providers = append(g.providers, cfg.NewHistory())
+	}
+	for i := range g.members {
+		if g.members[i].hist < 0 {
+			g.members[i].hist = int32(len(g.providers))
+		}
 	}
 	return g
 }
@@ -182,15 +180,13 @@ func (g *gang) run(ctx context.Context, sp span) []AccuracyResult {
 }
 
 // runHist is run's second half: it instantiates the kernel over the
-// providers' concrete type for an already-resolved target-cache type.
+// providers' concrete type for an already-resolved target-cache type (the
+// baseline, with no providers, takes the first arm).
 func runHist[TC targetCache](ctx context.Context, sp span, g *gang, tcs []TC) []AccuracyResult {
 	if hs, ok := homogeneous[history.PatternProvider](g.providers); ok {
 		return gangKernel(ctx, sp, g, tcs, hs)
 	}
 	if hs, ok := homogeneous[*history.Path](g.providers); ok {
-		return gangKernel(ctx, sp, g, tcs, hs)
-	}
-	if hs, ok := homogeneous[noHist](g.providers); ok {
 		return gangKernel(ctx, sp, g, tcs, hs)
 	}
 	return gangKernel(ctx, sp, g, tcs, g.providers)
@@ -232,7 +228,8 @@ func cast[TC targetCache](tcs []core.TargetCache) []TC {
 
 // gangKernel is the batched accuracy loop over records [sp.start, sp.end),
 // with the per-branch work split into a shared skeleton (run once) and a
-// per-member tail (run only when a member's target cache is consulted).
+// per-member tail (run only on records that consult or train the target
+// caches).
 // Instruction indices (context polls, flush points, telemetry clocks) are
 // absolute trace positions, so a segment's span behaves exactly like the
 // same span of a streaming run; each result's Instructions counts only the
@@ -249,7 +246,7 @@ func gangKernel[TC targetCache, H historySource](
 	bs, members := sp.bs, g.members
 	btbT, ras, dir := g.engine.BTB, g.engine.RAS, g.engine.Dir
 	count, tel := !sp.prime, !sp.prime && g.telemetry
-	phVals := make([]uint64, len(hists))
+	phVals := make([]uint64, len(hists)+1) // the last slot is the no-history 0
 
 	limit := max(sp.end, 0)
 	// The block layout invariant (block i covers records [i*BlockLen,
@@ -257,6 +254,14 @@ func gangKernel[TC targetCache, H historySource](
 	effEnd := min(limit, bs.CleanLen())
 	start := min(max(sp.start, 0), effEnd)
 	insns := start
+	// The record scan stops only at instructions where the walk must poll
+	// ctx or flush, tracked as absolute indices (record i of a block is
+	// instruction base+i+1), so a non-branch record costs one compare.
+	nextPoll := (start/(ctxCheckMask+1) + 1) * (ctxCheckMask + 1)
+	nextFlush := int64(math.MaxInt64)
+	if fi := sp.flushInterval; fi > 0 {
+		nextFlush = (start/fi + 1) * fi
+	}
 	var r trace.Record
 
 	for bi := int(start / trace.BlockLen); insns < effEnd; bi++ {
@@ -280,21 +285,27 @@ func gangKernel[TC targetCache, H historySource](
 		pcs := blk.PC[:m]
 		tgts := blk.Target[:m]
 		addrs := blk.Addr[:m]
+		stop := min(nextPoll, nextFlush) - base - 1
 		for i := lo; i < m; i++ {
-			insns = base + int64(i) + 1
-			if insns&ctxCheckMask == 0 {
-				if err := ctx.Err(); err != nil {
-					return g.results(res, sharedInd, insns-start, err)
+			if int64(i) == stop {
+				n := base + int64(i) + 1
+				if n == nextPoll {
+					nextPoll += ctxCheckMask + 1
+					if err := ctx.Err(); err != nil {
+						return g.results(res, sharedInd, n-start, err)
+					}
 				}
-			}
-			if sp.flushInterval > 0 && insns%sp.flushInterval == 0 {
-				g.engine.Reset()
-				for mi := range tcs {
-					tcs[mi].Reset()
+				if n == nextFlush {
+					nextFlush += sp.flushInterval
+					g.engine.Reset()
+					for mi := range tcs {
+						tcs[mi].Reset()
+					}
+					for pi := range hists {
+						hists[pi].Reset()
+					}
 				}
-				for pi := range hists {
-					hists[pi].Reset()
-				}
+				stop = min(nextPoll, nextFlush) - base - 1
 			}
 			mb := meta[i]
 			cls := trace.Class(mb & trace.MetaClassMask)
@@ -320,54 +331,63 @@ func gangKernel[TC targetCache, H historySource](
 			// always predicted taken, so no direction lookup gates it.
 			perMember := hit && (entry.Class == trace.ClassIndJump || entry.Class == trace.ClassIndCall)
 
-			if perMember || indirectCls {
-				// Value is pure and providers are not trained until the
-				// resolve phase below, so one read per scheme serves every
-				// member — the same value a solo run would see.
-				for pi := range hists {
-					phVals[pi] = hists[pi].Value(r.PC)
-				}
-			}
-
 			if count {
 				res.Branches++
 			}
-			if perMember {
-				// Priming still looks up every member: a tagged cache's
-				// Predict ticks replacement state on a hit.
+			if perMember || indirectCls {
+				// Value is pure and providers are not trained until
+				// Observe below, so one read per scheme serves every member
+				// — the same value a solo run would see.
+				for pi := range hists {
+					phVals[pi] = hists[pi].Value(r.PC)
+				}
+				// Each member's lookup and training touch only its own
+				// target cache, so one pass does both in Engine order.
 				for mi := range members {
 					mem := &members[mi]
 					ph := phVals[mem.hist]
-					pTarget, pFromTC := entry.Target, false
-					if tgt, ok := tcs[mi].Predict(r.PC, ph); ok {
-						pTarget, pFromTC = tgt, true
-					}
-					if !count {
-						continue
-					}
-					correct := r.Taken && pTarget == r.Target
-					switch cls {
-					case trace.ClassCondDirect:
-						mem.cond.Record(correct)
-					case trace.ClassUncondDirect, trace.ClassCall:
-						mem.direct.Record(correct)
-					case trace.ClassReturn:
-						mem.returns.Record(correct)
-					case trace.ClassIndJump, trace.ClassIndCall:
-						mem.indirect.Record(correct)
-						if pFromTC {
-							mem.tcCovered++
+					if perMember {
+						// Priming still looks up every member: a tagged
+						// cache's Predict ticks replacement state on a hit.
+						pTarget, pFromTC := entry.Target, false
+						if tgt, ok := tcs[mi].Predict(r.PC, ph); ok {
+							pTarget, pFromTC = tgt, true
 						}
-						// Accuracy runs have no cycle clock; telemetry
-						// events are stamped with the instruction index.
-						if mem.tel != nil {
-							mem.tel.SetClock(insns)
-							mem.tel.Indirect(r.PC, ph, pTarget, true, r.Target, correct)
+						if count {
+							correct := r.Taken && pTarget == r.Target
+							if indirectCls {
+								mem.indirect.Record(correct)
+								if pFromTC {
+									mem.tcCovered++
+								}
+								// Accuracy runs have no cycle clock;
+								// telemetry events are stamped with the
+								// instruction index.
+								if mem.tel != nil {
+									mem.tel.SetClock(base + int64(i) + 1)
+									mem.tel.Indirect(r.PC, ph, pTarget, true, r.Target, correct)
+								}
+							} else {
+								// A stale BTB entry misclassified a direct
+								// branch or return as indirect.
+								switch cls {
+								case trace.ClassCondDirect:
+									mem.cond.Record(correct)
+								case trace.ClassUncondDirect, trace.ClassCall:
+									mem.direct.Record(correct)
+								case trace.ClassReturn:
+									mem.returns.Record(correct)
+								}
+							}
+							mem.overall.Record(correct)
 						}
 					}
-					mem.overall.Record(correct)
+					if indirectCls {
+						tcs[mi].Update(r.PC, ph, r.Target)
+					}
 				}
-			} else if count {
+			}
+			if !perMember && count {
 				// No target cache consulted: the prediction — and its
 				// correctness — is identical for every member. Count once.
 				pTaken := hit
@@ -398,7 +418,7 @@ func gangKernel[TC targetCache, H historySource](
 					if tel {
 						for mi := range members {
 							if mem := &members[mi]; mem.tel != nil {
-								mem.tel.SetClock(insns)
+								mem.tel.SetClock(base + int64(i) + 1)
 								mem.tel.Indirect(r.PC, phVals[mem.hist], pTarget, pTaken && pHasTarget, r.Target, correct)
 							}
 						}
@@ -407,13 +427,8 @@ func gangKernel[TC targetCache, H historySource](
 				res.Overall.Record(correct)
 			}
 
-			// ---- resolve: per-member target-cache training, then the
-			// shared structures, in Engine.Resolve's order ----
-			if indirectCls {
-				for mi := range members {
-					tcs[mi].Update(r.PC, phVals[members[mi].hist], r.Target)
-				}
-			}
+			// ---- resolve the shared structures, in Engine.Resolve's
+			// order (target caches were trained above) ----
 			if cls == trace.ClassCall || cls == trace.ClassIndCall {
 				ras.Push(r.FallThrough())
 			}
@@ -432,6 +447,7 @@ func gangKernel[TC targetCache, H historySource](
 				btbT.Update(&r)
 			}
 		}
+		insns = base + int64(m)
 	}
 	var tailErr error
 	// The streaming loop surfaces a decode error only when the budget

@@ -9,6 +9,7 @@ package sim_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -71,16 +72,17 @@ func plainAccuracyLoop(factory trace.Factory, budget, flushInterval int64, cfg s
 	return res
 }
 
-// TestDisabledTelemetryOverhead pins the <2% disabled-cost budget. Both
-// loops run interleaved and best-of-N over the same streaming source,
-// which suppresses one-off noise (GC, scheduler) well enough for a
-// regression guard; the whole measurement retries a few times before
-// declaring a failure.
+// TestDisabledTelemetryOverhead pins the <2% disabled-cost budget on the
+// median of many back-to-back pairs over the same streaming source. The two
+// loops are separate functions, so code layout alone moves the median by
+// about ±2% between builds, and single pairs on a shared 2-vCPU host spread
+// ±5%; the measurement therefore retries a few times before declaring a
+// failure. An overhead well above 2% fails every attempt.
 func TestDisabledTelemetryOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput measurement simulates tens of millions of instructions")
 	}
-	const budget = 2_000_000
+	const budget = 1_000_000
 	w, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
@@ -97,28 +99,40 @@ func TestDisabledTelemetryOverhead(t *testing.T) {
 		t.Fatalf("reference loop drifted from sim.RunAccuracy:\nplain: %+v\ninst:  %+v", plain, inst)
 	}
 
-	measure := func(f func()) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 5; i++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < best {
-				best = d
+	timed := func(f func()) time.Duration {
+		start := time.Now()
+		f()
+		return time.Since(start)
+	}
+	plainRun := func() { plainAccuracyLoop(src, budget, 0, cfg) }
+	instRun := func() { sim.RunAccuracy(src, budget, cfg) }
+	// measure times the two loops back to back, pairs times, alternating
+	// which runs first, and returns the median instrumented/plain ratio: a
+	// slow spell on a shared host then hits both halves of a pair, and the
+	// median drops the pairs it split.
+	measure := func(pairs int) float64 {
+		ratios := make([]float64, pairs)
+		for i := range ratios {
+			var base, with time.Duration
+			if i%2 == 0 {
+				base, with = timed(plainRun), timed(instRun)
+			} else {
+				with, base = timed(instRun), timed(plainRun)
 			}
+			ratios[i] = float64(with) / float64(base)
 		}
-		return best
+		slices.Sort(ratios)
+		return ratios[pairs/2]
 	}
 
 	const maxOverhead = 1.02
 	var ratio float64
-	for attempt := 0; attempt < 3; attempt++ {
-		base := measure(func() { plainAccuracyLoop(src, budget, 0, cfg) })
-		with := measure(func() { sim.RunAccuracy(src, budget, cfg) })
-		ratio = float64(with) / float64(base)
+	for attempt := 0; attempt < 5; attempt++ {
+		ratio = measure(41)
+		t.Logf("attempt %d: median disabled-telemetry ratio %.4f", attempt, ratio)
 		if ratio <= maxOverhead {
 			return
 		}
-		t.Logf("attempt %d: disabled-telemetry ratio %.4f (base %v, instrumented %v)", attempt, ratio, base, with)
 	}
 	t.Errorf("disabled telemetry costs %.1f%% of accuracy throughput, budget is 2%%", (ratio-1)*100)
 }
