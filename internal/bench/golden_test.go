@@ -18,8 +18,11 @@ var update = flag.Bool("update", false, "rewrite golden files with the current o
 // goldenExperiments is the slice of the suite the golden file pins: an
 // accuracy table, a target-cache accuracy table, a timing figure and a
 // no-simulation table, so every kernel family is covered without running
-// the whole suite.
-var goldenExperiments = []string{"table1", "table4", "figures12-13", "budget"}
+// the whole suite; plus the accuracy experiments whose runs fuse into
+// gangs with a flush interval (context-switch), mixed target-cache
+// families beside a BTB-only member (followups), and several runs merged
+// under one telemetry key (verify's claim cells).
+var goldenExperiments = []string{"table1", "table4", "figures12-13", "budget", "context-switch", "followups", "verify"}
 
 // renderGolden runs the golden experiment slice with telemetry enabled at
 // the given worker count and returns the full text artifact: the rendered
