@@ -49,9 +49,11 @@ bench:
 
 # benchmark/ is a Go module of its own (its go.mod replaces repro => ../),
 # so the ./... patterns above never build it. It calls sim's public API;
-# vet and build it whenever that API changes.
+# vet, build and test it whenever that API changes. Its tests run every
+# workload at smoke scale and check the output digests against
+# benchmark/testdata/expected.json.
 bench-module:
-	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
 # One-iteration benchmark smoke pass over the hot-path packages: catches
 # benchmarks that no longer compile or crash, without the timing cost.

@@ -53,7 +53,7 @@ func run() int {
 		model      = flag.String("model", "fast", "timing model: fast | event")
 		format     = flag.String("format", "text", "output format: text | json | csv")
 		parallel   = flag.Int("parallel", 0, "simulation cells run concurrently per experiment (0 = one per CPU, 1 = serial)")
-		segments   = flag.Int("segments", 0, "segments an accuracy cell's replay splits into (0 = auto from spare workers, 1 = off)")
+		segments   = flag.Int("segments", 0, "segments each fused accuracy pass (an experiment's runs that share a workload, flush interval and front end) splits its replay into (0 = auto from spare workers, 1 = off)")
 		traceStore = flag.String("trace-store", "", "spill large captures to columnar trace-store files in this directory")
 		spillMB    = flag.Int("spill-mb", 256, "with -trace-store: captures above this in-memory size (MB) spill to disk")
 		timeout    = flag.Duration("timeout", 0, "per-experiment deadline (0 = none); timed-out cells render ERR")
@@ -297,7 +297,7 @@ func run() int {
 
 	if !*quiet {
 		if segs := sim.SegmentCounters(); segs.SegmentedRuns > 0 {
-			fmt.Fprintf(os.Stderr, "tcsim: segmented %d runs into %d segments (%d warm-up instructions)\n",
+			fmt.Fprintf(os.Stderr, "tcsim: segmented %d accuracy passes into %d segments (%d warm-up instructions)\n",
 				segs.SegmentedRuns, segs.SegmentsExecuted, segs.WarmupInstructions)
 		}
 		if spilledCaptures, spilledBytes := workload.SpillStats(); spilledCaptures > 0 {

@@ -1,36 +1,67 @@
 package bench
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/btb"
 	"repro/internal/cpu"
+	"repro/internal/dirpred"
 	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // Cell scheduling: every experiment decomposes into independent simulation
-// cells — each a pure function of a memoized replay cursor and a predictor
-// configuration. Experiments enqueue cells into a cellGroup, each cell
-// writing its result into a pre-allocated slot; run executes them on a
-// bounded worker pool and the experiment then renders its tables from the
-// slots in enqueue order. Because rendering is serial and positional, the
+// cells. A cell's work is any number of accuracy runs — each a pure
+// function of a memoized replay and a predictor configuration — plus, for
+// a cell that times a machine, replays the CBT or scans trace statistics,
+// a pass of its own. Experiments enqueue cells into a cellGroup; run then
+// fuses the accuracy runs of all the group's cells that share a workload,
+// a flush interval and a front end (BTB config, RAS depth,
+// direction-predictor config) into one gang pass
+// (sim.RunAccuracyGangSegmentedCtx), so K configurations cost one trace
+// pass instead of K, and executes the fused passes and the cells' own
+// passes on a bounded worker pool. Passes form in first-seen order: cells
+// in enqueue order, a cell's runs in run order, then its own pass. A
+// group of one run is a solo run. The experiment renders its tables from
+// the results in enqueue order; because rendering is serial and
+// positional and every gang member gets exactly its solo result, the
 // output is byte-identical at any worker count, including 1.
 //
-// Cells are fault-isolated: a panic or an abortCell inside one cell marks
-// only that cell's slot with a CellError. The experiment renders the
-// affected rows as ERR, appends a failure footer, and every other cell's
-// output is unchanged. Failure footers list cells in enqueue order, so
-// they too are byte-identical at any worker count.
+// Per cell, fusion is invisible:
+//
+//   - TestCellHook fires once per cell label, before any pass of that
+//     cell runs: the first of its passes to start fires it, and the others
+//     wait for it.
+//   - A cell whose hook panics (or whose context is already cancelled)
+//     fails alone, and its passes run without it. A kernel error (corrupt
+//     replay, cancellation) or a panic inside a fused pass fails every
+//     cell with a run in that pass. A cell with runs in several passes
+//     reports the first failure in its own order — admission, its runs in
+//     run order, its own pass — so failure footers do not depend on
+//     scheduling.
+//   - Every run gets a telemetry collector of its own, merged once the
+//     group has run under its cell's key, cells in enqueue order and a
+//     cell's runs in run order up to its first failed run: the merges the
+//     cell would make running its runs one after another.
+//   - RunStats counts every cell once and every run's instructions.
+//
+// The experiment renders the failed cells' rows as ERR, appends a failure
+// footer, and every other cell's output is unchanged. Failure footers
+// list cells in enqueue order, so they too are byte-identical at any
+// worker count.
 
-// TestCellHook, when non-nil, runs at the start of every cell with the
-// cell's "experiment/workload/config" label. It exists for the
-// fault-injection harness (internal/faultinject), which uses it to panic,
-// delay, or block inside chosen cells. Set it only from tests, and only
-// while no experiments are running.
+// TestCellHook, when non-nil, runs once per cell, before the cell's first
+// pass, with the cell's "experiment/workload/config" label. It exists for
+// the fault-injection harness (internal/faultinject), which uses it to
+// panic, delay, or block inside chosen cells. Set it only from tests, and
+// only while no experiments are running.
 var TestCellHook func(label string)
 
 // cellID labels one simulation cell within an experiment.
@@ -55,32 +86,44 @@ func (id cellID) String() string {
 	}
 }
 
-// cellStatus records whether a cell completed; slots embed it so renderers
-// can ask any slot whether its value is trustworthy.
-type cellStatus struct {
-	cerr *CellError
+// groupCell is one enqueued cell.
+type groupCell struct {
+	id   cellID
+	fn   func(Params) // the cell's own pass; nil when its work is accuracy runs only
+	runs []*accRun    // in run order
+
+	admitted sync.Once
+	hookErr  *CellError // cancelled before it started, or its hook panicked
+	fnErr    *CellError // its own pass failed
+	cerr     *CellError // the cell's outcome, resolved once the group has run
 }
 
 // ok reports whether the cell completed without error.
-func (s *cellStatus) ok() bool { return s.cerr == nil }
+func (c *groupCell) ok() bool { return c.cerr == nil }
 
-// slot holds one cell's result plus its completion status.
-type slot[T any] struct {
-	cellStatus
-	val T
+// accRun is one enqueued accuracy run.
+type accRun struct {
+	cell  *groupCell
+	w     *workload.Workload
+	flush int64
+	cfg   sim.Config
+	res   sim.AccuracyResult
+	col   *telemetry.Collector // the run's collector, once it joined a pass
+	err   *CellError
 }
 
-type groupCell struct {
-	id cellID
-	st *cellStatus
-	fn func(Params)
+// slot holds one cell's result; the cell's status says whether the
+// result is trustworthy.
+type slot[T any] struct {
+	*groupCell
+	val T
 }
 
 type cellGroup struct {
 	workers    int
 	experiment string
 	p          Params
-	cells      []groupCell
+	cells      []*groupCell
 	errs       []*CellError // failures from completed runs, enqueue order
 }
 
@@ -88,78 +131,222 @@ func newCellGroup(p Params) *cellGroup {
 	return &cellGroup{workers: p.workers(), experiment: p.experiment, p: p}
 }
 
-// do enqueues one cell under id and returns its status. The cell body
-// receives a Params copy minted for the cell (so kernels can attribute
-// telemetry). Cells must not depend on each other's slots.
-func (g *cellGroup) do(id cellID, fn func(Params)) *cellStatus {
-	st := &cellStatus{}
-	g.cells = append(g.cells, groupCell{id: id, st: st, fn: fn})
-	return st
+// add enqueues a cell under id whose own pass is fn (nil for none).
+func (g *cellGroup) add(id cellID, fn func(Params)) *groupCell {
+	c := &groupCell{id: id, fn: fn}
+	g.cells = append(g.cells, c)
+	return c
 }
 
-// cell enqueues fn under id and returns the slot its result lands in once
-// run returns.
+// do enqueues fn as a cell's own pass under id. The pass receives a
+// Params copy minted for the cell (so kernels can attribute telemetry).
+// Cells must not depend on each other's results.
+func (g *cellGroup) do(id cellID, fn func(Params)) { g.add(id, fn) }
+
+// cell enqueues fn as a cell's own pass under id and returns the slot its
+// result lands in once run returns.
 func cell[T any](g *cellGroup, id cellID, fn func(Params) T) *slot[T] {
 	s := &slot[T]{}
-	g.cells = append(g.cells, groupCell{id: id, st: &s.cellStatus, fn: func(p Params) { s.val = fn(p) }})
+	s.groupCell = g.add(id, func(p Params) { s.val = fn(p) })
 	return s
 }
 
-// exec runs one cell, converting panics and aborts into a CellError on the
-// cell's status instead of unwinding the worker.
-func (g *cellGroup) exec(c *groupCell) {
-	g.p.Telemetry.CellStarted()
-	start := time.Now()
-	defer func() {
-		g.p.Telemetry.AddBusy(time.Since(start))
-		if v := recover(); v != nil {
-			err, stack := recoveredErr(v)
-			c.st.cerr = &CellError{
-				Experiment: g.experiment,
-				Workload:   c.id.Workload,
-				Config:     c.id.Config,
-				Err:        err,
-				Stack:      stack,
-			}
-			g.p.Telemetry.CellFailed()
-			if stack != "" {
-				// A raw panic (not a structured abortCell) was contained.
-				g.p.Telemetry.CellRecovered()
-			}
-		}
-	}()
-	if err := g.p.Context().Err(); err != nil {
-		// Already cancelled: mark the cell without starting its simulation.
-		abortCell(err)
-	}
-	if hook := TestCellHook; hook != nil {
-		hook((&CellError{Experiment: g.experiment, Workload: c.id.Workload, Config: c.id.Config}).CellLabel())
-	}
-	c.fn(g.p.forCell(c.id))
+// accuracy enqueues one accuracy run of cfg over w's memoized capture for
+// cell c, with every structure reset each flush instructions (0: never).
+// It is the only way an experiment runs the accuracy model: run fuses it
+// with the group's other runs that share its workload, flush interval
+// and front end. The result is valid once the group has run, if c is ok.
+func (c *groupCell) accuracy(w *workload.Workload, flush int64, cfg sim.Config) *sim.AccuracyResult {
+	r := &accRun{cell: c, w: w, flush: flush, cfg: cfg}
+	c.runs = append(c.runs, r)
+	return &r.res
 }
 
-// run executes all enqueued cells, at most g.workers at a time, and clears
-// the queue. It returns only when every cell has finished; failures are
-// appended to g.errs in enqueue order.
+// accuracyCell enqueues a cell under id whose work is one accuracy run
+// (see accuracy); its slot holds the run's result.
+func accuracyCell(g *cellGroup, id cellID, w *workload.Workload, flush int64, cfg sim.Config) *slot[*sim.AccuracyResult] {
+	c := g.add(id, nil)
+	return &slot[*sim.AccuracyResult]{c, c.accuracy(w, flush, cfg)}
+}
+
+// passKey identifies the accuracy runs one fused pass serves: one
+// decoded stream, one flush schedule and one shared front end.
+type passKey struct {
+	workload string
+	flush    int64
+	btb      btb.Config
+	ras      int
+	dir      dirpred.Config
+}
+
+// pass is one work item on the pool: a cell's own pass, or a fused
+// accuracy pass over runs.
+type pass struct {
+	cell *groupCell
+	runs []*accRun
+}
+
+// plan groups the cells' work into passes, in first-seen order.
+func plan(cells []*groupCell) []*pass {
+	var passes []*pass
+	fused := make(map[passKey]*pass)
+	for _, c := range cells {
+		for _, r := range c.runs {
+			k := passKey{r.w.Name, r.flush, r.cfg.BTB, r.cfg.RASDepth, r.cfg.Dir}
+			ps := fused[k]
+			if ps == nil {
+				ps = &pass{}
+				fused[k] = ps
+				passes = append(passes, ps)
+			}
+			ps.runs = append(ps.runs, r)
+		}
+		if c.fn != nil {
+			passes = append(passes, &pass{cell: c})
+		}
+	}
+	return passes
+}
+
+// run executes all enqueued cells, at most g.workers passes at a time,
+// and clears the queue. It returns only when every pass has finished;
+// failures are appended to g.errs in enqueue order.
 func (g *cellGroup) run() {
 	cells := g.cells
 	g.cells = nil
 	cellsExecuted.Add(int64(len(cells)))
-	// Resolve intra-cell segmentation for this batch: with fewer cells
-	// than workers, accuracy cells split their captures so the idle
-	// workers help the critical path. Resolution happens here (not per
-	// cell) so the count depends only on the queue length, never on
-	// scheduling order.
-	g.p.segs = g.p.cellSegments(len(cells))
-	pool.Run(g.workers, len(cells), func(i int) { g.exec(&cells[i]) })
-	for i := range cells {
-		if ce := cells[i].st.cerr; ce != nil {
-			g.errs = append(g.errs, ce)
+	passes := plan(cells)
+	// Resolve intra-pass segmentation for this batch: with fewer passes
+	// than workers, fused passes split their captures so the idle workers
+	// help the critical path. Resolution happens here (not per pass) so
+	// the count depends only on the queue length, never on scheduling
+	// order.
+	g.p.segs = g.p.cellSegments(len(passes))
+	pool.Run(g.workers, len(passes), func(i int) { g.exec(passes[i]) })
+	for _, c := range cells {
+		p := g.p.forCell(c.id)
+		for _, r := range c.runs {
+			p.mergeCollector(r.col)
+			if r.err != nil {
+				break
+			}
+		}
+		c.cerr = c.firstErr()
+		if c.cerr == nil {
+			continue
+		}
+		g.errs = append(g.errs, c.cerr)
+		g.p.Telemetry.CellFailed()
+		if c.cerr.Stack != "" {
+			// A raw panic (not a structured abortCell) was contained.
+			g.p.Telemetry.CellRecovered()
 		}
 	}
 	if g.p.fails != nil {
 		g.p.fails.add(g.errs...)
 	}
+}
+
+// firstErr is the cell's first failure in its own order: admission, its
+// runs in run order, its own pass.
+func (c *groupCell) firstErr() *CellError {
+	if c.hookErr != nil {
+		return c.hookErr
+	}
+	for _, r := range c.runs {
+		if r.err != nil {
+			return r.err
+		}
+	}
+	return c.fnErr
+}
+
+// exec runs one pass.
+func (g *cellGroup) exec(ps *pass) {
+	start := time.Now()
+	defer func() { g.p.Telemetry.AddBusy(time.Since(start)) }()
+	if c := ps.cell; c != nil {
+		if g.admit(c) {
+			c.fnErr = g.capture(c.id, func() { c.fn(g.p.forCell(c.id)) })
+		}
+		return
+	}
+	g.fused(ps.runs)
+}
+
+// admit starts cell c exactly once, before the first of its passes: an
+// already cancelled context or a panicking TestCellHook fails the cell
+// before any of its work runs. It reports whether the cell may run.
+func (g *cellGroup) admit(c *groupCell) bool {
+	c.admitted.Do(func() {
+		g.p.Telemetry.CellStarted()
+		c.hookErr = g.capture(c.id, func() {
+			if err := g.p.Context().Err(); err != nil {
+				abortCell(err)
+			}
+			if hook := TestCellHook; hook != nil {
+				hook((&CellError{Experiment: g.experiment, Workload: c.id.Workload, Config: c.id.Config}).CellLabel())
+			}
+		})
+	})
+	return c.hookErr == nil
+}
+
+// fused runs the runs of every admitted cell among runs as one gang over
+// their shared capture. A kernel error fails the runs it stopped; a panic
+// fails every run of the pass.
+func (g *cellGroup) fused(runs []*accRun) {
+	var live []*accRun
+	for _, r := range runs {
+		if g.admit(r.cell) {
+			live = append(live, r)
+		}
+	}
+	if len(live) == 0 {
+		return
+	}
+	pts := make([]sim.GangPoint, len(live))
+	for i, r := range live {
+		r.col = g.p.startCollector()
+		pts[i].Config = r.cfg
+		pts[i].Config.Telemetry = r.col
+	}
+	w, flush, budget := live[0].w, live[0].flush, g.p.AccuracyBudget
+	perr := g.capture(cellID{}, func() {
+		res, ok := sim.RunAccuracyGangSegmentedCtx(g.p.Context(), w.ReplayPrefix(budget, g.p.shareBudget()), budget, flush, g.p.segs, pts)
+		if !ok {
+			abortCell(fmt.Errorf("bench: the simulator refused a fused pass of %d run(s) on %s", len(pts), w.Name))
+		}
+		for i, r := range live {
+			r.res = res[i]
+			instructionsSim.Add(res[i].Instructions)
+			if res[i].Err != nil {
+				r.err = g.cellError(r.cell.id, res[i].Err, "")
+			}
+		}
+	})
+	if perr != nil {
+		for _, r := range live {
+			r.err = g.cellError(r.cell.id, perr.Err, perr.Stack)
+		}
+	}
+}
+
+// capture runs f, converting a panic or an abortCell into a CellError
+// labelled with id.
+func (g *cellGroup) capture(id cellID, f func()) (cerr *CellError) {
+	defer func() {
+		if v := recover(); v != nil {
+			err, stack := recoveredErr(v)
+			cerr = g.cellError(id, err, stack)
+		}
+	}()
+	f()
+	return nil
+}
+
+func (g *cellGroup) cellError(id cellID, err error, stack string) *CellError {
+	return &CellError{Experiment: g.experiment, Workload: id.Workload, Config: id.Config, Err: err, Stack: stack}
 }
 
 // finish appends the experiment's failure footer (as notes on the last
@@ -186,6 +373,15 @@ func pctCell(s *slot[float64]) string {
 		return "ERR"
 	}
 	return pct(s.val)
+}
+
+// rateCell renders an accuracy slot's indirect misprediction rate, or ERR
+// when its cell failed.
+func rateCell(s *slot[*sim.AccuracyResult]) string {
+	if !s.ok() {
+		return "ERR"
+	}
+	return pct(s.val.IndirectMispredictRate())
 }
 
 // errRow returns n "ERR" columns for a row whose backing cell failed.
@@ -226,41 +422,13 @@ func (s RunStats) Sub(earlier RunStats) RunStats {
 
 // ---- replay-backed simulation kernels ----
 //
-// All experiment cells go through these wrappers: they swap the live VM for
-// the workload's memoized trace replay (so the VM runs at most once per
-// (workload, budget) key across the whole suite), account simulated
-// instructions, and abort the cell on kernel errors (corrupt replay,
-// cancellation) so the failure lands in the cell's slot rather than
-// propagating garbage into rendered tables.
-
-// runAccuracy is sim.RunAccuracy over the memoized replay, segmented
-// across spare workers when the cell scheduler resolved a split (with
-// telemetry enabled the kernel falls back to the plain path itself).
-func runAccuracy(w *workload.Workload, p Params, cfg sim.Config) sim.AccuracyResult {
-	col := p.startCollector()
-	defer p.mergeCollector(col)
-	cfg.Telemetry = col
-	res := sim.RunAccuracySegmentedCtx(p.Context(), w.ReplayPrefix(p.AccuracyBudget, p.shareBudget()), p.AccuracyBudget, p.segs, cfg)
-	instructionsSim.Add(res.Instructions)
-	if res.Err != nil {
-		abortCell(res.Err)
-	}
-	return res
-}
-
-// runAccuracyFlushes is sim.RunAccuracyWithFlushes over the memoized
-// replay.
-func runAccuracyFlushes(w *workload.Workload, p Params, interval int64, cfg sim.Config) sim.AccuracyResult {
-	col := p.startCollector()
-	defer p.mergeCollector(col)
-	cfg.Telemetry = col
-	res := sim.RunAccuracyWithFlushesCtx(p.Context(), w.ReplayPrefix(p.AccuracyBudget, p.shareBudget()), p.AccuracyBudget, interval, cfg)
-	instructionsSim.Add(res.Instructions)
-	if res.Err != nil {
-		abortCell(res.Err)
-	}
-	return res
-}
+// A cell's own pass goes through these wrappers (its accuracy runs go
+// through groupCell.accuracy): they swap the live VM for the workload's
+// memoized trace replay (so the VM runs at most once per (workload,
+// budget) key across the whole suite), account simulated instructions,
+// and abort the cell on kernel errors (corrupt replay, cancellation) so
+// the failure lands in the cell's slot rather than propagating garbage
+// into rendered tables.
 
 // runTiming is the fast one-pass timing model over the memoized replay
 // with an explicit machine configuration.

@@ -20,16 +20,30 @@ type Claim struct {
 	ID int
 	// Statement paraphrases the paper.
 	Statement string
-	// Check returns a human-readable measurement and whether the claim
-	// held.
-	Check func(p Params) (string, bool)
+	// Check is the claim in two phases. It enqueues the claim's accuracy
+	// runs through run, which returns where each run's result lands, and
+	// returns the verdict: a function that, once the runs have completed,
+	// reports a human-readable measurement and whether the claim held.
+	Check func(run enqueueRun) (verdict func() (string, bool))
 }
 
-// mispredict measures the indirect misprediction rate of cfg on w over
-// the memoized trace replay.
-func mispredict(w *workload.Workload, p Params, cfg sim.Config) float64 {
-	return runAccuracy(w, p, cfg).IndirectMispredictRate()
+// enqueueRun enqueues one accuracy run of cfg on w's memoized capture and
+// returns where its result lands once the run has completed.
+type enqueueRun = func(w *workload.Workload, cfg sim.Config) *sim.AccuracyResult
+
+// enqueue adds the claim to g as one cell labelled claim-N, whose runs
+// fuse with the group's other runs, and returns the cell and the claim's
+// verdict; call the verdict only after g has run and only if the cell is
+// ok.
+func (c Claim) enqueue(g *cellGroup) (*groupCell, func() (string, bool)) {
+	cl := g.add(cellID{Config: fmt.Sprintf("claim-%d", c.ID)}, nil)
+	return cl, c.Check(func(w *workload.Workload, cfg sim.Config) *sim.AccuracyResult {
+		return cl.accuracy(w, 0, cfg)
+	})
 }
+
+// rate is a completed run's indirect misprediction rate.
+func rate(r *sim.AccuracyResult) float64 { return r.IndirectMispredictRate() }
 
 func mustWorkload(name string) *workload.Workload {
 	w, err := workload.ByName(name)
@@ -61,137 +75,178 @@ func pathCfg(filter history.PathFilter) sim.Config {
 	}))
 }
 
-// Claims returns the paper's checkable findings.
+// Claims returns the paper's checkable findings. Each claim enqueues its
+// runs in the order it reads them; repeated configurations stay separate
+// runs.
 func Claims() []Claim {
 	return []Claim{
 		{
 			ID:        1,
 			Statement: "BTBs mispredict indirect jumps badly on indirect-heavy benchmarks (perl, gcc)",
-			Check: func(p Params) (string, bool) {
-				perl := mispredict(mustWorkload("perl"), p, sim.DefaultConfig())
-				gcc := mispredict(mustWorkload("gcc"), p, sim.DefaultConfig())
-				return fmt.Sprintf("perl %.1f%%, gcc %.1f%%", 100*perl, 100*gcc),
-					perl > 0.5 && gcc > 0.4
+			Check: func(run enqueueRun) func() (string, bool) {
+				perl := run(mustWorkload("perl"), sim.DefaultConfig())
+				gcc := run(mustWorkload("gcc"), sim.DefaultConfig())
+				return func() (string, bool) {
+					perl, gcc := rate(perl), rate(gcc)
+					return fmt.Sprintf("perl %.1f%%, gcc %.1f%%", 100*perl, 100*gcc),
+						perl > 0.5 && gcc > 0.4
+				}
 			},
 		},
 		{
 			ID:        2,
 			Statement: "the 2-bit BTB strategy is a mixed bag (helps some, hurts others); the target cache beats both on perl and gcc",
-			Check: func(p Params) (string, bool) {
-				helps, hurts := 0, 0
+			Check: func(run enqueueRun) func() (string, bool) {
+				twoBit := sim.DefaultConfig()
+				twoBit.BTB.Strategy = btb.StrategyTwoBit
+				// Per workload: the default BTB, then the 2-bit BTB.
+				var all [][2]*sim.AccuracyResult
 				for _, w := range workload.All() {
-					def := mispredict(w, p, sim.DefaultConfig())
-					cfg := sim.DefaultConfig()
-					cfg.BTB.Strategy = btb.StrategyTwoBit
-					two := mispredict(w, p, cfg)
-					if two < def {
-						helps++
-					} else if two > def {
-						hurts++
-					}
+					all = append(all, [2]*sim.AccuracyResult{run(w, sim.DefaultConfig()), run(w, twoBit)})
 				}
-				tcWins := true
+				// perl and gcc: default BTB, 2-bit BTB, target cache.
+				var pg [][3]*sim.AccuracyResult
 				for _, name := range []string{"perl", "gcc"} {
 					w := mustWorkload(name)
-					def := mispredict(w, p, sim.DefaultConfig())
-					cfg := sim.DefaultConfig()
-					cfg.BTB.Strategy = btb.StrategyTwoBit
-					two := mispredict(w, p, cfg)
-					tc := mispredict(w, p, tcConfig(taglessGshare(512), pattern(9)))
-					if tc >= def || tc >= two {
-						tcWins = false
-					}
+					pg = append(pg, [3]*sim.AccuracyResult{
+						run(w, sim.DefaultConfig()),
+						run(w, twoBit),
+						run(w, tcConfig(taglessGshare(512), pattern(9))),
+					})
 				}
-				return fmt.Sprintf("2-bit helps %d and hurts %d of 8; target cache beats both on perl+gcc: %v",
-					helps, hurts, tcWins), helps >= 2 && hurts >= 2 && tcWins
+				return func() (string, bool) {
+					helps, hurts := 0, 0
+					for _, r := range all {
+						def, two := rate(r[0]), rate(r[1])
+						if two < def {
+							helps++
+						} else if two > def {
+							hurts++
+						}
+					}
+					tcWins := true
+					for _, r := range pg {
+						def, two, tc := rate(r[0]), rate(r[1]), rate(r[2])
+						if tc >= def || tc >= two {
+							tcWins = false
+						}
+					}
+					return fmt.Sprintf("2-bit helps %d and hurts %d of 8; target cache beats both on perl+gcc: %v",
+						helps, hurts, tcWins), helps >= 2 && hurts >= 2 && tcWins
+				}
 			},
 		},
 		{
 			ID:        3,
 			Statement: "gshare is the best tagless index hash on perl and gcc",
-			Check: func(p Params) (string, bool) {
-				ok := true
-				var msg string
-				for _, name := range []string{"perl", "gcc"} {
+			Check: func(run enqueueRun) func() (string, bool) {
+				names := []string{"perl", "gcc"}
+				// Per workload: gshare, GAg, GAs.
+				var res [][3]*sim.AccuracyResult
+				for _, name := range names {
 					w := mustWorkload(name)
-					gshare := mispredict(w, p, taglessCfg(core.SchemeGshare, 0, 0))
-					gag := mispredict(w, p, taglessCfg(core.SchemeGAg, 0, 0))
-					gas := mispredict(w, p, taglessCfg(core.SchemeGAs, 8, 1))
-					if gshare > gag+0.01 || gshare > gas+0.01 {
-						ok = false
-					}
-					msg += fmt.Sprintf("%s: gshare %.1f%% GAg %.1f%% GAs %.1f%%  ",
-						name, 100*gshare, 100*gag, 100*gas)
+					res = append(res, [3]*sim.AccuracyResult{
+						run(w, taglessCfg(core.SchemeGshare, 0, 0)),
+						run(w, taglessCfg(core.SchemeGAg, 0, 0)),
+						run(w, taglessCfg(core.SchemeGAs, 8, 1)),
+					})
 				}
-				return msg, ok
+				return func() (string, bool) {
+					ok := true
+					var msg string
+					for i, name := range names {
+						gshare, gag, gas := rate(res[i][0]), rate(res[i][1]), rate(res[i][2])
+						if gshare > gag+0.01 || gshare > gas+0.01 {
+							ok = false
+						}
+						msg += fmt.Sprintf("%s: gshare %.1f%% GAg %.1f%% GAs %.1f%%  ",
+							name, 100*gshare, 100*gag, 100*gas)
+					}
+					return msg, ok
+				}
 			},
 		},
 		{
 			ID:        4,
 			Statement: "pattern history wins on gcc; global ind-jmp path history wins on perl (perl is an interpreter)",
-			Check: func(p Params) (string, bool) {
+			Check: func(run enqueueRun) func() (string, bool) {
 				perl := mustWorkload("perl")
 				gcc := mustWorkload("gcc")
-				perlPat := mispredict(perl, p, tcConfig(taglessGshare(512), pattern(9)))
-				perlPath := mispredict(perl, p, pathCfg(history.FilterIndJmp))
-				gccPat := mispredict(gcc, p, tcConfig(taglessGshare(512), pattern(9)))
-				gccPath := mispredict(gcc, p, pathCfg(history.FilterIndJmp))
-				return fmt.Sprintf("perl pat %.1f%% path %.1f%%; gcc pat %.1f%% path %.1f%%",
-						100*perlPat, 100*perlPath, 100*gccPat, 100*gccPath),
-					perlPath < perlPat && gccPat < gccPath
+				perlPat := run(perl, tcConfig(taglessGshare(512), pattern(9)))
+				perlPath := run(perl, pathCfg(history.FilterIndJmp))
+				gccPat := run(gcc, tcConfig(taglessGshare(512), pattern(9)))
+				gccPath := run(gcc, pathCfg(history.FilterIndJmp))
+				return func() (string, bool) {
+					perlPat, perlPath, gccPat, gccPath := rate(perlPat), rate(perlPath), rate(gccPat), rate(gccPath)
+					return fmt.Sprintf("perl pat %.1f%% path %.1f%%; gcc pat %.1f%% path %.1f%%",
+							100*perlPat, 100*perlPath, 100*gccPat, 100*gccPath),
+						perlPath < perlPat && gccPat < gccPath
+				}
 			},
 		},
 		{
 			ID:        5,
 			Statement: "lower target-address bits carry more path information than higher bits",
-			Check: func(p Params) (string, bool) {
+			Check: func(run enqueueRun) func() (string, bool) {
 				w := mustWorkload("gcc")
-				low := mispredict(w, p, tcConfig(taglessGshare(512), path(history.PathConfig{
+				low := run(w, tcConfig(taglessGshare(512), path(history.PathConfig{
 					Bits: 9, BitsPerTarget: 1, AddrBitOffset: 2, Filter: history.FilterBranch,
 				})))
-				high := mispredict(w, p, tcConfig(taglessGshare(512), path(history.PathConfig{
+				high := run(w, tcConfig(taglessGshare(512), path(history.PathConfig{
 					Bits: 9, BitsPerTarget: 1, AddrBitOffset: 12, Filter: history.FilterBranch,
 				})))
-				return fmt.Sprintf("gcc branch-path: bit2 %.1f%% vs bit12 %.1f%%",
-					100*low, 100*high), low < high
+				return func() (string, bool) {
+					low, high := rate(low), rate(high)
+					return fmt.Sprintf("gcc branch-path: bit2 %.1f%% vs bit12 %.1f%%",
+						100*low, 100*high), low < high
+				}
 			},
 		},
 		{
 			ID:        6,
 			Statement: "Address-indexed tagged caches need associativity; History-XOR works direct-mapped",
-			Check: func(p Params) (string, bool) {
+			Check: func(run enqueueRun) func() (string, bool) {
 				w := mustWorkload("perl")
-				addr1 := mispredict(w, p, taggedCfgN(core.SchemeAddress, 1, 9))
-				xor1 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 1, 9))
-				return fmt.Sprintf("perl 1-way: Addr %.1f%% vs Xor %.1f%%",
-					100*addr1, 100*xor1), xor1+0.05 < addr1
+				addr1 := run(w, taggedCfgN(core.SchemeAddress, 1, 9))
+				xor1 := run(w, taggedCfgN(core.SchemeHistoryXor, 1, 9))
+				return func() (string, bool) {
+					addr1, xor1 := rate(addr1), rate(xor1)
+					return fmt.Sprintf("perl 1-way: Addr %.1f%% vs Xor %.1f%%",
+						100*addr1, 100*xor1), xor1+0.05 < addr1
+				}
 			},
 		},
 		{
 			ID:        7,
 			Statement: "longer history helps high-associativity tagged caches and hurts low-associativity ones (gcc)",
-			Check: func(p Params) (string, bool) {
+			Check: func(run enqueueRun) func() (string, bool) {
 				w := mustWorkload("gcc")
-				lo9 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 1, 9))
-				lo16 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 1, 16))
-				hi9 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 32, 9))
-				hi16 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 32, 16))
-				return fmt.Sprintf("1-way: 9b %.1f%% vs 16b %.1f%%; 32-way: 9b %.1f%% vs 16b %.1f%%",
-						100*lo9, 100*lo16, 100*hi9, 100*hi16),
-					lo16 > lo9-0.02 && hi16 < hi9
+				lo9 := run(w, taggedCfgN(core.SchemeHistoryXor, 1, 9))
+				lo16 := run(w, taggedCfgN(core.SchemeHistoryXor, 1, 16))
+				hi9 := run(w, taggedCfgN(core.SchemeHistoryXor, 32, 9))
+				hi16 := run(w, taggedCfgN(core.SchemeHistoryXor, 32, 16))
+				return func() (string, bool) {
+					lo9, lo16, hi9, hi16 := rate(lo9), rate(lo16), rate(hi9), rate(hi16)
+					return fmt.Sprintf("1-way: 9b %.1f%% vs 16b %.1f%%; 32-way: 9b %.1f%% vs 16b %.1f%%",
+							100*lo9, 100*lo16, 100*hi9, 100*hi16),
+						lo16 > lo9-0.02 && hi16 < hi9
+				}
 			},
 		},
 		{
 			ID:        8,
 			Statement: "tagless beats low-associativity tagged; tagged with >=4 ways is at least competitive",
-			Check: func(p Params) (string, bool) {
+			Check: func(run enqueueRun) func() (string, bool) {
 				w := mustWorkload("perl")
-				tagless := mispredict(w, p, tcConfig(taglessGshare(512), pattern(9)))
-				tag1 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 1, 9))
-				tag8 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 8, 9))
-				return fmt.Sprintf("perl: tagless %.1f%%, tagged 1-way %.1f%%, tagged 8-way %.1f%%",
-						100*tagless, 100*tag1, 100*tag8),
-					tagless < tag1 && tag8 <= tagless+0.01
+				tagless := run(w, tcConfig(taglessGshare(512), pattern(9)))
+				tag1 := run(w, taggedCfgN(core.SchemeHistoryXor, 1, 9))
+				tag8 := run(w, taggedCfgN(core.SchemeHistoryXor, 8, 9))
+				return func() (string, bool) {
+					tagless, tag1, tag8 := rate(tagless), rate(tag1), rate(tag8)
+					return fmt.Sprintf("perl: tagless %.1f%%, tagged 1-way %.1f%%, tagged 8-way %.1f%%",
+							100*tagless, 100*tag1, 100*tag8),
+						tagless < tag1 && tag8 <= tagless+0.01
+				}
 			},
 		},
 	}
@@ -203,19 +258,14 @@ var verifyExperiment = registerExperiment(&Experiment{
 	Title: "Verify the paper's qualitative claims against this reproduction",
 	Run: func(p Params) []*stats.Table {
 		claims := Claims()
-		type claimCell struct {
-			msg string
-			ok  bool
-		}
-		// One cell per claim; the simulations inside share memoized
-		// replays, so concurrent claims do not duplicate VM work.
+		// One cell per claim. Each claim's runs fuse with every other
+		// claim's runs on the same workload and front end, and its verdict
+		// is computed from their results once the group has run.
 		g := newCellGroup(p)
-		cells := make([]*slot[claimCell], len(claims))
+		cells := make([]*groupCell, len(claims))
+		verdicts := make([]func() (string, bool), len(claims))
 		for i, c := range claims {
-			cells[i] = cell(g, cellID{Config: fmt.Sprintf("claim-%d", c.ID)}, func(p Params) claimCell {
-				msg, ok := c.Check(p)
-				return claimCell{msg, ok}
-			})
+			cells[i], verdicts[i] = c.enqueue(g)
 		}
 		g.run()
 		t := stats.NewTable("Paper claims verification",
@@ -226,13 +276,14 @@ var verifyExperiment = registerExperiment(&Experiment{
 				t.AddRow(fmt.Sprintf("%d", c.ID), c.Statement, "ERR", "ERR")
 				continue
 			}
+			msg, ok := verdicts[i]()
 			verdict := "PASS"
-			if cells[i].val.ok {
+			if ok {
 				passed++
 			} else {
 				verdict = "FAIL"
 			}
-			t.AddRow(fmt.Sprintf("%d", c.ID), c.Statement, cells[i].val.msg, verdict)
+			t.AddRow(fmt.Sprintf("%d", c.ID), c.Statement, msg, verdict)
 		}
 		t.AddNote("%d/%d claims reproduced", passed, len(claims))
 		return g.finish([]*stats.Table{t})

@@ -26,19 +26,16 @@ var table1 = registerExperiment(&Experiment{
 	Title: "Table 1: benchmark characteristics and BTB indirect-jump misprediction rates",
 	Run: func(p Params) []*stats.Table {
 		ws := workload.All()
-		type t1cell struct {
-			res    sim.AccuracyResult
-			static int
-		}
 		g := newCellGroup(p)
-		cells := make([]*slot[t1cell], len(ws))
+		// Each cell runs the BTB and, as its own pass, counts the static
+		// indirect jumps.
+		cells := make([]*slot[int], len(ws))
+		results := make([]*sim.AccuracyResult, len(ws))
 		for i, w := range ws {
-			cells[i] = cell(g, cid(w, "btb"), func(p Params) t1cell {
-				return t1cell{
-					res:    runAccuracy(w, p, sim.DefaultConfig()),
-					static: runTraceStats(w, p).StaticIndJumps(),
-				}
+			cells[i] = cell(g, cid(w, "btb"), func(p Params) int {
+				return runTraceStats(w, p).StaticIndJumps()
 			})
+			results[i] = cells[i].accuracy(w, 0, sim.DefaultConfig())
 		}
 		g.run()
 		t := stats.NewTable(
@@ -50,12 +47,12 @@ var table1 = registerExperiment(&Experiment{
 				t.AddRow(append([]string{w.Name}, errRow(5)...)...)
 				continue
 			}
-			res := cells[i].val.res
+			res := results[i]
 			t.AddRow(w.Name,
 				fmt.Sprintf("%d", res.Instructions),
 				fmt.Sprintf("%d", res.Branches),
 				fmt.Sprintf("%d", res.Indirect.Predictions),
-				fmt.Sprintf("%d", cells[i].val.static),
+				fmt.Sprintf("%d", cells[i].val),
 				pct(res.IndirectMispredictRate()))
 		}
 		t.AddNote("paper: gcc 66.0%% and perl 76.4%% — the two benchmarks with significant indirect jumps")
@@ -127,25 +124,21 @@ var table2 = registerExperiment(&Experiment{
 	Title: "Table 2: performance of the 2-bit BTB update strategy",
 	Run: func(p Params) []*stats.Table {
 		ws := workload.All()
+		twoBit := sim.DefaultConfig()
+		twoBit.BTB.Strategy = btb.StrategyTwoBit
 		g := newCellGroup(p)
-		defs := make([]*slot[float64], len(ws))
-		twos := make([]*slot[float64], len(ws))
+		defs := make([]*slot[*sim.AccuracyResult], len(ws))
+		twos := make([]*slot[*sim.AccuracyResult], len(ws))
 		for i, w := range ws {
-			defs[i] = cell(g, cid(w, "btb-default"), func(p Params) float64 {
-				return runAccuracy(w, p, sim.DefaultConfig()).IndirectMispredictRate()
-			})
-			twos[i] = cell(g, cid(w, "btb-2bit"), func(p Params) float64 {
-				cfg := sim.DefaultConfig()
-				cfg.BTB.Strategy = btb.StrategyTwoBit
-				return runAccuracy(w, p, cfg).IndirectMispredictRate()
-			})
+			defs[i] = accuracyCell(g, cid(w, "btb-default"), w, 0, sim.DefaultConfig())
+			twos[i] = accuracyCell(g, cid(w, "btb-2bit"), w, 0, twoBit)
 		}
 		g.run()
 		t := stats.NewTable(
 			"Table 2: indirect-jump misprediction rate by BTB update strategy",
 			"Benchmark", "BTB", "2-bit BTB")
 		for i, w := range ws {
-			t.AddRow(w.Name, pctCell(defs[i]), pctCell(twos[i]))
+			t.AddRow(w.Name, rateCell(defs[i]), rateCell(twos[i]))
 		}
 		t.AddNote("paper: the 2-bit strategy helps compress, gcc, ijpeg and perl but hurts m88ksim, vortex and xlisp")
 		return g.finish([]*stats.Table{t})
@@ -183,20 +176,18 @@ var table4 = registerExperiment(&Experiment{
 		}
 		ws := workload.PerlGcc()
 		g := newCellGroup(p)
-		rates := make([][]*slot[float64], len(configs))
+		rates := make([][]*slot[*sim.AccuracyResult], len(configs))
 		for i, tcCfg := range configs {
-			rates[i] = make([]*slot[float64], len(ws))
+			histBits := 9
+			if tcCfg.Scheme == core.SchemeGAs {
+				histBits = tcCfg.HistBits
+			}
+			cfg := tcConfig(
+				func() core.TargetCache { return core.NewTagless(tcCfg) },
+				pattern(histBits))
+			rates[i] = make([]*slot[*sim.AccuracyResult], len(ws))
 			for j, w := range ws {
-				rates[i][j] = cell(g, cid(w, tcCfg.Name()), func(p Params) float64 {
-					histBits := 9
-					if tcCfg.Scheme == core.SchemeGAs {
-						histBits = tcCfg.HistBits
-					}
-					cfg := tcConfig(
-						func() core.TargetCache { return core.NewTagless(tcCfg) },
-						pattern(histBits))
-					return runAccuracy(w, p, cfg).IndirectMispredictRate()
-				})
+				rates[i][j] = accuracyCell(g, cid(w, tcCfg.Name()), w, 0, cfg)
 			}
 		}
 		g.run()
@@ -208,7 +199,7 @@ var table4 = registerExperiment(&Experiment{
 			// The table's column order is perl, gcc but PerlGcc returns
 			// perl first already.
 			for j := range ws {
-				row = append(row, pctCell(rates[i][j]))
+				row = append(row, rateCell(rates[i][j]))
 			}
 			t.AddRow(row...)
 		}
@@ -529,14 +520,12 @@ var ablationHistLen = registerExperiment(&Experiment{
 		bitCounts := []int{3, 6, 9, 12, 16}
 		ws := workload.PerlGcc()
 		g := newCellGroup(p)
-		rates := make([][]*slot[float64], len(bitCounts))
+		rates := make([][]*slot[*sim.AccuracyResult], len(bitCounts))
 		for i, bits := range bitCounts {
-			rates[i] = make([]*slot[float64], len(ws))
+			cfg := tcConfig(taglessGshare(512), pattern(bits))
+			rates[i] = make([]*slot[*sim.AccuracyResult], len(ws))
 			for j, w := range ws {
-				rates[i][j] = cell(g, cid(w, fmt.Sprintf("gshare-%dbits", bits)), func(p Params) float64 {
-					cfg := tcConfig(taglessGshare(512), pattern(bits))
-					return runAccuracy(w, p, cfg).IndirectMispredictRate()
-				})
+				rates[i][j] = accuracyCell(g, cid(w, fmt.Sprintf("gshare-%dbits", bits)), w, 0, cfg)
 			}
 		}
 		g.run()
@@ -546,7 +535,7 @@ var ablationHistLen = registerExperiment(&Experiment{
 		for i, bits := range bitCounts {
 			row := []string{fmt.Sprintf("%d", bits)}
 			for j := range ws {
-				row = append(row, pctCell(rates[i][j]))
+				row = append(row, rateCell(rates[i][j]))
 			}
 			t.AddRow(row...)
 		}
@@ -588,24 +577,23 @@ var cbtComparison = registerExperiment(&Experiment{
 	Title: "Related work: case block table vs BTB vs target cache (misprediction rate)",
 	Run: func(p Params) []*stats.Table {
 		ws := workload.All()
-		type cbtCell struct{ base, stale, oracle, tc *slot[float64] }
+		type cbtCell struct {
+			base, tc      *slot[*sim.AccuracyResult]
+			stale, oracle *slot[float64]
+		}
+		tcCfg := tcConfig(taglessGshare(512), pattern(9))
 		g := newCellGroup(p)
 		cells := make([]cbtCell, len(ws))
 		for i, w := range ws {
 			cells[i] = cbtCell{
-				base: cell(g, cid(w, "btb"), func(p Params) float64 {
-					return runAccuracy(w, p, sim.DefaultConfig()).IndirectMispredictRate()
-				}),
+				base: accuracyCell(g, cid(w, "btb"), w, 0, sim.DefaultConfig()),
 				stale: cell(g, cid(w, "cbt-stale"), func(p Params) float64 {
 					return runCBT(w, p, false)
 				}),
 				oracle: cell(g, cid(w, "cbt-oracle"), func(p Params) float64 {
 					return runCBT(w, p, true)
 				}),
-				tc: cell(g, cid(w, "target-cache"), func(p Params) float64 {
-					return runAccuracy(w, p,
-						tcConfig(taglessGshare(512), pattern(9))).IndirectMispredictRate()
-				}),
+				tc: accuracyCell(g, cid(w, "target-cache"), w, 0, tcCfg),
 			}
 		}
 		g.run()
@@ -614,7 +602,7 @@ var cbtComparison = registerExperiment(&Experiment{
 			"Benchmark", "BTB", "CBT (stale value)", "CBT (oracle)", "target cache (gshare)")
 		for i, w := range ws {
 			c := cells[i]
-			t.AddRow(w.Name, pctCell(c.base), pctCell(c.stale), pctCell(c.oracle), pctCell(c.tc))
+			t.AddRow(w.Name, rateCell(c.base), pctCell(c.stale), pctCell(c.oracle), rateCell(c.tc))
 		}
 		t.AddNote("paper: the oracle CBT needs the dispatch value at fetch, which an out-of-order machine rarely has")
 		return g.finish([]*stats.Table{t})

@@ -59,15 +59,11 @@ var cxxExperiment = registerExperiment(&Experiment{
 
 		g := newCellGroup(p)
 		warmBaselines(g, tctx, []*workload.Workload{w})
-		baseRate := cell(g, cid(w, "btb"), func(p Params) float64 {
-			return runAccuracy(w, p, sim.DefaultConfig()).IndirectMispredictRate()
-		})
-		accs := make([]*slot[float64], len(variants))
+		baseRate := accuracyCell(g, cid(w, "btb"), w, 0, sim.DefaultConfig())
+		accs := make([]*slot[*sim.AccuracyResult], len(variants))
 		reds := make([]*slot[float64], len(variants))
 		for i, v := range variants {
-			accs[i] = cell(g, cid(w, v.name+"/accuracy"), func(p Params) float64 {
-				return runAccuracy(w, p, v.cfg).IndirectMispredictRate()
-			})
+			accs[i] = accuracyCell(g, cid(w, v.name+"/accuracy"), w, 0, v.cfg)
 			reds[i] = cell(g, cid(w, v.name+"/timing"), func(p Params) float64 { return tctx.reduction(p, w, v.cfg) })
 		}
 		g.run()
@@ -75,9 +71,9 @@ var cxxExperiment = registerExperiment(&Experiment{
 		t := stats.NewTable(
 			"C++-style workload (virtual calls through vtables): misprediction and execution time",
 			"Predictor", "ind mispred", "time saved")
-		t.AddRow("BTB (1K, 4-way)", pctCell(baseRate), "-")
+		t.AddRow("BTB (1K, 4-way)", rateCell(baseRate), "-")
 		for i, v := range variants {
-			t.AddRow(v.name, pctCell(accs[i]), pctCell(reds[i]))
+			t.AddRow(v.name, rateCell(accs[i]), pctCell(reds[i]))
 		}
 		t.AddNote("paper conclusion: for OO programs, tagged caches should provide even greater benefits")
 		t.AddNote("tags hold history beyond the index width: the 16-way/24-bit tagged cache and ITTAGE exploit it")
@@ -115,13 +111,11 @@ var followupsExperiment = registerExperiment(&Experiment{
 		configs := []sim.Config{sim.DefaultConfig(), tcCfg, hybridCfg, cascCfg, ittageCfg}
 		cfgNames := []string{"btb", "target-cache", "hybrid", "cascaded", "ittage"}
 		g := newCellGroup(p)
-		rates := make([][]*slot[float64], len(ws))
+		rates := make([][]*slot[*sim.AccuracyResult], len(ws))
 		for i, w := range ws {
-			rates[i] = make([]*slot[float64], len(configs))
+			rates[i] = make([]*slot[*sim.AccuracyResult], len(configs))
 			for j, cfg := range configs {
-				rates[i][j] = cell(g, cid(w, cfgNames[j]), func(p Params) float64 {
-					return runAccuracy(w, p, cfg).IndirectMispredictRate()
-				})
+				rates[i][j] = accuracyCell(g, cid(w, cfgNames[j]), w, 0, cfg)
 			}
 		}
 		g.run()
@@ -131,7 +125,7 @@ var followupsExperiment = registerExperiment(&Experiment{
 		for i, w := range ws {
 			row := []string{w.Name}
 			for j := range configs {
-				row = append(row, pctCell(rates[i][j]))
+				row = append(row, rateCell(rates[i][j]))
 			}
 			t.AddRow(row...)
 		}
@@ -221,19 +215,15 @@ var contextSwitchExperiment = registerExperiment(&Experiment{
 		tcCfg := tcConfig(taglessGshare(512), pattern(9))
 		ws := workload.PerlGcc()
 		intervals := []int64{0, 1_000_000, 100_000, 10_000, 1_000}
-		type csCell struct{ base, tc *slot[float64] }
+		type csCell struct{ base, tc *slot[*sim.AccuracyResult] }
 		g := newCellGroup(p)
 		cells := make([][]csCell, len(ws))
 		for i, w := range ws {
 			cells[i] = make([]csCell, len(intervals))
 			for j, interval := range intervals {
 				cells[i][j] = csCell{
-					base: cell(g, cid(w, fmt.Sprintf("btb/flush-%d", interval)), func(p Params) float64 {
-						return runAccuracyFlushes(w, p, interval, sim.DefaultConfig()).IndirectMispredictRate()
-					}),
-					tc: cell(g, cid(w, fmt.Sprintf("tc/flush-%d", interval)), func(p Params) float64 {
-						return runAccuracyFlushes(w, p, interval, tcCfg).IndirectMispredictRate()
-					}),
+					base: accuracyCell(g, cid(w, fmt.Sprintf("btb/flush-%d", interval)), w, interval, sim.DefaultConfig()),
+					tc:   accuracyCell(g, cid(w, fmt.Sprintf("tc/flush-%d", interval)), w, interval, tcCfg),
 				}
 			}
 		}
@@ -248,7 +238,7 @@ var contextSwitchExperiment = registerExperiment(&Experiment{
 				if interval > 0 {
 					label = fmt.Sprintf("%d instr", interval)
 				}
-				t.AddRow(label, pctCell(cells[i][j].base), pctCell(cells[i][j].tc))
+				t.AddRow(label, rateCell(cells[i][j].base), rateCell(cells[i][j].tc))
 			}
 			t.AddNote("a history-indexed cache must re-learn one entry per (jump, history) pair after each flush")
 			out = append(out, t)
@@ -268,19 +258,17 @@ var rasExperiment = registerExperiment(&Experiment{
 		names := []string{"xlisp", "gosearch", "perl"}
 		depths := []int{1, 2, 4, 8, 16, 32, 64}
 		g := newCellGroup(p)
-		rates := make([][]*slot[float64], len(depths))
+		rates := make([][]*slot[*sim.AccuracyResult], len(depths))
 		for i, depth := range depths {
-			rates[i] = make([]*slot[float64], len(names))
+			cfg := sim.DefaultConfig()
+			cfg.RASDepth = depth
+			rates[i] = make([]*slot[*sim.AccuracyResult], len(names))
 			for j, name := range names {
 				w, err := workload.ByName(name)
 				if err != nil {
 					panic(err)
 				}
-				rates[i][j] = cell(g, cid(w, fmt.Sprintf("ras-%d", depth)), func(p Params) float64 {
-					cfg := sim.DefaultConfig()
-					cfg.RASDepth = depth
-					return runAccuracy(w, p, cfg).Returns.MispredictRate()
-				})
+				rates[i][j] = accuracyCell(g, cid(w, fmt.Sprintf("ras-%d", depth)), w, 0, cfg)
 			}
 		}
 		g.run()
@@ -290,7 +278,11 @@ var rasExperiment = registerExperiment(&Experiment{
 		for i, depth := range depths {
 			row := []string{fmt.Sprintf("%d", depth)}
 			for j := range names {
-				row = append(row, pctCell(rates[i][j]))
+				text := "ERR"
+				if s := rates[i][j]; s.ok() {
+					text = pct(s.val.Returns.MispredictRate())
+				}
+				row = append(row, text)
 			}
 			t.AddRow(row...)
 		}

@@ -202,6 +202,87 @@ func TestDelayedCellsDoNotChangeOutput(t *testing.T) {
 	}
 }
 
+// TestPanicInFusedMemberIsIsolated panics one member of a fused accuracy
+// pass: followups' cascaded run on gcc shares one gang with gcc's BTB,
+// target-cache, hybrid and ITTAGE runs. The pass must run without it, so
+// only that entry renders ERR — the rest of the gcc row and every other
+// row stay byte-identical to the healthy run — at 1 and 8 workers; and a
+// delay on a fused member changes nothing.
+func TestPanicInFusedMemberIsIsolated(t *testing.T) {
+	const label = "followups/gcc/cascaded"
+	exps := experiments(t, "followups")
+	_, healthy := runSuite(t, exps, 1)
+
+	delay := &Plan{DelayCells: map[string]time.Duration{label: 30 * time.Millisecond}}
+	restore := delay.Install()
+	for _, workers := range []int{1, 8} {
+		res, out := runSuite(t, exps, workers)
+		if len(res.Failures) != 0 {
+			t.Fatalf("%d workers: a delay must not fail cells: %v", workers, res.Failures)
+		}
+		if out != healthy {
+			t.Errorf("%d workers: delaying a fused member changed the output", workers)
+		}
+	}
+	if len(delay.Triggered()) == 0 {
+		t.Fatal("the delay never fired")
+	}
+	restore()
+
+	plan := &Plan{PanicCells: map[string]string{label: "injected panic"}}
+	restore = plan.Install()
+	defer restore()
+	for _, workers := range []int{1, 8} {
+		res, out := runSuite(t, exps, workers)
+		if len(res.Failures) != 1 {
+			t.Fatalf("%d workers: got %d failures, want exactly the injected one: %v", workers, len(res.Failures), res.Failures)
+		}
+		if ce := res.Failures[0]; ce.CellLabel() != label || ce.Stack == "" {
+			t.Errorf("%d workers: failure %q (stack %d bytes), want %s with a stack", workers, ce.CellLabel(), len(ce.Stack), label)
+		}
+		assertOnlyEntryErr(t, healthy, out, "gcc", 4)
+	}
+	if len(plan.Triggered()) == 0 {
+		t.Fatal("the fault never fired")
+	}
+}
+
+// assertOnlyEntryErr requires faulty to be healthy plus the failure
+// footer, with exactly one entry changed: field col of the row starting
+// with row now reads ERR.
+func assertOnlyEntryErr(t *testing.T, healthy, faulty, row string, col int) {
+	t.Helper()
+	var lines []string
+	for _, l := range strings.Split(faulty, "\n") {
+		if !strings.Contains(l, "cell(s) failed") && !strings.HasPrefix(l, "note: ERR ") {
+			lines = append(lines, l)
+		}
+	}
+	want := strings.Split(healthy, "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("faulty output has %d lines besides the footer, healthy has %d", len(lines), len(want))
+	}
+	changed := 0
+	for i := range want {
+		if lines[i] == want[i] {
+			continue
+		}
+		changed++
+		got, wantFields := strings.Fields(lines[i]), strings.Fields(want[i])
+		if len(got) != len(wantFields) || got[0] != row || got[col] != "ERR" {
+			t.Fatalf("unexpected change:\n  healthy: %q\n  faulty:  %q", want[i], lines[i])
+		}
+		for j := range got {
+			if j != col && got[j] != wantFields[j] {
+				t.Fatalf("entry %d of the %s row changed too:\n  healthy: %q\n  faulty:  %q", j, row, want[i], lines[i])
+			}
+		}
+	}
+	if changed != 1 {
+		t.Fatalf("%d rows changed, want exactly the %s row", changed, row)
+	}
+}
+
 // TestCombinedFaultsSuiteSurvives is the issue's acceptance scenario: a
 // panic in one cell plus a corrupted replay for one workload, across the
 // whole sub-suite, at two worker counts.

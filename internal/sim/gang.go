@@ -27,14 +27,16 @@ import (
 //   - one front end: every member must carry the same BTB geometry, RAS
 //     depth and direction-predictor config (the sweep's target-cache
 //     families all use the paper's baseline front end, so this holds by
-//     construction); probe, direction prediction and training run once;
+//     construction, and the bench groups an experiment's runs by front
+//     end); probe, direction prediction and training run once;
 //   - per-scheme history registers: members naming the same HistShare key
 //     provably construct identical providers, so the register is computed
 //     and trained once and its Value is read by every member using that
 //     scheme.
 //
-// Per member there remains only the target cache itself — flat tables
-// allocated per member, with the member bookkeeping (history index,
+// Per member there remains only the target cache itself (a BTB-only
+// member has none and reads the BTB's target) and its optional telemetry
+// collector — flat tables allocated per member, with the member bookkeeping (history index,
 // divergence counters) laid out contiguously in one slice — touched only
 // on records whose prediction or update actually consults it: indirect
 // jumps and calls, plus the rare record whose stale BTB entry
@@ -45,8 +47,10 @@ import (
 //
 // Equivalence contract: for every member, the returned AccuracyResult is
 // struct-identical to sim.RunAccuracy over the same factory, budget and
-// config. TestGangMatchesSolo and the sweep package's differential
-// harness pin this at gang widths 1, 4 and K across worker counts.
+// config, and its telemetry collector ends up deep-equal to a solo run's.
+// TestGangMatchesSolo, TestGangTelemetryMatchesSolo and the sweep
+// package's differential harness pin this at gang widths 1, 4 and K
+// across worker counts.
 
 // GangPoint is one member of a fused gang: a full simulation config plus
 // an optional history-sharing key.
@@ -68,15 +72,27 @@ func RunAccuracyGang(factory trace.Factory, budget int64, pts []GangPoint) ([]Ac
 // RunAccuracyGangCtx simulates every member of pts over a single pass of
 // factory's decoded block stream and returns one AccuracyResult per
 // member, in order, each struct-identical to what RunAccuracyCtx would
-// report for that member alone.
+// report for that member alone. A member may be the BTB-only baseline (no
+// target cache) and may carry a telemetry collector, which receives
+// exactly the events a solo run would give it.
 //
 // The second return is false — and no simulation runs — when the gang
-// cannot be fused: the factory exposes no decoded BlockSource, a member
-// lacks a target cache (the BTB-only family sweeps its front-end geometry,
-// which is exactly the state fusion shares), a member carries a telemetry
-// collector (collectors are single-run), or the members disagree on
-// front-end configuration. Callers fall back to per-point runs.
+// cannot be fused: it is empty, the factory exposes no decoded
+// BlockSource, or the members disagree on front-end configuration.
+// Callers fall back to per-point runs.
 func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64, pts []GangPoint) ([]AccuracyResult, bool) {
+	return RunAccuracyGangSegmentedCtx(ctx, factory, budget, 0, 1, pts)
+}
+
+// RunAccuracyGangSegmentedCtx is RunAccuracyGangCtx with the two options
+// of the solo drivers: every member's structures (and the shared front
+// end) reset every flushInterval instructions, 0 never, as in
+// RunAccuracyWithFlushes; and the capture split into up to `segments`
+// concurrently simulated segments, as in RunAccuracySegmentedCtx. Each
+// member's result is struct-identical to RunAccuracyWithFlushesCtx of
+// that member alone. It refuses exactly the gangs RunAccuracyGangCtx
+// refuses.
+func RunAccuracyGangSegmentedCtx(ctx context.Context, factory trace.Factory, budget, flushInterval int64, segments int, pts []GangPoint) ([]AccuracyResult, bool) {
 	if len(pts) == 0 {
 		return nil, false
 	}
@@ -85,14 +101,10 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 		return nil, false
 	}
 	front := pts[0].Config
-	for _, pt := range pts {
-		cfg := pt.Config
-		if cfg.NewTargetCache == nil || cfg.NewHistory == nil || cfg.Telemetry != nil {
-			return nil, false
-		}
-		if cfg.BTB != front.BTB || cfg.RASDepth != front.RASDepth || cfg.Dir != front.Dir {
+	for _, pt := range pts[1:] {
+		if cfg := pt.Config; cfg.BTB != front.BTB || cfg.RASDepth != front.RASDepth || cfg.Dir != front.Dir {
 			return nil, false
 		}
 	}
-	return newGang(pts).run(ctx, span{bs: bs, end: budget}), true
+	return runSegmented(ctx, span{bs: bs, end: budget, flushInterval: flushInterval}, segments, pts), true
 }

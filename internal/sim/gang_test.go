@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -12,9 +13,9 @@ import (
 )
 
 // gangPoints builds a history-diverse gang over the paper's baseline front
-// end: every fusable target-cache family, pattern and path histories at
-// mixed depths, with share keys marking the members whose history configs
-// are identical.
+// end: the BTB-only baseline, every target-cache family, pattern and path
+// histories at mixed depths, with share keys marking the members whose
+// history configs are identical.
 func gangPoints() []GangPoint {
 	pattern := func(bits int) func() history.Provider {
 		return func() history.Provider { return history.NewPatternProvider(bits) }
@@ -29,6 +30,8 @@ func gangPoints() []GangPoint {
 			func() core.TargetCache {
 				return core.NewTagless(core.TaglessConfig{Entries: 512, Scheme: core.SchemeGshare})
 			}, pattern(9)), HistShare: "pattern#9"},
+		// The BTB-only baseline: no target cache, no history.
+		{Config: DefaultConfig()},
 		{Config: DefaultConfig().WithTargetCache(
 			func() core.TargetCache {
 				return core.NewTagless(core.TaglessConfig{Entries: 128, Scheme: core.SchemeGAg})
@@ -138,21 +141,6 @@ func TestGangFallbackConditions(t *testing.T) {
 			t.Error("gang fused over a factory with no BlockSource")
 		}
 	})
-	t.Run("btb-baseline-member", func(t *testing.T) {
-		pts := append([]GangPoint{{Config: DefaultConfig()}}, base...)
-		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
-			t.Error("gang fused a member without a target cache")
-		}
-	})
-	t.Run("telemetry-member", func(t *testing.T) {
-		pts := append([]GangPoint(nil), base...)
-		cfg := pts[0].Config
-		cfg.Telemetry = telemetry.NewCollector(telemetry.Config{})
-		pts[0].Config = cfg
-		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
-			t.Error("gang fused a member carrying a telemetry collector")
-		}
-	})
 	t.Run("front-end-mismatch", func(t *testing.T) {
 		pts := append([]GangPoint(nil), base...)
 		cfg := pts[1].Config
@@ -162,6 +150,49 @@ func TestGangFallbackConditions(t *testing.T) {
 			t.Error("gang fused members with different front ends")
 		}
 	})
+}
+
+// TestGangTelemetryMatchesSolo pins the per-member collectors of a fused
+// gang: each ends up deep-equal — site stats, event ring and
+// instruction-index clock — to the collector of a solo run of that
+// member, with and without periodic flushes, while the other members
+// collect too or not at all.
+func TestGangTelemetryMatchesSolo(t *testing.T) {
+	w, err := workload.ByName("perl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 60_000
+	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+	ctx := context.Background()
+	newCol := func() *telemetry.Collector { return telemetry.NewCollector(telemetry.Config{Events: 64}) }
+	for _, flush := range []int64{0, 7_777} {
+		pts := gangPoints()
+		for i := range pts {
+			// Every member but the last collects: a silent member must
+			// not disturb the others' streams.
+			if i < len(pts)-1 {
+				pts[i].Config.Telemetry = newCol()
+			}
+		}
+		got, ok := RunAccuracyGangSegmentedCtx(ctx, rep, budget, flush, 1, pts)
+		if !ok {
+			t.Fatalf("flush=%d: gang refused to fuse", flush)
+		}
+		for i, pt := range pts {
+			cfg := pt.Config
+			if cfg.Telemetry != nil {
+				cfg.Telemetry = newCol()
+			}
+			want := RunAccuracyWithFlushesCtx(ctx, rep, budget, flush, cfg)
+			if got[i] != want {
+				t.Errorf("flush=%d member %d: result diverges from solo run\n  gang %+v\n  solo %+v", flush, i, got[i], want)
+			}
+			if !reflect.DeepEqual(pt.Config.Telemetry, cfg.Telemetry) {
+				t.Errorf("flush=%d member %d: gang telemetry diverges from the solo run's", flush, i)
+			}
+		}
+	}
 }
 
 // TestGangErrorContract pins the fused kernel's corrupt-replay behaviour

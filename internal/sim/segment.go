@@ -1,16 +1,17 @@
 package sim
 
 // Segment-parallel accuracy replay: one capture's block stream is split
-// into K segments simulated concurrently inside a single cell. Every
-// predictor structure (BTB, RAS, direction predictor, history register,
-// target cache) is a deterministic function of the branch stream consumed
-// so far, so a worker that first *primes* its engine over the full prefix
-// [0, seam) — performing exactly the state mutations the counted walk
-// would, but accumulating no results — and then simulates [seam, next)
-// produces byte-identical per-record outcomes to the streaming run.
-// Results join in segment order; TestSegmentedMatchesStreaming pins the
-// equivalence across segment counts, seam positions and predictor
-// configurations.
+// into K segments simulated concurrently inside a single pass — a solo
+// run or a fused gang. Every predictor structure (BTB, RAS, direction
+// predictor, history register, target cache) is a deterministic function
+// of the branch stream consumed so far, so a worker that first *primes*
+// its gang over the full prefix [0, seam) — performing exactly the state
+// mutations the counted walk would, flushes included, but accumulating
+// no results — and then simulates [seam, next) produces byte-identical
+// per-record outcomes to the streaming run. Results join per member in
+// segment order; TestSegmentedMatchesStreaming pins the equivalence
+// across segment counts, seam positions, flush intervals and predictor
+// configurations, for one member and for a mixed gang.
 //
 // Priming is the kernel's walk with counting off, so it costs less than
 // simulating (no counters, no direction lookup, no RAS peek), but every
@@ -54,8 +55,9 @@ var (
 )
 
 // SegmentStats is a snapshot of the process-wide segmented-replay
-// counters: runs that took the segmented path, segments executed, and
-// total warm-up (priming) instructions replayed before seams.
+// counters: passes (a solo run or a fused gang) that took the segmented
+// path, segments executed, and total warm-up (priming) instructions
+// replayed before seams.
 type SegmentStats struct {
 	SegmentedRuns      int64
 	SegmentsExecuted   int64
@@ -81,50 +83,63 @@ func RunAccuracySegmented(factory trace.Factory, budget int64, segments int, cfg
 // budget instructions using up to `segments` concurrent workers, joining
 // their results in order. The merged result is byte-identical to
 // RunAccuracyCtx over the same inputs. Runs that cannot be segmented
-// without observable differences fall back to the plain path untouched:
-// telemetry collection (events carry stream-order clocks), periodic
-// flushes (Reset is a global stream position effect), non-batched
-// factories, and captures too small to split.
+// without observable differences run in one pass instead: telemetry
+// collection (events carry stream-order clocks), non-batched factories
+// (the streaming loop), and captures too small to split.
 func RunAccuracySegmentedCtx(ctx context.Context, factory trace.Factory, budget int64, segments int, cfg Config) AccuracyResult {
 	bs, ok := blocksFor(factory)
-	if !ok || segments <= 1 || cfg.Telemetry != nil {
+	if !ok {
 		return RunAccuracyCtx(ctx, factory, budget, cfg)
 	}
-	limit := budget
-	if limit < 0 {
-		limit = 0
+	return runSegmented(ctx, span{bs: bs, end: budget}, segments, []GangPoint{{Config: cfg}})[0]
+}
+
+// runSegmented simulates the gang pts over sp, split into up to
+// `segments` concurrent segments when that is exact and worthwhile, and
+// in one pass otherwise. A segmented gang counts as one segmented run.
+func runSegmented(ctx context.Context, sp span, segments int, pts []GangPoint) []AccuracyResult {
+	limit := max(sp.end, 0)
+	var seams []int64
+	if segments > 1 && !collectsTelemetry(pts) {
+		seams = planSegments(min(limit, sp.bs.CleanLen()), segments)
 	}
-	effN := limit
-	if clean := bs.CleanLen(); clean < effN {
-		effN = clean
-	}
-	seams := planSegments(effN, segments)
 	if len(seams) < 3 {
-		return RunAccuracyCtx(ctx, factory, budget, cfg)
+		return newGang(pts).run(ctx, sp)
 	}
 
 	segmentedRuns.Add(1)
 	nseg := len(seams) - 1
 	segmentsExecuted.Add(int64(nseg))
-	results := make([]AccuracyResult, nseg)
+	results := make([][]AccuracyResult, nseg)
 	var wg sync.WaitGroup
 	for k := 0; k < nseg; k++ {
-		start, end := seams[k], seams[k+1]
+		seg := sp
+		seg.start, seg.end = seams[k], seams[k+1]
 		if k == nseg-1 {
 			// The last segment carries the caller's full budget so the
 			// kernel's tail check (budget reaching past the clean prefix)
 			// fires exactly as it does on the streaming path.
-			end = limit
+			seg.end = limit
 		}
-		warmupInstructions.Add(start)
+		warmupInstructions.Add(seg.start)
 		wg.Add(1)
-		go func(k int, start, end int64) {
+		go func(k int, seg span) {
 			defer wg.Done()
-			results[k] = runSegment(ctx, bs, start, end, cfg)
-		}(k, start, end)
+			results[k] = runSegment(ctx, seg, pts)
+		}(k, seg)
 	}
 	wg.Wait()
 	return mergeSegments(results)
+}
+
+// collectsTelemetry reports whether any member carries a collector.
+func collectsTelemetry(pts []GangPoint) bool {
+	for _, pt := range pts {
+		if pt.Config.Telemetry != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // planSegments places K-1 seams over [0, effN) so that every worker's
@@ -167,38 +182,49 @@ func planSegments(effN int64, segments int) []int64 {
 	return append(seams, effN)
 }
 
-// mergeSegments joins per-segment results in order, stopping at the
-// first segment that ended early (cancellation or a corrupt tail): its
-// partial counts are included, later segments are discarded, mirroring
-// how far a streaming run would have progressed.
-func mergeSegments(results []AccuracyResult) AccuracyResult {
-	var merged AccuracyResult
-	for _, res := range results {
-		merged.Instructions += res.Instructions
-		merged.Branches += res.Branches
-		merged.TCCovered += res.TCCovered
-		merged.Conditional.Add(res.Conditional)
-		merged.Direct.Add(res.Direct)
-		merged.Returns.Add(res.Returns)
-		merged.Indirect.Add(res.Indirect)
-		merged.Overall.Add(res.Overall)
-		if res.Err != nil {
-			merged.Err = res.Err
-			break
+// mergeSegments joins each member's per-segment results in order,
+// stopping at the first segment that ended early (cancellation or a
+// corrupt tail): its partial counts are included, later segments are
+// discarded, mirroring how far a streaming run would have progressed.
+func mergeSegments(results [][]AccuracyResult) []AccuracyResult {
+	merged := make([]AccuracyResult, len(results[0]))
+	for mi := range merged {
+		m := &merged[mi]
+		for _, seg := range results {
+			res := seg[mi]
+			m.Instructions += res.Instructions
+			m.Branches += res.Branches
+			m.TCCovered += res.TCCovered
+			m.Conditional.Add(res.Conditional)
+			m.Direct.Add(res.Direct)
+			m.Returns.Add(res.Returns)
+			m.Indirect.Add(res.Indirect)
+			m.Overall.Add(res.Overall)
+			if res.Err != nil {
+				m.Err = res.Err
+				break
+			}
 		}
 	}
 	return merged
 }
 
-// runSegment builds a fresh one-member gang, primes it over [0, start) and
-// simulates [start, end) — two walks of the same kernel, the first with
-// counting off.
-func runSegment(ctx context.Context, bs trace.BlockSource, start, end int64, cfg Config) AccuracyResult {
-	g := soloGang(cfg)
-	if start > 0 {
-		if err := g.run(ctx, span{bs: bs, end: start, prime: true})[0].Err; err != nil {
-			return AccuracyResult{Err: err}
+// runSegment builds a fresh gang of pts, primes it over [0, sp.start) and
+// simulates sp — two walks of the same kernel, the first with counting
+// off. Flushes fall at absolute instruction indices in both walks, so a
+// primed gang holds exactly the state the streaming run has at the seam.
+func runSegment(ctx context.Context, sp span, pts []GangPoint) []AccuracyResult {
+	g := newGang(pts)
+	if sp.start > 0 {
+		prime := sp
+		prime.start, prime.end, prime.prime = 0, sp.start, true
+		if err := g.run(ctx, prime)[0].Err; err != nil {
+			out := make([]AccuracyResult, len(pts))
+			for i := range out {
+				out[i].Err = err
+			}
+			return out
 		}
 	}
-	return g.run(ctx, span{bs: bs, start: start, end: end})[0]
+	return g.run(ctx, sp)
 }

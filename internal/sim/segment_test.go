@@ -37,6 +37,29 @@ func TestSegmentedMatchesStreaming(t *testing.T) {
 			t.Errorf("%s partial budget: result diverges\n  segmented %+v\n  streaming %+v", name, got, want)
 		}
 	}
+
+	// A multi-member gang: every segment worker primes and simulates the
+	// whole gang. With flushes, priming resets at the same absolute
+	// instruction indices the streaming run does.
+	pts := gangPoints()
+	for _, flush := range []int64{0, 7_777} {
+		want := make([]AccuracyResult, len(pts))
+		for i, pt := range pts {
+			want[i] = RunAccuracyWithFlushesCtx(ctx, rep, budget, flush, pt.Config)
+		}
+		for _, segments := range []int{1, 2, 3, 5, 8} {
+			got, ok := RunAccuracyGangSegmentedCtx(ctx, rep, budget, flush, segments, pts)
+			if !ok {
+				t.Fatalf("flush=%d segments=%d: gang refused to fuse", flush, segments)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("gang member %d flush=%d segments=%d: result diverges\n  segmented %+v\n  streaming %+v",
+						i, flush, segments, got[i], want[i])
+				}
+			}
+		}
+	}
 }
 
 // TestSegmentedOverStore runs the same equivalence over the out-of-core
