@@ -131,17 +131,14 @@ func newCellGroup(p Params) *cellGroup {
 	return &cellGroup{workers: p.workers(), experiment: p.experiment, p: p}
 }
 
-// add enqueues a cell under id whose own pass is fn (nil for none).
+// add enqueues a cell under id whose own pass is fn (nil for none). The
+// pass receives a Params copy minted for the cell (so kernels can
+// attribute telemetry). Cells must not depend on each other's results.
 func (g *cellGroup) add(id cellID, fn func(Params)) *groupCell {
 	c := &groupCell{id: id, fn: fn}
 	g.cells = append(g.cells, c)
 	return c
 }
-
-// do enqueues fn as a cell's own pass under id. The pass receives a
-// Params copy minted for the cell (so kernels can attribute telemetry).
-// Cells must not depend on each other's results.
-func (g *cellGroup) do(id cellID, fn func(Params)) { g.add(id, fn) }
 
 // cell enqueues fn as a cell's own pass under id and returns the slot its
 // result lands in once run returns.

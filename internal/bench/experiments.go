@@ -15,9 +15,11 @@ import (
 
 // Every experiment below follows the same shape: enqueue one cell per
 // independent simulation (a pure function of a memoized trace replay and a
-// predictor config), run the group on the bounded worker pool, then render
-// the tables serially from the result slots in enqueue order — which keeps
-// the output byte-identical to serial execution.
+// predictor config), run the group on the bounded worker pool — which
+// fuses the cells' accuracy runs that share a workload, flush interval
+// and front end into one pass — then render the tables serially from the
+// result slots in enqueue order, which keeps the output byte-identical to
+// serial execution.
 
 // Table 1: per-benchmark counts and the baseline BTB's indirect-jump
 // misprediction rate.
@@ -212,7 +214,7 @@ var table4 = registerExperiment(&Experiment{
 // timing baseline, so reduction cells spend no pool time blocked on it.
 func warmBaselines(g *cellGroup, tctx *timingContext, ws []*workload.Workload) {
 	for _, w := range ws {
-		g.do(cid(w, "btb-baseline"), func(Params) { tctx.baseline(w) })
+		g.add(cid(w, "btb-baseline"), func(Params) { tctx.baseline(w) })
 	}
 }
 

@@ -36,14 +36,14 @@ import (
 //
 // Per member there remains only the target cache itself (a BTB-only
 // member has none and reads the BTB's target) and its optional telemetry
-// collector — flat tables allocated per member, with the member bookkeeping (history index,
-// divergence counters) laid out contiguously in one slice — touched only
-// on records whose prediction or update actually consults it: indirect
-// jumps and calls, plus the rare record whose stale BTB entry
-// misclassifies it as indirect. Everything else is accumulated once in
-// shared counters and added into every member's result at the end, so the
-// per-record marginal cost of a gang member is zero on the ~95% of
-// branches that never touch a target cache.
+// collector — flat tables allocated per member, with the member
+// bookkeeping (history index, divergence counters) laid out contiguously
+// in one slice — touched only on records whose prediction or update
+// actually consults it: indirect jumps and calls, plus the rare record
+// whose stale BTB entry misclassifies it as indirect. Everything else is
+// accumulated once in shared counters and added into every member's
+// result at the end, so the per-record marginal cost of a gang member is
+// zero on the ~95% of branches that never touch a target cache.
 //
 // Equivalence contract: for every member, the returned AccuracyResult is
 // struct-identical to sim.RunAccuracy over the same factory, budget and
