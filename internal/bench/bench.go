@@ -37,10 +37,10 @@ type Params struct {
 	// are gathered positionally, so rendered tables are byte-identical at
 	// every setting.
 	Parallel int
-	// Segments is the number of concurrent segments an accuracy cell may
-	// split its capture into (sim.RunAccuracySegmentedCtx): 0 picks
-	// automatically — split only when idle workers outnumber queued
-	// cells — 1 disables splitting, N forces up to N. Results are
+	// Segments is the number of concurrent segments a fused accuracy
+	// pass may split its capture into (sim.RunAccuracyGangSegmentedCtx):
+	// 0 picks automatically — split only when idle workers outnumber
+	// queued passes — 1 disables splitting, N forces up to N. Results are
 	// byte-identical at every setting.
 	Segments int
 	// Telemetry, when non-nil, collects per-site predictor statistics,
@@ -63,7 +63,7 @@ type Params struct {
 	// for the run-level exit digest.
 	fails *failureLog
 	// segs is the segment count resolved by the cell scheduler for the
-	// current cell group (cellSegments applied to the queue length).
+	// current cell group (cellSegments applied to the number of passes).
 	segs int
 }
 
@@ -90,9 +90,9 @@ func (p Params) shareBudget() int64 {
 	return p.TimingBudget
 }
 
-// cellSegments resolves Segments for a group of `cells` queued cells.
+// cellSegments resolves Segments for a queue of `cells` passes.
 // Automatic mode splits only when workers would otherwise idle (fewer
-// cells than workers), giving each cell roughly the spare workers, capped
+// passes than workers), giving each pass roughly the spare workers, capped
 // at 8 — beyond that, priming overhead outweighs the extra overlap.
 func (p Params) cellSegments(cells int) int {
 	if p.Segments == 1 {
