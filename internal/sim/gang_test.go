@@ -121,7 +121,8 @@ func TestGangSharedHistoryMatchesPrivate(t *testing.T) {
 }
 
 // TestGangFallbackConditions enumerates every condition under which the
-// gang must refuse to fuse and hand the caller back to per-point runs.
+// gang must refuse to fuse and hand the caller back to per-point runs,
+// and pins that a member without a target cache is not one of them.
 func TestGangFallbackConditions(t *testing.T) {
 	w, err := workload.ByName("perl")
 	if err != nil {
@@ -139,6 +140,20 @@ func TestGangFallbackConditions(t *testing.T) {
 	t.Run("streaming-only-factory", func(t *testing.T) {
 		if _, ok := RunAccuracyGang(opaqueFactory{rep}, budget, base); ok {
 			t.Error("gang fused over a factory with no BlockSource")
+		}
+	})
+	t.Run("btb-baseline-member", func(t *testing.T) {
+		// A BTB-only member leading the gang fuses, and every member,
+		// it included, scores exactly as its solo run.
+		pts := append([]GangPoint{{Config: DefaultConfig()}}, base...)
+		got, ok := RunAccuracyGang(rep, budget, pts)
+		if !ok {
+			t.Fatal("gang refused a member without a target cache")
+		}
+		for i, pt := range pts {
+			if want := RunAccuracy(rep, budget, pt.Config); got[i] != want {
+				t.Errorf("member %d diverges from solo run\n  gang %+v\n  solo %+v", i, got[i], want)
+			}
 		}
 	})
 	t.Run("front-end-mismatch", func(t *testing.T) {
