@@ -6,10 +6,10 @@
 //
 // Usage:
 //
-//	tcasm -s prog.s -run                 ; execute, print register state
-//	tcasm -s prog.s -dis                 ; disassemble
-//	tcasm -s prog.s -o prog.trace -n 1e6 ; emit a trace file
-//	tcasm -s prog.s -predict -n 1000000  ; predictor accuracy on the program
+//	tcasm -s prog.s -run                       ; execute, print register state
+//	tcasm -s prog.s -dis                       ; disassemble
+//	tcasm -s prog.s -o prog.tcstore -n 1000000 ; emit a trace-store file
+//	tcasm -s prog.s -predict -n 1000000        ; predictor accuracy on the program
 package main
 
 import (
@@ -31,7 +31,7 @@ func main() {
 		doDis   = flag.Bool("dis", false, "disassemble")
 		predict = flag.Bool("predict", false, "run predictor accuracy over the looping trace")
 		pipe    = flag.Int("pipe", 0, "render a pipeline diagram of the first N instructions")
-		out     = flag.String("o", "", "emit a v2 trace file")
+		out     = flag.String("o", "", "emit a trace-store file (TCSTORE1)")
 		n       = flag.Int64("n", 1_000_000, "instruction budget for -o/-predict/-run")
 	)
 	flag.Parse()
@@ -80,8 +80,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tcasm:", err)
 			os.Exit(1)
 		}
-		count, err := trace.CopyV2(trace.NewWriterV2(f),
-			trace.NewLimit(vm.NewLooping(prog), *n))
+		count, err := trace.WriteStore(f, trace.NewLimit(vm.NewLooping(prog), *n), trace.StoreOptions{})
 		if err == nil {
 			err = f.Close()
 		}

@@ -1,19 +1,22 @@
-// Command tcpredict replays a saved trace file (produced by tracegen)
-// through a chosen predictor configuration and reports per-class accuracy.
-// It decouples trace generation from prediction, so external traces in the
-// repository's format can be evaluated too.
+// Command tcpredict replays a saved TCSTORE1 trace-store file (produced
+// by tracegen or tcasm) through a chosen predictor configuration and
+// reports per-class accuracy. It decouples trace generation from
+// prediction, so external traces in the repository's format can be
+// evaluated too. A damaged or truncated file exits 1 with the error on
+// stderr instead of printing partial rates.
 //
 // Usage:
 //
-//	tracegen -w perl -n 1000000 -o perl.trace
-//	tcpredict -trace perl.trace -predictor tagless
-//	tcpredict -trace perl.trace -predictor tagged -ways 8 -hist 16
-//	tcpredict -trace perl.trace -predictor ittage -history path
+//	tracegen -w perl -n 1000000 -o perl.tcstore
+//	tcpredict -trace perl.tcstore -predictor tagless
+//	tcpredict -trace perl.tcstore -predictor tagged -ways 8 -hist 16
+//	tcpredict -trace perl.tcstore -predictor ittage -history path
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -24,7 +27,7 @@ import (
 
 func main() {
 	var (
-		tracePath = flag.String("trace", "", "trace file (required)")
+		tracePath = flag.String("trace", "", "trace-store file (required)")
 		predictor = flag.String("predictor", "btb",
 			"predictor: btb | tagless | tagged | hybrid | cascaded | ittage")
 		histKind = flag.String("history", "pattern", "history: pattern | path")
@@ -53,43 +56,39 @@ func main() {
 		cfg = cfg.WithTargetCache(newTC, newHist)
 	}
 
-	factory := fileFactory(*tracePath)
-	res := sim.RunAccuracy(factory, 1<<62, cfg)
+	store, err := trace.OpenStoreFile(*tracePath, 0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tcpredict:", err)
+		os.Exit(1)
+	}
+	res := sim.RunAccuracy(store, store.Len(), cfg)
+	store.Close() // read-only; the run is over
+	if res.Err != nil {
+		fmt.Fprintf(os.Stderr, "tcpredict: %s: %v\n", *tracePath, res.Err)
+		os.Exit(1)
+	}
 	if res.Instructions == 0 {
-		fmt.Fprintln(os.Stderr, "tcpredict: empty or unreadable trace")
+		fmt.Fprintln(os.Stderr, "tcpredict: empty trace")
 		os.Exit(1)
 	}
 
-	fmt.Printf("trace:                 %s (%d instructions, %d branches)\n",
-		*tracePath, res.Instructions, res.Branches)
-	fmt.Printf("predictor:             %s\n", *predictor)
-	fmt.Printf("conditional mispred:   %7.3f%%  (%d)\n",
-		100*res.Conditional.MispredictRate(), res.Conditional.Predictions)
-	fmt.Printf("direct mispred:        %7.3f%%  (%d)\n",
-		100*res.Direct.MispredictRate(), res.Direct.Predictions)
-	fmt.Printf("return mispred:        %7.3f%%  (%d)\n",
-		100*res.Returns.MispredictRate(), res.Returns.Predictions)
-	fmt.Printf("indirect jump mispred: %7.3f%%  (%d)\n",
-		100*res.IndirectMispredictRate(), res.Indirect.Predictions)
-	fmt.Printf("overall mispred:       %7.3f%%\n", 100*res.Overall.MispredictRate())
+	report(os.Stdout, *tracePath, *predictor, res)
 }
 
-// fileFactory opens the trace file afresh per pass, sniffing the format.
-func fileFactory(path string) trace.Factory {
-	return trace.FactoryFunc(func() trace.Source {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpredict:", err)
-			os.Exit(1)
-		}
-		// The process exits after one pass; the OS reclaims the handle.
-		src, err := trace.NewAutoReader(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpredict:", err)
-			os.Exit(1)
-		}
-		return src
-	})
+// report prints res as the per-class accuracy table.
+func report(w io.Writer, path, predictor string, res sim.AccuracyResult) {
+	fmt.Fprintf(w, "trace:                 %s (%d instructions, %d branches)\n",
+		path, res.Instructions, res.Branches)
+	fmt.Fprintf(w, "predictor:             %s\n", predictor)
+	fmt.Fprintf(w, "conditional mispred:   %7.3f%%  (%d)\n",
+		100*res.Conditional.MispredictRate(), res.Conditional.Predictions)
+	fmt.Fprintf(w, "direct mispred:        %7.3f%%  (%d)\n",
+		100*res.Direct.MispredictRate(), res.Direct.Predictions)
+	fmt.Fprintf(w, "return mispred:        %7.3f%%  (%d)\n",
+		100*res.Returns.MispredictRate(), res.Returns.Predictions)
+	fmt.Fprintf(w, "indirect jump mispred: %7.3f%%  (%d)\n",
+		100*res.IndirectMispredictRate(), res.Indirect.Predictions)
+	fmt.Fprintf(w, "overall mispred:       %7.3f%%\n", 100*res.Overall.MispredictRate())
 }
 
 func buildTC(kind string, entries, ways, histBits int) (func() core.TargetCache, error) {

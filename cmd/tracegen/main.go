@@ -1,13 +1,13 @@
-// Command tracegen generates workload traces: it can save them in the
-// binary trace format, print per-trace statistics, or dump records as text
-// for inspection.
+// Command tracegen generates workload traces: it can save them as
+// TCSTORE1 trace-store files (the format tcpredict reads), print
+// per-trace statistics, or dump records as text for inspection.
 //
 // Usage:
 //
-//	tracegen -w perl -n 1000000 -o perl.trace
+//	tracegen -w perl -n 1000000 -o perl.tcstore
 //	tracegen -w gcc -n 500000 -stats
 //	tracegen -w xlisp -n 50 -dump
-//	tracegen -w gcc -n 10000000 -o gcc.tcstore -format store -compress
+//	tracegen -w gcc -n 10000000 -o gcc.tcstore -compress
 package main
 
 import (
@@ -21,13 +21,12 @@ import (
 
 func main() {
 	var (
-		wname  = flag.String("w", "perl", "workload name")
-		n      = flag.Int64("n", 1_000_000, "number of instructions")
-		out    = flag.String("o", "", "output file for binary trace")
-		format = flag.String("format", "v2", "trace format: v1 (fixed-width) | v2 (compact) | store (columnar, random access)")
-		comp   = flag.Bool("compress", false, "with -format store: flate-compress block groups")
-		doSt   = flag.Bool("stats", false, "print trace statistics")
-		dump   = flag.Bool("dump", false, "dump records as text to stdout")
+		wname = flag.String("w", "perl", "workload name")
+		n     = flag.Int64("n", 1_000_000, "number of instructions")
+		out   = flag.String("o", "", "output trace-store file (TCSTORE1)")
+		comp  = flag.Bool("compress", false, "flate-compress the output file's block groups")
+		doSt  = flag.Bool("stats", false, "print trace statistics")
+		dump  = flag.Bool("dump", false, "dump records as text to stdout")
 	)
 	flag.Parse()
 
@@ -56,18 +55,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		var count int64
-		switch *format {
-		case "v1":
-			count, err = trace.Copy(trace.NewWriter(f), src)
-		case "v2":
-			count, err = trace.CopyV2(trace.NewWriterV2(f), src)
-		case "store":
-			count, err = trace.WriteStore(f, src, trace.StoreOptions{Compress: *comp})
-		default:
-			fmt.Fprintf(os.Stderr, "tracegen: unknown format %q\n", *format)
-			os.Exit(2)
-		}
+		count, err := trace.WriteStore(f, src, trace.StoreOptions{Compress: *comp})
 		if err == nil {
 			err = f.Close()
 		}
@@ -75,7 +63,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d records (%s) to %s\n", count, *format, *out)
+		fmt.Printf("wrote %d records to %s\n", count, *out)
 	default:
 		*doSt = true
 	}

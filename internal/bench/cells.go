@@ -442,7 +442,7 @@ func runTiming(w *workload.Workload, p Params, cfg sim.Config, mc cpu.Config) cp
 }
 
 // runTraceStats consumes the memoized replay into trace statistics,
-// iterating the decode-once batches rather than re-decoding the capture.
+// iterating its column batches rather than materializing Records.
 func runTraceStats(w *workload.Workload, p Params) *trace.Stats {
 	bs := w.ReplayPrefix(p.AccuracyBudget, p.shareBudget())
 	st, err := trace.NewStats().ConsumeBatches(bs, p.AccuracyBudget)

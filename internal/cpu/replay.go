@@ -1,9 +1,9 @@
 package cpu
 
-// Batched timing kernel: RunReplayCtx is RunCtx over a memoized capture's
-// decode-once batches. The fetch path iterates structure-of-arrays blocks,
-// reading each record's operand and class bytes with plain slice loads
-// instead of re-decoding varints, and only branch records materialize a
+// Batched timing kernel: RunReplayCtx is RunCtx over a capture's column
+// batches. The fetch path iterates structure-of-arrays blocks, reading
+// each record's operand and class bytes with plain slice loads instead of
+// pulling Records through a cursor, and only branch records materialize a
 // Record (for the prediction structures). Like the accuracy kernel in
 // internal/sim, the per-branch Predict/Resolve sequence is inlined and
 // instantiated per concrete (target cache, history) pair so the hot path
@@ -44,8 +44,8 @@ func (noHist) Value(pc uint64) uint64  { return 0 }
 func (noHist) Observe(r *trace.Record) {}
 
 // RunReplayCtx simulates up to budget instructions from a capture's
-// decoded batches — a memoized Replay, explicit Blocks, or an out-of-core
-// Store. It may be called once per Machine.
+// batches — a memoized Replay or an out-of-core Store. It may be called
+// once per Machine.
 func (m *Machine) RunReplayCtx(ctx context.Context, bs trace.BlockSource, budget int64) Result {
 	switch tc := m.engine.TC.(type) {
 	case nil:
@@ -129,14 +129,7 @@ func replayKernel[TC targetCache, H historySource](
 	dlast := make([]int64, dsets*dways)
 	var dtick int64
 
-	limit := budget
-	if limit < 0 {
-		limit = 0
-	}
-	effEnd := limit
-	if clean := bs.CleanLen(); clean < effEnd {
-		effEnd = clean
-	}
+	effEnd := min(max(budget, 0), bs.Len())
 	stopped := false
 	for bi := 0; idx < effEnd && !stopped; bi++ {
 		blk, err := bs.BlockAt(bi)
@@ -395,8 +388,5 @@ func replayKernel[TC targetCache, H historySource](
 
 	res.Instructions = idx
 	res.Cycles = lastRetire + 1
-	if res.Err == nil && limit > bs.CleanLen() {
-		res.Err = bs.TailErr()
-	}
 	return res
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // TestRunReplayMatchesCursor pins the batched timing kernel (RunReplayCtx:
-// decode-once iteration, hand-rolled data cache, devirtualized BTB probe)
+// batched iteration, hand-rolled data cache, devirtualized BTB probe)
 // against the streaming reference loop (RunCtx over a Cursor): identical
 // Result, field for field, across machine shapes that exercise both the
 // power-of-two and the modulo window paths and both predictor layouts.
@@ -60,16 +61,25 @@ func TestRunReplayMatchesCursor(t *testing.T) {
 
 // TestRunReplayErrorContract pins the kernel's behaviour over a damaged
 // capture: same partial counters as the streaming loop and the same
-// ErrCorrupt, surfaced only when the budget reaches past the cleanly
-// decoded prefix.
+// ErrCorrupt, surfaced only when the budget reaches the damaged group.
 func TestRunReplayErrorContract(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := trace.Capture(trace.NewLimit(w.Open(), 20_000))
-	buf := rep.Bytes()
-	damaged := trace.NewReplayBytes(buf[:len(buf)*3/4], rep.Len())
+	// An uncompressed image in one-block groups with 16 bytes overwritten
+	// three quarters of the way in: that group fails its checksum.
+	var img bytes.Buffer
+	if _, err := trace.WriteStore(&img, rep.Open(), trace.StoreOptions{GroupRecords: trace.BlockLen}); err != nil {
+		t.Fatal(err)
+	}
+	b := img.Bytes()
+	copy(b[len(b)*3/4:], bytes.Repeat([]byte{0xFF}, 16))
+	damaged, err := trace.OpenStore(bytes.NewReader(b), int64(len(b)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	for _, budget := range []int64{1_000, rep.Len()} {
 		got := New(DefaultConfig(), sim.NewEngine(sim.DefaultConfig())).RunReplayCtx(ctx, damaged, budget)

@@ -1,6 +1,6 @@
 // Package faultinject is the test harness that proves the experiment
-// suite's fault tolerance: it corrupts or truncates memoized replay
-// captures, and panics or delays inside chosen simulation cells, all
+// suite's fault tolerance: it corrupts or truncates trace-store copies of
+// memoized captures, and panics or delays inside chosen simulation cells, all
 // through the test hooks the bench and workload packages expose. It is
 // ordinary always-compiled code (no build tags): a Plan is inert until
 // Install is called, and Install is only reachable from tests.
@@ -14,6 +14,10 @@
 package faultinject
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -23,10 +27,10 @@ import (
 	"repro/internal/workload"
 )
 
-// Corruption overwrites Length bytes at Offset of a captured replay with
-// 0xFF. The replay cursor's structural validation (reserved flag bits,
-// class ranges, varint overflow) turns the damage into a trace.ErrCorrupt
-// at decode time, mid-simulation.
+// Corruption overwrites Length bytes at Offset of an uncompressed
+// TCSTORE1 image of a captured replay with 0xFF. Offsets inside the group
+// data fail that group's checksum, so reading it mid-simulation returns a
+// trace.ErrCorrupt.
 type Corruption struct {
 	Offset int
 	Length int
@@ -47,9 +51,10 @@ type Plan struct {
 	DelayCells map[string]time.Duration
 	// CorruptReplays damages the named workloads' captured replays.
 	CorruptReplays map[string]Corruption
-	// TruncateReplays drops the given number of trailing bytes from the
-	// named workloads' captures; the cursor reports a truncated-replay
-	// trace.ErrCorrupt when the records run out early.
+	// TruncateReplays drops the given number of trailing bytes of group
+	// data from the named workloads' store images after the store is
+	// open, as if the file shrank beneath it; reading the last group then
+	// comes back short and reports a truncated trace.ErrCorrupt.
 	TruncateReplays map[string]int
 
 	mu   sync.Mutex
@@ -99,27 +104,36 @@ func (p *Plan) Install() (restore func()) {
 			time.Sleep(d)
 		}
 	}
-	workload.TestCaptureTransform = func(name string, budget int64, rep *trace.Replay) *trace.Replay {
+	workload.TestCaptureTransform = func(name string, budget int64, rep *trace.Replay) trace.BlockSource {
 		c, corrupt := p.CorruptReplays[name]
 		cut, truncate := p.TruncateReplays[name]
 		if !corrupt && !truncate {
 			return rep
 		}
-		buf := rep.Bytes()
+		var img bytes.Buffer
+		if _, err := trace.WriteStore(&img, rep.Open(), trace.StoreOptions{}); err != nil {
+			panic(err)
+		}
+		buf := img.Bytes()
 		if corrupt {
 			p.hit("corrupt:" + name)
 			for i := c.Offset; i < c.Offset+c.Length && i < len(buf); i++ {
 				buf[i] = 0xFF
 			}
 		}
+		r := &swappableReader{bytes.NewReader(buf)}
+		s, err := trace.OpenStore(r, int64(len(buf)), 0)
+		if err != nil {
+			panic(fmt.Sprintf("faultinject: %s: damage reaches the store metadata: %v", name, err))
+		}
 		if truncate {
 			p.hit("truncate:" + name)
-			if cut > len(buf) {
-				cut = len(buf)
-			}
-			buf = buf[:len(buf)-cut]
+			// The footer's leading int64 is the index offset: where the
+			// group data ends.
+			end := int(binary.LittleEndian.Uint64(buf[len(buf)-storeFooterLen:]))
+			r.ReaderAt = bytes.NewReader(buf[:max(end-cut, 0)])
 		}
-		return trace.NewReplayBytes(buf, rep.Len())
+		return s
 	}
 	workload.ResetMemo()
 
@@ -130,3 +144,10 @@ func (p *Plan) Install() (restore func()) {
 		workload.ResetMemo()
 	}
 }
+
+// storeFooterLen is the size of a TCSTORE1 file's fixed footer.
+const storeFooterLen = 44
+
+// swappableReader lets the harness replace the bytes beneath an open
+// trace.Store, shrinking its file after the footer and index were read.
+type swappableReader struct{ io.ReaderAt }

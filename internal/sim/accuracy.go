@@ -51,9 +51,9 @@ func RunAccuracy(factory trace.Factory, budget int64, cfg Config) AccuracyResult
 // instruction-count boundaries and stops early with Err set to ctx.Err()
 // when cancelled, returning the partial counts accumulated so far.
 //
-// When factory is a memoized trace.Replay (or any other decoded
+// When factory is a memoized trace.Replay (or any other
 // trace.BlockSource), the run is a one-member gang on the batched
-// decode-once kernel with devirtualized predictor calls; results are
+// kernel with devirtualized predictor calls; results are
 // identical to the streaming loop in RunAccuracyWithFlushesCtx, which
 // remains the reference path for arbitrary sources.
 func RunAccuracyCtx(ctx context.Context, factory trace.Factory, budget int64, cfg Config) AccuracyResult {

@@ -20,7 +20,7 @@ func RunCBT(factory trace.Factory, budget int64, cfg cbt.Config) stats.Counter {
 // RunCBTCtx is RunCBT under a context. The returned error is non-nil when
 // the run stopped early on cancellation or a corrupt trace source; the
 // counter covers the records processed before the stop. Memoized replays
-// run on the batched decode-once path.
+// run on the batched path.
 func RunCBTCtx(ctx context.Context, factory trace.Factory, budget int64, cfg cbt.Config) (stats.Counter, error) {
 	if bs, ok := blocksFor(factory); ok {
 		return runCBTBlocks(ctx, bs, budget, cfg)
@@ -47,19 +47,12 @@ func RunCBTCtx(ctx context.Context, factory trace.Factory, budget int64, cfg cbt
 	return c, trace.SourceErr(src)
 }
 
-// runCBTBlocks is the CBT driver over decoded batches: indirect jumps are
+// runCBTBlocks is the CBT driver over column batches: indirect jumps are
 // found with a one-byte class scan, and only those records materialize.
 func runCBTBlocks(ctx context.Context, bs trace.BlockSource, budget int64, cfg cbt.Config) (stats.Counter, error) {
 	table := cbt.New(cfg)
 	var c stats.Counter
-	limit := budget
-	if limit < 0 {
-		limit = 0
-	}
-	effEnd := limit
-	if clean := bs.CleanLen(); clean < effEnd {
-		effEnd = clean
-	}
+	effEnd := min(max(budget, 0), bs.Len())
 	var n int64
 	var r trace.Record
 	for bi := 0; n < effEnd; bi++ {
@@ -89,9 +82,6 @@ func runCBTBlocks(ctx context.Context, bs trace.BlockSource, budget int64, cfg c
 			c.Record(ok && tgt == r.Target)
 			table.Update(&r)
 		}
-	}
-	if limit > bs.CleanLen() {
-		return c, bs.TailErr()
 	}
 	return c, nil
 }

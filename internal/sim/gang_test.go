@@ -210,18 +210,16 @@ func TestGangTelemetryMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestGangErrorContract pins the fused kernel's corrupt-replay behaviour
+// TestGangErrorContract pins the fused kernel's corrupt-store behaviour
 // against solo runs: same partial counters per member, and the same
-// ErrCorrupt surfaced only when the budget reaches past the cleanly
-// decoded prefix.
+// ErrCorrupt surfaced only when the budget reaches the damaged group.
 func TestGangErrorContract(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := trace.Capture(trace.NewLimit(w.Open(), 20_000))
-	buf := rep.Bytes()
-	damaged := trace.NewReplayBytes(buf[:len(buf)*3/4], rep.Len())
+	damaged := damagedStore(t, rep)
 	pts := gangPoints()
 	for _, budget := range []int64{1_000, rep.Len()} {
 		got, ok := RunAccuracyGang(damaged, budget, pts)

@@ -18,10 +18,10 @@ import (
 // (RunAccuracyWithFlushesCtx over an arbitrary source) in ways none of
 // which is observable in the results:
 //
-//   - Decode-once iteration. Records come from trace.Blocks — the capture
-//     varint-decoded a single time process-wide — and non-branch records
-//     are skipped with a one-byte class check, never materializing a
-//     Record.
+//   - Batched iteration. Records come from a trace.BlockSource's column
+//     batches — built once per capture process-wide — and non-branch
+//     records are skipped with a one-byte class check, never
+//     materializing a Record.
 //   - Devirtualization. The per-branch Predict/Resolve sequence is
 //     inlined here and instantiated per concrete (target cache, history)
 //     pair, so the hot path is direct calls on concrete structs instead
@@ -61,17 +61,11 @@ func (noTC) Update(pc, hist, target uint64)         {}
 func (noTC) CostBits() int                          { return 0 }
 func (noTC) Reset()                                 {}
 
-// blocksFor unwraps the decoded-batch representation behind a factory: a
-// memoized Replay (decoded once, cached), an explicit Blocks, or any
-// other BlockSource such as the out-of-core trace.Store.
+// blocksFor unwraps the batched representation behind a factory: a
+// memoized trace.Replay or the out-of-core trace.Store.
 func blocksFor(factory trace.Factory) (trace.BlockSource, bool) {
-	switch f := factory.(type) {
-	case *trace.Replay:
-		return f, true
-	case trace.BlockSource:
-		return f, true
-	}
-	return nil, false
+	bs, ok := factory.(trace.BlockSource)
+	return bs, ok
 }
 
 // gangMember is the per-member state of a kernel run. The slice of these
@@ -248,10 +242,9 @@ func gangKernel[TC targetCache, H historySource](
 	count, tel := !sp.prime, !sp.prime && g.telemetry
 	phVals := make([]uint64, len(hists)+1) // the last slot is the no-history 0
 
-	limit := max(sp.end, 0)
 	// The block layout invariant (block i covers records [i*BlockLen,
 	// i*BlockLen+len)) lets the kernel seek straight to the start block.
-	effEnd := min(limit, bs.CleanLen())
+	effEnd := min(max(sp.end, 0), bs.Len())
 	start := min(max(sp.start, 0), effEnd)
 	insns := start
 	// The record scan stops only at instructions where the walk must poll
@@ -449,14 +442,7 @@ func gangKernel[TC targetCache, H historySource](
 		}
 		insns = base + int64(m)
 	}
-	var tailErr error
-	// The streaming loop surfaces a decode error only when the budget
-	// reaches past the cleanly decoded prefix (a Limit that stops earlier
-	// never touches the damage). Mirror that exactly.
-	if limit > bs.CleanLen() {
-		tailErr = bs.TailErr()
-	}
-	return g.results(res, sharedInd, insns-start, tailErr)
+	return g.results(res, sharedInd, insns-start, nil)
 }
 
 // results assembles the per-member results: the shared skeleton plus

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -18,6 +19,25 @@ import (
 type opaqueFactory struct{ rep trace.Factory }
 
 func (f opaqueFactory) Open() trace.Source { return f.rep.Open() }
+
+// damagedStore opens an uncompressed TCSTORE1 image of rep in one-block
+// groups with 16 bytes overwritten three quarters of the way in: the
+// blocks before the damaged group read cleanly, and BlockAt on it fails
+// its checksum with an ErrCorrupt.
+func damagedStore(t testing.TB, rep *trace.Replay) *trace.Store {
+	t.Helper()
+	var img bytes.Buffer
+	if _, err := trace.WriteStore(&img, rep.Open(), trace.StoreOptions{GroupRecords: trace.BlockLen}); err != nil {
+		t.Fatal(err)
+	}
+	b := img.Bytes()
+	copy(b[len(b)*3/4:], bytes.Repeat([]byte{0xFF}, 16))
+	s, err := trace.OpenStore(bytes.NewReader(b), int64(len(b)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // kernelConfigs covers every dispatch arm of the batched kernel: the
 // BTB-only baseline, each devirtualized (target cache, history) pairing,
@@ -145,18 +165,16 @@ func BenchmarkRunAccuracy(b *testing.B) {
 	}
 }
 
-// TestKernelErrorContract pins the kernel's corrupt-replay behaviour
+// TestKernelErrorContract pins the kernel's corrupt-store behaviour
 // against the streaming loop: same partial counters, and the same
-// ErrCorrupt surfaced only when the budget reaches past the cleanly
-// decoded prefix.
+// ErrCorrupt surfaced only when the budget reaches the damaged group.
 func TestKernelErrorContract(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := trace.Capture(trace.NewLimit(w.Open(), 20_000))
-	buf := rep.Bytes()
-	damaged := trace.NewReplayBytes(buf[:len(buf)*3/4], rep.Len())
+	damaged := damagedStore(t, rep)
 	cfg := kernelConfigs()["tagless-pattern"]
 	ctx := context.Background()
 	for _, budget := range []int64{1_000, rep.Len()} {

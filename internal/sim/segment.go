@@ -98,10 +98,9 @@ func RunAccuracySegmentedCtx(ctx context.Context, factory trace.Factory, budget 
 // `segments` concurrent segments when that is exact and worthwhile, and
 // in one pass otherwise. A segmented gang counts as one segmented run.
 func runSegmented(ctx context.Context, sp span, segments int, pts []GangPoint) []AccuracyResult {
-	limit := max(sp.end, 0)
 	var seams []int64
 	if segments > 1 && !collectsTelemetry(pts) {
-		seams = planSegments(min(limit, sp.bs.CleanLen()), segments)
+		seams = planSegments(min(max(sp.end, 0), sp.bs.Len()), segments)
 	}
 	if len(seams) < 3 {
 		return newGang(pts).run(ctx, sp)
@@ -115,12 +114,6 @@ func runSegmented(ctx context.Context, sp span, segments int, pts []GangPoint) [
 	for k := 0; k < nseg; k++ {
 		seg := sp
 		seg.start, seg.end = seams[k], seams[k+1]
-		if k == nseg-1 {
-			// The last segment carries the caller's full budget so the
-			// kernel's tail check (budget reaching past the clean prefix)
-			// fires exactly as it does on the streaming path.
-			seg.end = limit
-		}
 		warmupInstructions.Add(seg.start)
 		wg.Add(1)
 		go func(k int, seg span) {
@@ -184,7 +177,7 @@ func planSegments(effN int64, segments int) []int64 {
 
 // mergeSegments joins each member's per-segment results in order,
 // stopping at the first segment that ended early (cancellation or a
-// corrupt tail): its partial counts are included, later segments are
+// damaged block): its partial counts are included, later segments are
 // discarded, mirroring how far a streaming run would have progressed.
 func mergeSegments(results [][]AccuracyResult) []AccuracyResult {
 	merged := make([]AccuracyResult, len(results[0]))

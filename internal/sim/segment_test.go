@@ -96,8 +96,8 @@ func TestSegmentedOverStore(t *testing.T) {
 
 // TestSegmentedCorruptTail pins the damaged-capture contract: the
 // segmented run must surface the same ErrCorrupt as the streaming run
-// when the budget reaches past the clean prefix, and stay silent when it
-// stops short.
+// when the budget reaches the damaged group, and stay silent when it
+// stops short of it (the clean prefix).
 func TestSegmentedCorruptTail(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -105,9 +105,14 @@ func TestSegmentedCorruptTail(t *testing.T) {
 	}
 	const budget = 20 * trace.BlockLen
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
-	buf := rep.Bytes()
-	damaged := trace.NewReplayBytes(buf[:len(buf)-40], rep.Len())
-	clean := damaged.CleanLen()
+	damaged := damagedStore(t, rep)
+	var clean int64
+	for bi := 0; bi < damaged.NumBlocks(); bi++ {
+		if _, err := damaged.BlockAt(bi); err != nil {
+			break
+		}
+		clean += trace.BlockLen
+	}
 	if clean >= rep.Len() || clean < 8*trace.BlockLen {
 		t.Fatalf("clean prefix %d of %d unsuitable for the test", clean, rep.Len())
 	}

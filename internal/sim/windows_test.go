@@ -66,15 +66,14 @@ func TestRunAccuracyWindowsEdgeCases(t *testing.T) {
 	}
 
 	rep := trace.Capture(trace.NewLimit(w.Open(), 20_000))
-	buf := rep.Bytes()
-	damaged := trace.NewReplayBytes(buf[:len(buf)*3/4], rep.Len())
+	damaged := damagedStore(t, rep)
 	want := RunAccuracy(damaged, rep.Len(), DefaultConfig())
 	if !errors.Is(want.Err, trace.ErrCorrupt) {
-		t.Fatalf("RunAccuracy over a truncated capture: err=%v", want.Err)
+		t.Fatalf("RunAccuracy over a damaged capture: err=%v", want.Err)
 	}
 	got := RunAccuracyWindows(damaged, rep.Len(), 8, DefaultConfig())
 	if got.Overall.Err == nil || got.Overall.Err.Error() != want.Err.Error() {
-		t.Errorf("windowed run over a truncated capture: err=%v, want %v", got.Overall.Err, want.Err)
+		t.Errorf("windowed run over a damaged capture: err=%v, want %v", got.Overall.Err, want.Err)
 	}
 	if got.Overall.Instructions != want.Instructions || got.Overall.Indirect != want.Indirect {
 		t.Errorf("windowed run stopped elsewhere: %d instructions, indirect %+v; want %d, %+v",

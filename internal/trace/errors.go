@@ -2,17 +2,17 @@ package trace
 
 import "errors"
 
-// ErrCorrupt marks decode failures caused by damaged trace bytes: bad
-// magic, invalid flag or class encodings, varint overflow, or a stream that
-// ends mid-record. Wrapped errors carry the byte offset or field so callers
-// can report exactly where the damage was found. Decoders never panic on
-// corrupt input; they stop the stream and surface an ErrCorrupt through
-// their Err method.
+// ErrCorrupt marks decode failures caused by damaged trace-store bytes:
+// bad magic, an inconsistent footer or index, a checksum mismatch, an
+// invalid class byte, or a group cut short. Wrapped errors name the group
+// or field so callers can report exactly where the damage was found. The
+// store reader never panics on corrupt input; it returns an ErrCorrupt
+// from OpenStore or BlockAt, and a Cursor surfaces it through Err.
 var ErrCorrupt = errors.New("trace: corrupt data")
 
-// ErrSource is implemented by sources that can fail mid-stream (decoders
-// over files or captured buffers). After Next returns false, Err
-// distinguishes a clean end of trace (nil) from a decode failure.
+// ErrSource is implemented by sources that can fail mid-stream (a Cursor
+// over a damaged store). After Next returns false, Err distinguishes a
+// clean end of trace (nil) from a decode failure.
 type ErrSource interface {
 	Source
 	// Err returns the first decode error encountered, or nil.

@@ -1,10 +1,42 @@
 package trace
 
 import (
-	"bytes"
+	"math/rand"
 	"sync"
 	"testing"
 )
+
+func randomRecords(n int, seed int64) []Record {
+	rng := rand.New(rand.NewSource(seed))
+	recs := make([]Record, n)
+	pc := uint64(0x10000)
+	for i := range recs {
+		recs[i] = Record{
+			PC:    pc,
+			Class: Class(rng.Intn(numClasses)),
+			Op:    OpClass(rng.Intn(NumOpClasses)),
+		}
+		if recs[i].Class.IsBranch() {
+			recs[i].Taken = rng.Intn(3) > 0
+			if recs[i].Taken {
+				recs[i].Target = pc + uint64(rng.Intn(4096))*4 - 2048*4
+			}
+		}
+		if rng.Intn(4) == 0 {
+			recs[i].Addr = uint64(rng.Intn(1<<20) * 8)
+		}
+		if rng.Intn(2) == 0 {
+			recs[i].Dst = uint8(rng.Intn(33))
+			recs[i].Src1 = uint8(rng.Intn(33))
+		}
+		if recs[i].Taken {
+			pc = recs[i].Target
+		} else {
+			pc += 4
+		}
+	}
+	return recs
+}
 
 func TestReplayRoundTrip(t *testing.T) {
 	recs := randomRecords(5000, 42)
@@ -23,53 +55,8 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesCodecV2 pins the Recorder to the v2 codec's record
-// layout: the in-memory buffer must equal a v2 file minus its 8-byte
-// header.
-func TestReplayMatchesCodecV2(t *testing.T) {
-	recs := randomRecords(2000, 7)
-	var file bytes.Buffer
-	w := NewWriterV2(&file)
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rec := NewRecorder()
-	for i := range recs {
-		rec.Record(&recs[i])
-	}
-	rep := rec.Finish()
-	if want := file.Bytes()[8:]; !bytes.Equal(rep.buf, want) {
-		t.Fatalf("replay buffer (%d bytes) differs from v2 stream body (%d bytes)",
-			len(rep.buf), len(want))
-	}
-}
-
-// TestCaptureLazyEncodeMatchesRecorder pins the capture-born Replay's
-// lazily re-encoded buffer byte-for-byte against recording the same
-// source directly, the guarantee that lets Capture skip the encode pass.
-func TestCaptureLazyEncodeMatchesRecorder(t *testing.T) {
-	recs := randomRecords(3*BlockLen+17, 11)
-	rec := NewRecorder()
-	for i := range recs {
-		rec.Record(&recs[i])
-	}
-	want := rec.Finish().Bytes()
-	rep := Capture(NewSliceSource(recs))
-	if !rep.fromBlocks {
-		t.Fatal("Capture no longer builds a blocks-first Replay")
-	}
-	if got := rep.Bytes(); !bytes.Equal(got, want) {
-		t.Fatalf("lazy encode: %d bytes differ from recorder's %d", len(got), len(want))
-	}
-}
-
 // TestConcurrentCursors advances many cursors over one Replay from
-// separate goroutines; run under -race this asserts the shared buffer is
+// separate goroutines; run under -race this asserts the shared blocks are
 // read-only.
 func TestConcurrentCursors(t *testing.T) {
 	recs := randomRecords(3000, 99)
@@ -98,7 +85,7 @@ func TestConcurrentCursors(t *testing.T) {
 func TestCursorReset(t *testing.T) {
 	recs := randomRecords(100, 3)
 	rep := Capture(NewSliceSource(recs))
-	c := rep.Open().(*BatchCursor)
+	c := rep.Open().(*Cursor)
 	first := Collect(c)
 	c.Reset()
 	second := Collect(c)
@@ -114,8 +101,8 @@ func TestCursorReset(t *testing.T) {
 
 func TestEmptyReplay(t *testing.T) {
 	rep := Capture(NewSliceSource(nil))
-	if rep.Len() != 0 || rep.Size() != 0 {
-		t.Fatalf("empty capture: Len=%d Size=%d", rep.Len(), rep.Size())
+	if rep.Len() != 0 || rep.NumBlocks() != 0 || rep.MemBytes() != 0 {
+		t.Fatalf("empty capture: Len=%d NumBlocks=%d MemBytes=%d", rep.Len(), rep.NumBlocks(), rep.MemBytes())
 	}
 	var r Record
 	if rep.Open().Next(&r) {
@@ -123,46 +110,17 @@ func TestEmptyReplay(t *testing.T) {
 	}
 }
 
-func BenchmarkCursorNext(b *testing.B) {
+// BenchmarkCursor measures Cursor.Next over an in-memory capture: one
+// column copy per record.
+func BenchmarkCursor(b *testing.B) {
 	rep := Capture(NewSliceSource(randomRecords(4096, 1)))
 	var r Record
-	src := NewReplayBytes(rep.Bytes(), rep.Len()).Open().(*Cursor)
+	src := rep.Open().(*Cursor)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !src.Next(&r) {
 			src.Reset()
-		}
-	}
-}
-
-// BenchmarkBatchCursor is BenchmarkCursorNext over the decode-once batched
-// form: the per-record cost is a column copy instead of a varint decode.
-func BenchmarkBatchCursor(b *testing.B) {
-	bs := Capture(NewSliceSource(randomRecords(4096, 1))).Blocks()
-	var r Record
-	src := bs.Open().(*BatchCursor)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !src.Next(&r) {
-			src.Reset()
-		}
-	}
-}
-
-// BenchmarkDecodeBlocks measures the one-time cost of batching an encoded
-// capture (the path taken for buffers reconstructed with NewReplayBytes;
-// fresh captures build their blocks inline during Capture).
-func BenchmarkDecodeBlocks(b *testing.B) {
-	rep := Capture(NewSliceSource(randomRecords(BlockLen*4, 1)))
-	buf, n := rep.Bytes(), rep.Len()
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if NewReplayBytes(buf, n).Blocks().Len() != n {
-			b.Fatal("short decode")
 		}
 	}
 }

@@ -70,71 +70,23 @@ func (s *Stats) Consume(src Source) *Stats {
 	return s
 }
 
-// ConsumeBlocks accumulates every record of a decoded capture, equivalent
-// to Consume over bs.Open() but without materializing Records: the class
-// and op come from the packed meta byte, and only indirect jumps touch the
-// pc/target columns.
-func (s *Stats) ConsumeBlocks(bs *Blocks) *Stats {
-	for bi := 0; bi < bs.NumBlocks(); bi++ {
-		blk := bs.Block(bi)
-		meta := blk.Meta
-		pcs := blk.PC[:len(meta)]
-		tgts := blk.Target[:len(meta)]
-		for i, mb := range meta {
-			s.Instructions++
-			s.OpMix[mb>>MetaOpShift&MetaOpMask]++
-			cls := Class(mb & MetaClassMask)
-			switch cls {
-			case ClassOther:
-				continue
-			case ClassCondDirect:
-				s.CondDirect++
-			case ClassUncondDirect:
-				s.UncondDirect++
-			case ClassCall:
-				s.Calls++
-			case ClassReturn:
-				s.Returns++
-			case ClassIndJump, ClassIndCall:
-				s.IndJumps++
-				pc := pcs[i]
-				set := s.targets[pc]
-				if set == nil {
-					set = make(map[uint64]struct{})
-					s.targets[pc] = set
-				}
-				set[tgts[i]] = struct{}{}
-				s.dynCount[pc]++
-			}
-			s.Branches++
-		}
-	}
-	return s
-}
-
-// ConsumeBatches is ConsumeBlocks over any BlockSource, stopping after
-// limit records (limit <= 0 means all). It mirrors the kernel tail
-// contract: the clean prefix is always accumulated, and an error is
-// returned only when the limit reaches past it.
+// ConsumeBatches accumulates the first limit records of bs (limit <= 0
+// means all), equivalent to Consume over bs.Open() but without
+// materializing Records: the class and op come from the packed meta byte,
+// and only indirect jumps touch the pc/target columns. A BlockAt error
+// stops the scan; the records before the failing block stay accumulated.
 func (s *Stats) ConsumeBatches(bs BlockSource, limit int64) (*Stats, error) {
-	budget := bs.Len()
-	if limit > 0 && limit < budget {
-		budget = limit
-	} else {
-		limit = budget
+	n := bs.Len()
+	if limit > 0 && limit < n {
+		n = limit
 	}
-	effN := budget
-	if clean := bs.CleanLen(); clean < effN {
-		effN = clean
-	}
-	var done int64
-	for bi := 0; done < effN; bi++ {
+	for bi, done := 0, int64(0); done < n; bi++ {
 		blk, err := bs.BlockAt(bi)
 		if err != nil {
 			return s, err
 		}
 		meta := blk.Meta
-		if rem := effN - done; rem < int64(len(meta)) {
+		if rem := n - done; rem < int64(len(meta)) {
 			meta = meta[:rem]
 		}
 		pcs := blk.PC[:len(meta)]
@@ -168,9 +120,6 @@ func (s *Stats) ConsumeBatches(bs BlockSource, limit int64) (*Stats, error) {
 			s.Branches++
 		}
 		done += int64(len(meta))
-	}
-	if limit > bs.CleanLen() {
-		return s, bs.TailErr()
 	}
 	return s, nil
 }

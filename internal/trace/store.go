@@ -2,11 +2,12 @@ package trace
 
 // Out-of-core columnar trace store: the TCSTORE1 on-disk format holds a
 // capture as compressed (or raw) structure-of-arrays block groups in the
-// exact Blocks column layout, so budgets far beyond RAM replay in flat
-// memory. A Store reads groups lazily through an io.ReaderAt, decodes them
-// into ordinary Blocks batches, and keeps a bounded LRU cache of decoded
-// groups; the simulation kernels iterate it through the same BlockSource
-// interface the in-memory path uses.
+// exact Block column layout, so budgets far beyond RAM replay in flat
+// memory. It is the repository's one trace file format. A Store reads
+// groups lazily through an io.ReaderAt, decodes them into ordinary Block
+// batches, and keeps a bounded LRU cache of decoded groups; the simulation
+// kernels iterate it through the same BlockSource interface an in-memory
+// Replay implements.
 //
 // File layout (all integers little-endian):
 //
@@ -27,12 +28,13 @@ package trace
 // index carry CRC32s, and the footer fields are cross-validated against
 // the file size, the block layout constants, and each other. Damage never
 // panics: it surfaces as an ErrCorrupt from OpenStore or from BlockAt on
-// the affected group, mirroring the in-memory decoder's contract.
+// the affected group, including a file truncated after it was opened.
 
 import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -414,14 +416,6 @@ func (s *Store) Close() error {
 // Len returns the record count the store holds.
 func (s *Store) Len() int64 { return s.n }
 
-// CleanLen implements BlockSource. The index is validated at open, so the
-// claimed count is deliverable; group-payload damage surfaces as a
-// BlockAt error at the affected group instead.
-func (s *Store) CleanLen() int64 { return s.n }
-
-// TailErr implements BlockSource; see CleanLen.
-func (s *Store) TailErr() error { return nil }
-
 // NumBlocks implements BlockSource.
 func (s *Store) NumBlocks() int { return s.nblocks }
 
@@ -529,11 +523,15 @@ func (s *Store) lruTouch(e *storeCacheEntry) {
 	s.lruInsert(e)
 }
 
-// decodeGroup reads, checks and decodes one group into Blocks batches.
+// decodeGroup reads, checks and decodes one group into Block batches.
 func (s *Store) decodeGroup(gi int) ([]Block, int64, error) {
 	g := s.groups[gi]
 	enc := make([]byte, int(g.encLen)+4)
-	if _, err := s.r.ReadAt(enc, g.off); err != nil {
+	if n, err := s.r.ReadAt(enc, g.off); n < len(enc) {
+		// A short read means the file shrank beneath the open store.
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, 0, corruptf("store group %d truncated (%d of %d bytes)", gi, n, len(enc))
+		}
 		return nil, 0, fmt.Errorf("trace: store group %d read: %w", gi, err)
 	}
 	wantCRC := binary.LittleEndian.Uint32(enc[g.encLen:])
@@ -616,54 +614,9 @@ func (s *Store) decodeGroup(gi int) ([]Block, int64, error) {
 }
 
 // Open implements Factory, returning a streaming cursor over the store.
-func (s *Store) Open() Source { return &storeCursor{s: s} }
+func (s *Store) Open() Source { return &Cursor{bs: s} }
 
-var (
-	_ Factory     = (*Store)(nil)
-	_ BlockSource = (*Store)(nil)
-)
-
-// storeCursor is a Source over a Store's records. Like Cursor and
-// BatchCursor it yields the clean prefix and then surfaces the decode
-// error, so the three cursor kinds are stream-for-stream interchangeable.
-type storeCursor struct {
-	s   *Store
-	bi  int
-	blk *Block
-	i   int
-	err error
-}
-
-// Next implements Source.
-func (c *storeCursor) Next(r *Record) bool {
-	if c.err != nil {
-		return false
-	}
-	for {
-		if c.blk != nil && c.i < c.blk.Len() {
-			c.blk.Record(c.i, r)
-			c.i++
-			return true
-		}
-		if c.blk != nil {
-			c.bi++
-		}
-		if c.bi >= c.s.NumBlocks() {
-			return false
-		}
-		blk, err := c.s.BlockAt(c.bi)
-		if err != nil {
-			c.err = err
-			return false
-		}
-		c.blk, c.i = blk, 0
-	}
-}
-
-// Err returns the first decode error encountered, or nil on clean end.
-func (c *storeCursor) Err() error { return c.err }
-
-var _ ErrSource = (*storeCursor)(nil)
+var _ BlockSource = (*Store)(nil)
 
 // CacheStats reports a store's decoded-group cache activity.
 type CacheStats struct {

@@ -3,8 +3,14 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 // writeStore encodes recs as a TCSTORE1 byte image.
@@ -28,6 +34,17 @@ func openStore(t testing.TB, img []byte, cacheBytes int64) *Store {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	return s
+}
+
+// damagedStore opens an uncompressed image of recs in one-block groups
+// with 16 bytes overwritten three quarters of the way in: the blocks
+// before the damaged group read cleanly, and reading it fails its CRC.
+func damagedStore(t testing.TB, recs []Record) *Store {
+	t.Helper()
+	img := writeStore(t, recs, StoreOptions{GroupRecords: BlockLen})
+	at := len(img) * 3 / 4
+	copy(img[at:at+16], bytes.Repeat([]byte{0xFF}, 16))
+	return openStore(t, img, 0)
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -60,18 +77,18 @@ func TestStoreRoundTrip(t *testing.T) {
 					t.Fatalf("record %d: got %+v, want %+v", i, got[i], recs[i])
 				}
 			}
-			// BlockAt must match the in-memory Blocks decomposition
+			// BlockAt must match the in-memory capture's decomposition
 			// block-for-block (the layout invariant kernels rely on).
-			bs := Capture(NewSliceSource(recs)).Blocks()
-			if s.NumBlocks() != bs.NumBlocks() {
-				t.Fatalf("NumBlocks = %d, want %d", s.NumBlocks(), bs.NumBlocks())
+			rep := Capture(NewSliceSource(recs))
+			if s.NumBlocks() != rep.NumBlocks() {
+				t.Fatalf("NumBlocks = %d, want %d", s.NumBlocks(), rep.NumBlocks())
 			}
-			for bi := 0; bi < bs.NumBlocks(); bi++ {
+			for bi := 0; bi < rep.NumBlocks(); bi++ {
 				sb, err := s.BlockAt(bi)
 				if err != nil {
 					t.Fatalf("BlockAt(%d): %v", bi, err)
 				}
-				mb := bs.Block(bi)
+				mb, _ := rep.BlockAt(bi)
 				if sb.Len() != mb.Len() {
 					t.Fatalf("block %d: len %d, want %d", bi, sb.Len(), mb.Len())
 				}
@@ -85,6 +102,87 @@ func TestStoreRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCodecRoundTrip pins that TCSTORE1, the one trace file codec,
+// round-trips every field at full range: random 64-bit addresses, every
+// class and op class, any register byte.
+func TestCodecRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]Record, 1000)
+	for i := range recs {
+		recs[i] = Record{
+			PC:     rng.Uint64(),
+			Target: rng.Uint64(),
+			Addr:   rng.Uint64(),
+			Class:  Class(rng.Intn(numClasses)),
+			Op:     OpClass(rng.Intn(NumOpClasses)),
+			Taken:  rng.Intn(2) == 0,
+			Dst:    uint8(rng.Intn(256)),
+			Src1:   uint8(rng.Intn(256)),
+			Src2:   uint8(rng.Intn(256)),
+		}
+	}
+	for _, compress := range []bool{false, true} {
+		got := Collect(openStore(t, writeStore(t, recs, StoreOptions{Compress: compress}), 0).Open())
+		if len(got) != len(recs) {
+			t.Fatalf("compress=%v: read %d records, want %d", compress, len(got), len(recs))
+		}
+		for i := range got {
+			if got[i] != recs[i] {
+				t.Fatalf("compress=%v record %d: got %+v, want %+v", compress, i, got[i], recs[i])
+			}
+		}
+	}
+}
+
+func TestCodecRoundTripProperty(t *testing.T) {
+	f := func(pc, tgt, addr uint64, class, op, dst, s1, s2 uint8, taken bool) bool {
+		in := Record{
+			PC: pc, Target: tgt, Addr: addr,
+			Class: Class(class % uint8(numClasses)),
+			Op:    OpClass(op % uint8(NumOpClasses)),
+			Taken: taken, Dst: dst, Src1: s1, Src2: s2,
+		}
+		var img bytes.Buffer
+		if _, err := WriteStore(&img, NewSliceSource([]Record{in}), StoreOptions{GroupRecords: BlockLen}); err != nil {
+			return false
+		}
+		s, err := OpenStore(bytes.NewReader(img.Bytes()), int64(img.Len()), 0)
+		if err != nil {
+			return false
+		}
+		got := Collect(s.Open())
+		return len(got) == 1 && got[0] == in
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCodecBadMagic: a store whose leading or trailing magic is damaged
+// is rejected at open.
+func TestCodecBadMagic(t *testing.T) {
+	img := writeStore(t, randomRecords(100, 1), StoreOptions{})
+	for _, at := range []int{0, len(img) - 1} {
+		bad := append([]byte(nil), img...)
+		bad[at] ^= 0xFF
+		_, err := OpenStore(bytes.NewReader(bad), int64(len(bad)), 0)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "magic") {
+			t.Fatalf("magic byte %d damaged: err=%v, want a bad-magic ErrCorrupt", at, err)
+		}
+	}
+}
+
+// TestCodecTruncated: a store file cut anywhere short of its end is
+// rejected at open (a file cut after open is TestStoreTruncatedAfterOpen).
+func TestCodecTruncated(t *testing.T) {
+	img := writeStore(t, randomRecords(100, 2), StoreOptions{})
+	for cut := 0; cut < len(img); cut++ {
+		if _, err := OpenStore(bytes.NewReader(img[:cut]), int64(cut), 0); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("store cut to %d of %d bytes: err=%v, want ErrCorrupt", cut, len(img), err)
+		}
 	}
 }
 
@@ -226,21 +324,70 @@ func TestStoreBadGroupSize(t *testing.T) {
 	}
 }
 
+// TestStoreTruncatedAfterOpen pins the store's contract for a file that
+// shrinks beneath an open Store: reading the cut group reports an
+// ErrCorrupt naming the truncation, groups before it still read, and
+// other read errors pass through unchanged.
+func TestStoreTruncatedAfterOpen(t *testing.T) {
+	recs := randomRecords(2*storeGroupRecords+10_000, 17)
+	path := filepath.Join(t.TempDir(), "t.tcstore")
+	if err := os.WriteFile(path, writeStore(t, recs, StoreOptions{}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStoreFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := os.Truncate(path, s.SizeBytes()-200_000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.BlockAt(0); err != nil {
+		t.Fatalf("BlockAt(0) before the cut: %v", err)
+	}
+	_, err = s.BlockAt(s.NumBlocks() - 1)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("BlockAt(last) after truncation: err=%v, want a truncated ErrCorrupt", err)
+	}
+
+	errDisk := errors.New("disk on fire")
+	img := writeStore(t, recs[:BlockLen], StoreOptions{})
+	fr := &failingReader{ReaderAt: bytes.NewReader(img)}
+	fs, err := OpenStore(fr, int64(len(img)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.err = errDisk
+	if _, err := fs.BlockAt(0); !errors.Is(err, errDisk) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("BlockAt over a failing reader: err=%v, want the read error unchanged", err)
+	}
+}
+
+// failingReader fails every read with err once err is set.
+type failingReader struct {
+	io.ReaderAt
+	err error
+}
+
+func (r *failingReader) ReadAt(p []byte, off int64) (int, error) {
+	if r.err != nil {
+		return 0, r.err
+	}
+	return r.ReaderAt.ReadAt(p, off)
+}
+
 func TestWriteStorePropagatesSourceError(t *testing.T) {
-	recs := randomRecords(BlockLen, 3)
-	rep := Capture(NewSliceSource(recs))
-	buf := rep.Bytes()
-	damaged := NewReplayBytes(buf[:len(buf)/2], rep.Len())
+	damaged := damagedStore(t, randomRecords(BlockLen, 3))
 	var out bytes.Buffer
 	if _, err := WriteStore(&out, damaged.Open(), StoreOptions{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("WriteStore over damaged source: err=%v, want ErrCorrupt", err)
 	}
 }
 
-func TestConsumeBatchesMatchesConsumeBlocks(t *testing.T) {
+func TestConsumeBatchesMatchesConsume(t *testing.T) {
 	recs := randomRecords(2*BlockLen+345, 13)
 	rep := Capture(NewSliceSource(recs))
-	want := NewStats().ConsumeBlocks(rep.Blocks())
+	want := NewStats().Consume(rep.Open())
 
 	img := writeStore(t, recs, StoreOptions{Compress: true, GroupRecords: BlockLen})
 	s := openStore(t, img, 0)
@@ -266,9 +413,14 @@ func TestConsumeBatchesMatchesConsumeBlocks(t *testing.T) {
 
 	// A damaged capture yields its clean prefix, erroring only when the
 	// limit reaches past it.
-	buf := rep.Bytes()
-	damaged := NewReplayBytes(buf[:len(buf)-20], rep.Len())
-	clean := damaged.CleanLen()
+	damaged := damagedStore(t, recs)
+	var clean int64
+	for bi := 0; bi < damaged.NumBlocks(); bi++ {
+		if _, err := damaged.BlockAt(bi); err != nil {
+			break
+		}
+		clean += BlockLen
+	}
 	if clean >= rep.Len() || clean == 0 {
 		t.Fatalf("damaged capture clean length %d of %d", clean, rep.Len())
 	}

@@ -87,13 +87,13 @@ func ConfigureSpill(cfg SpillConfig) {
 
 // TestCaptureTransform, when non-nil, post-processes every captured
 // replay before it enters the memo. It exists for the fault-injection
-// harness (internal/faultinject), which uses it to hand corrupted or
-// truncated captures to chosen workloads. Install and clear it only from
-// tests, bracketed by ResetMemo calls so no transformed capture leaks
+// harness (internal/faultinject), which uses it to hand chosen workloads
+// a damaged trace-store copy of their captures. Install and clear it only
+// from tests, bracketed by ResetMemo calls so no transformed capture leaks
 // into or out of the faulty window. While installed, prefix sharing and
 // spilling are disabled so every cell sees exactly the capture the
 // transform produced for its own budget.
-var TestCaptureTransform func(name string, budget int64, rep *trace.Replay) *trace.Replay
+var TestCaptureTransform func(name string, budget int64, rep *trace.Replay) trace.BlockSource
 
 // Replay returns the workload's first budget instructions as an immutable
 // capture, running the VM at most once per (workload, budget) key for the
@@ -194,9 +194,8 @@ func SpillStats() (spilledCaptures, diskBytes int64) {
 }
 
 // MemoStats reports the number of memoized (workload, budget) keys and
-// their total resident size in bytes: decoded columns for in-memory
-// captures, on-disk file size for spilled ones. Sizing never forces a
-// lazy re-encode or decode.
+// their total resident size in bytes: captured columns for in-memory
+// captures, on-disk file size for spilled ones.
 func MemoStats() (keys int, bytes int64) {
 	memoMu.Lock()
 	defer memoMu.Unlock()

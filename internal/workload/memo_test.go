@@ -141,7 +141,7 @@ func TestReplayPrefixShares(t *testing.T) {
 	}
 
 	// Fault injection must see exact-budget captures.
-	TestCaptureTransform = func(name string, budget int64, rep *trace.Replay) *trace.Replay { return rep }
+	TestCaptureTransform = func(name string, budget int64, rep *trace.Replay) trace.BlockSource { return rep }
 	t.Cleanup(func() { TestCaptureTransform = nil })
 	ResetMemo()
 	if got := w.ReplayPrefix(30_000, 50_000); got.Len() != 30_000 {
