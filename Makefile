@@ -29,11 +29,13 @@ fault:
 
 # Short mutation pass over every decoder/parser fuzz target (the seed
 # corpus alone is already replayed by plain `go test`). `go test -fuzz`
-# accepts one target at a time, hence the loop. Raise FUZZTIME for a real
+# accepts one target at a time, hence the loops. Raise FUZZTIME for a real
 # fuzzing session.
 FUZZTIME ?= 2s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzStore$$' -fuzztime $(FUZZTIME) ./internal/trace
+	for t in FuzzStore FuzzCursor FuzzBlocks; do \
+		$(GO) test -run '^$$' -fuzz "^$${t}$$" -fuzztime $(FUZZTIME) ./internal/trace || exit 1; \
+	done
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/benchfmt
 	for t in FuzzParseSpec FuzzParseAxis; do \
 		$(GO) test -run '^$$' -fuzz "^$${t}$$" -fuzztime $(FUZZTIME) ./internal/sweep || exit 1; \
