@@ -21,8 +21,10 @@ var update = flag.Bool("update", false, "rewrite golden files with the current o
 // the whole suite; plus the accuracy experiments whose runs fuse into
 // gangs with a flush interval (context-switch), mixed target-cache
 // families beside a BTB-only member (followups), and several runs merged
-// under one telemetry key (verify's claim cells).
-var goldenExperiments = []string{"table1", "table4", "figures12-13", "budget", "context-switch", "followups", "verify"}
+// under one telemetry key (verify's claim cells); and the timing
+// experiments with path-history members (table5) and five machine shapes
+// (sensitivity).
+var goldenExperiments = []string{"table1", "table4", "table5", "figures12-13", "budget", "context-switch", "followups", "sensitivity", "verify"}
 
 // renderGolden runs the golden experiment slice with telemetry enabled at
 // the given worker count and returns the full text artifact: the rendered
