@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -238,129 +237,34 @@ func ByID(id string) (*Experiment, error) {
 // pct formats a fraction as a percentage.
 func pct(v float64) string { return stats.Percent(v) }
 
-// timingContext runs the BTB-only machine at most once per workload and
-// caches the result for the duration of one experiment. It is safe for
-// concurrent use by parallel cells: the first cell needing a workload's
-// baseline computes it under a per-workload once while later cells block
-// on the same once, so no work is duplicated.
-type timingContext struct {
-	p      Params
-	cpuCfg cpu.Config
-
-	mu   sync.Mutex
-	base map[string]*baselineCell
+// baselines enqueues, per workload, a "btb-baseline" cell timing the
+// BTB-only front end on the paper's machine: the reference every
+// execution-time reduction is taken against. It joins the workload's
+// timing gang like any other member.
+func baselines(g *cellGroup, ws []*workload.Workload) []*slot[*cpu.Result] {
+	out := make([]*slot[*cpu.Result], len(ws))
+	for i, w := range ws {
+		out[i] = timingCell(g, cid(w, "btb-baseline"), w, sim.DefaultConfig(), cpu.DefaultConfig())
+	}
+	return out
 }
 
-type baselineCell struct {
-	once   sync.Once
-	cycles int64
-	err    error
+// reduction returns s's execution-time reduction against base; ok is
+// false when either cell failed.
+func reduction(base, s *slot[*cpu.Result]) (red float64, ok bool) {
+	if !base.ok() || !s.ok() {
+		return 0, false
+	}
+	return stats.Reduction(float64(base.val.Cycles), float64(s.val.Cycles)), true
 }
 
-func newTimingContext(p Params) *timingContext {
-	return &timingContext{p: p, base: make(map[string]*baselineCell), cpuCfg: cpu.DefaultConfig()}
-}
-
-// globalBaselines memoizes successful BTB-only baseline cycle counts across
-// experiments: the count is a pure function of the key, and several
-// experiments rerun the identical baseline machine on the identical
-// workload. The memo is consulted only when telemetry is disabled — with
-// telemetry on, every experiment must still run its own baseline so its
-// "btb-baseline" collector entry is populated. Failures are never stored,
-// so an injected fault in one experiment's baseline cell cannot leak into
-// another experiment.
-var globalBaselines sync.Map // baselineKey -> int64 cycles
-
-type baselineKey struct {
-	workload   string
-	budget     int64
-	eventModel bool
-	cpuCfg     cpu.Config
-}
-
-// run executes one timing simulation on the configured model, reading the
-// workload's memoized trace replay rather than a live VM. col, when
-// non-nil, receives the run's telemetry (threaded through the engine so
-// both timing models are instrumented identically). Kernel errors
-// (corrupt replay, cancellation, deadlock guard) come back in Result.Err;
-// callers decide whether to abort their cell.
-func (tc *timingContext) run(w *workload.Workload, cfg sim.Config, col *telemetry.Collector) cpu.Result {
-	cfg.Telemetry = col
-	engine := sim.NewEngine(cfg)
-	rep := w.ReplayPrefix(tc.p.TimingBudget, tc.p.shareBudget())
-	var res cpu.Result
-	if tc.p.EventModel {
-		res = cpu.NewEvent(tc.cpuCfg, engine).RunCtx(tc.p.Context(), rep.Open(), tc.p.TimingBudget)
-	} else {
-		res = cpu.New(tc.cpuCfg, engine).RunReplayCtx(tc.p.Context(), rep, tc.p.TimingBudget)
+// redCell renders s's execution-time reduction against base, or ERR when
+// either cell failed.
+func redCell(base, s *slot[*cpu.Result]) string {
+	if red, ok := reduction(base, s); ok {
+		return pct(red)
 	}
-	instructionsSim.Add(res.Instructions)
-	return res
-}
-
-func (tc *timingContext) baseline(w *workload.Workload) int64 {
-	var gkey baselineKey
-	if tc.p.Telemetry == nil {
-		gkey = baselineKey{
-			workload: w.Name, budget: tc.p.TimingBudget,
-			eventModel: tc.p.EventModel, cpuCfg: tc.cpuCfg,
-		}
-		if v, ok := globalBaselines.Load(gkey); ok {
-			return v.(int64)
-		}
-	}
-	tc.mu.Lock()
-	c, ok := tc.base[w.Name]
-	if !ok {
-		c = &baselineCell{}
-		tc.base[w.Name] = c
-	}
-	tc.mu.Unlock()
-	c.once.Do(func() {
-		// A panicking baseline must not leave later cells reading cycles=0
-		// as if it succeeded: capture the failure so every dependent cell
-		// aborts with it.
-		defer func() {
-			if v := recover(); v != nil {
-				c.err, _ = recoveredErr(v)
-			}
-		}()
-		// The baseline runs once per workload, inside whichever cell gets
-		// there first — so its telemetry is attributed under a fixed
-		// "btb-baseline" key rather than the racing cell's, keeping
-		// reports identical at any worker count.
-		col := tc.p.Telemetry.NewCollector()
-		defer tc.p.Telemetry.Merge(telemetry.Key{
-			Experiment: tc.p.experiment, Workload: w.Name, Config: "btb-baseline",
-		}, col)
-		res := tc.run(w, sim.DefaultConfig(), col)
-		if res.Err != nil {
-			c.err = res.Err
-			return
-		}
-		c.cycles = res.Cycles
-	})
-	if c.err != nil {
-		abortCell(fmt.Errorf("BTB baseline for %s: %w", w.Name, c.err))
-	}
-	if tc.p.Telemetry == nil {
-		globalBaselines.Store(gkey, c.cycles)
-	}
-	return c.cycles
-}
-
-// reduction runs the machine with the given target-cache configuration and
-// returns the execution-time reduction versus the BTB-only baseline. p is
-// the calling cell's Params (for telemetry attribution).
-func (tc *timingContext) reduction(p Params, w *workload.Workload, cfg sim.Config) float64 {
-	base := tc.baseline(w)
-	col := p.startCollector()
-	defer p.mergeCollector(col)
-	res := tc.run(w, cfg, col)
-	if res.Err != nil {
-		abortCell(res.Err)
-	}
-	return stats.Reduction(float64(base), float64(res.Cycles))
+	return "ERR"
 }
 
 // tcConfig builds a sim.Config with the given target cache and history

@@ -23,7 +23,6 @@ var cxxExperiment = registerExperiment(&Experiment{
 		if err != nil {
 			panic(err)
 		}
-		tctx := newTimingContext(p)
 
 		// Virtual-call targets correlate with the *path* of recent call
 		// targets (composite object structure), so all variants here use
@@ -58,13 +57,13 @@ var cxxExperiment = registerExperiment(&Experiment{
 		}
 
 		g := newCellGroup(p)
-		warmBaselines(g, tctx, []*workload.Workload{w})
+		base := baselines(g, []*workload.Workload{w})[0]
 		baseRate := accuracyCell(g, cid(w, "btb"), w, 0, sim.DefaultConfig())
 		accs := make([]*slot[*sim.AccuracyResult], len(variants))
-		reds := make([]*slot[float64], len(variants))
+		reds := make([]*slot[*cpu.Result], len(variants))
 		for i, v := range variants {
 			accs[i] = accuracyCell(g, cid(w, v.name+"/accuracy"), w, 0, v.cfg)
-			reds[i] = cell(g, cid(w, v.name+"/timing"), func(p Params) float64 { return tctx.reduction(p, w, v.cfg) })
+			reds[i] = timingCell(g, cid(w, v.name+"/timing"), w, v.cfg, cpu.DefaultConfig())
 		}
 		g.run()
 
@@ -73,7 +72,7 @@ var cxxExperiment = registerExperiment(&Experiment{
 			"Predictor", "ind mispred", "time saved")
 		t.AddRow("BTB (1K, 4-way)", rateCell(baseRate), "-")
 		for i, v := range variants {
-			t.AddRow(v.name, rateCell(accs[i]), pctCell(reds[i]))
+			t.AddRow(v.name, rateCell(accs[i]), redCell(base, reds[i]))
 		}
 		t.AddNote("paper conclusion: for OO programs, tagged caches should provide even greater benefits")
 		t.AddNote("tags hold history beyond the index width: the 16-way/24-bit tagged cache and ITTAGE exploit it")
@@ -320,7 +319,10 @@ var sensitivityExperiment = registerExperiment(&Experiment{
 		}
 		tcCfg := tcConfig(taglessGshare(512), pattern(9))
 		ws := workload.PerlGcc()
-		type sensCell struct{ base, tc *slot[cpu.Result] }
+		type sensCell struct{ base, tc *slot[*cpu.Result] }
+		// The sweep compares machines on the fast model, whichever model
+		// the other timing experiments run.
+		p.EventModel = false
 		g := newCellGroup(p)
 		cells := make([][]sensCell, len(ws))
 		for i, w := range ws {
@@ -329,12 +331,8 @@ var sensitivityExperiment = registerExperiment(&Experiment{
 				machineCfg := cpu.DefaultConfig()
 				m.mutate(&machineCfg)
 				cells[i][j] = sensCell{
-					base: cell(g, cid(w, fmt.Sprintf("machine%d/btb", j)), func(p Params) cpu.Result {
-						return runTiming(w, p, sim.DefaultConfig(), machineCfg)
-					}),
-					tc: cell(g, cid(w, fmt.Sprintf("machine%d/tc", j)), func(p Params) cpu.Result {
-						return runTiming(w, p, tcCfg, machineCfg)
-					}),
+					base: timingCell(g, cid(w, fmt.Sprintf("machine%d/btb", j)), w, sim.DefaultConfig(), machineCfg),
+					tc:   timingCell(g, cid(w, fmt.Sprintf("machine%d/tc", j)), w, tcCfg, machineCfg),
 				}
 			}
 		}

@@ -8,15 +8,22 @@
 // The model is a one-pass trace-driven approximation: for each retired
 // instruction it computes fetch, issue, completion and retire cycles under
 // fetch-width, window-occupancy, operand-readiness, functional-unit and
-// retire-width constraints. Branch outcomes come from a sim.Engine, so the
-// timing experiments see exactly the predictor behaviour the accuracy
-// experiments measure. (The engine trains on committed state; wrong-path
-// effects on predictor contents are not modelled, as is usual for
-// trace-driven studies.)
+// retire-width constraints. The predictor trains on committed state in
+// trace order (wrong-path effects on predictor contents are not modelled,
+// as is usual for trace-driven studies), so only each branch's mispredict
+// bit reaches the pipeline, and the data cache sees every load and store
+// in trace order. Machine.RunCtx, the reference, asks a sim.Engine for
+// each branch as it goes. Over a capture the same model runs in two
+// passes (pipeline.go): a predictor pass — the sim.Engine or a member of
+// sim's fused gang kernel — records each branch's mispredict bit, and
+// RunPipeline times the records from those bits and a data-cache miss bit
+// per record, so the timing experiments see exactly the predictor
+// behaviour the accuracy experiments measure.
 package cpu
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 
 	"repro/internal/cache"
@@ -82,6 +89,39 @@ func DefaultConfig() Config {
 	return cfg
 }
 
+// Validate reports the first field that makes c an impossible machine:
+// a non-positive width or window, a negative depth or latency, or a data
+// cache whose geometry does not divide into whole sets of power-of-two
+// lines. Every run entry point checks it and returns its error in
+// Result.Err before simulating.
+func (c Config) Validate() error {
+	switch {
+	case c.Width < 1:
+		return fmt.Errorf("cpu: machine width %d, want >= 1", c.Width)
+	case c.Window < 1:
+		return fmt.Errorf("cpu: instruction window %d, want >= 1", c.Window)
+	case c.FrontEndDepth < 0:
+		return fmt.Errorf("cpu: front-end depth %d, want >= 0", c.FrontEndDepth)
+	case c.MemLatency < 0:
+		return fmt.Errorf("cpu: memory latency %d, want >= 0", c.MemLatency)
+	case c.DeadlockCycles < 0:
+		return fmt.Errorf("cpu: deadlock guard %d cycles, want >= 0", c.DeadlockCycles)
+	case c.DCacheLine < 1 || c.DCacheLine&(c.DCacheLine-1) != 0:
+		return fmt.Errorf("cpu: data-cache line %d bytes, want a power of two", c.DCacheLine)
+	case c.DCacheWays < 1:
+		return fmt.Errorf("cpu: data-cache associativity %d, want >= 1", c.DCacheWays)
+	case c.DCacheBytes < c.DCacheLine*c.DCacheWays || c.DCacheBytes%(c.DCacheLine*c.DCacheWays) != 0:
+		return fmt.Errorf("cpu: data cache of %d bytes is not a whole number of %d-way sets of %d-byte lines",
+			c.DCacheBytes, c.DCacheWays, c.DCacheLine)
+	}
+	for op, lat := range c.Latencies {
+		if lat < 0 {
+			return fmt.Errorf("cpu: %s latency %d, want >= 0", trace.OpClass(op), lat)
+		}
+	}
+	return nil
+}
+
 // LatencyTable returns (class name, latency) rows for Table 3 reporting.
 func (c Config) LatencyTable() [][2]string {
 	rows := make([][2]string, 0, trace.NumOpClasses)
@@ -139,6 +179,10 @@ type fuRing struct {
 	count []int
 }
 
+// fuRingLen is the functional-unit ring's length, a power of two: the
+// span of issue cycles that can be in flight at once.
+const fuRingLen = 8192
+
 func newFURing(size int) *fuRing {
 	return &fuRing{cycle: make([]int64, size), count: make([]int, size)}
 }
@@ -155,6 +199,7 @@ func (f *fuRing) at(cycle int64) *int {
 // Machine is a reusable timing simulator instance.
 type Machine struct {
 	cfg    Config
+	err    error // cfg.Validate(): every run returns it without simulating
 	engine *sim.Engine
 	dcache *cache.Cache[struct{}]
 	// observer, when set, receives every instruction's timing (used by
@@ -162,14 +207,29 @@ type Machine struct {
 	observer func(TimelineEntry)
 }
 
-// New returns a machine using cfg and the given prediction engine.
+// New returns a machine using cfg and the given prediction engine. An
+// invalid cfg (see Config.Validate) yields a machine whose runs report
+// the validation error.
 func New(cfg Config, engine *sim.Engine) *Machine {
-	sets := cfg.DCacheBytes / (cfg.DCacheLine * cfg.DCacheWays)
-	return &Machine{
-		cfg:    cfg,
-		engine: engine,
-		dcache: cache.New[struct{}](sets, cfg.DCacheWays),
+	m := &Machine{cfg: cfg, err: cfg.Validate(), engine: engine}
+	if m.err == nil {
+		m.dcache = newDCache(cfg)
 	}
+	return m
+}
+
+// newDCache builds cfg's data cache; cfg must be valid.
+func newDCache(cfg Config) *cache.Cache[struct{}] {
+	return cache.New[struct{}](cfg.DCacheBytes/(cfg.DCacheLine*cfg.DCacheWays), cfg.DCacheWays)
+}
+
+// lineShift is log2 of cfg's (power-of-two) data-cache line size.
+func lineShift(cfg Config) int {
+	shift := 0
+	for 1<<shift < cfg.DCacheLine {
+		shift++
+	}
+	return shift
 }
 
 // Run simulates up to budget instructions from src and returns the timing
@@ -186,6 +246,9 @@ const ctxCheckMask = 1<<13 - 1
 // boundaries and stops early with Err set to ctx.Err() when cancelled,
 // returning the partial result accumulated so far.
 func (m *Machine) RunCtx(ctx context.Context, src trace.Source, budget int64) Result {
+	if m.err != nil {
+		return Result{Err: m.err}
+	}
 	cfg := m.cfg
 	var res Result
 
@@ -196,15 +259,12 @@ func (m *Machine) RunCtx(ctx context.Context, src trace.Source, budget int64) Re
 		retiredThis  int   // instructions retired in lastRetire
 		regReady     [64]int64
 		windowRetire = make([]int64, cfg.Window) // ring: retire cycle per slot
-		fus          = newFURing(8192)
+		fus          = newFURing(fuRingLen)
 		idx          int64
 		r            trace.Record
 	)
 
-	lineShift := 0
-	for 1<<lineShift < cfg.DCacheLine {
-		lineShift++
-	}
+	shift := lineShift(cfg)
 
 	for idx < budget && src.Next(&r) {
 		if idx&ctxCheckMask == ctxCheckMask {
@@ -245,7 +305,7 @@ func (m *Machine) RunCtx(ctx context.Context, src trace.Source, budget int64) Re
 		lat := cfg.Latencies[r.Op]
 		if r.Op == trace.OpLoad || r.Op == trace.OpStore {
 			res.DCacheAccesses++
-			set, tag := m.dcache.IndexOf(r.Addr >> lineShift)
+			set, tag := m.dcache.IndexOf(r.Addr >> shift)
 			if _, hit := m.dcache.Lookup(set, tag); !hit {
 				res.DCacheMisses++
 				m.dcache.Insert(set, tag)

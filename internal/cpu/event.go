@@ -17,13 +17,20 @@ import (
 // on every experiment's orderings (see TestModelsAgree).
 type EventMachine struct {
 	cfg    Config
+	err    error // cfg.Validate(): every run returns it without simulating
 	engine *sim.Engine
 	dc     *dcacheModel
 }
 
-// NewEvent returns an event-driven machine using cfg and engine.
+// NewEvent returns an event-driven machine using cfg and engine. An
+// invalid cfg (see Config.Validate) yields a machine whose runs report
+// the validation error.
 func NewEvent(cfg Config, engine *sim.Engine) *EventMachine {
-	return &EventMachine{cfg: cfg, engine: engine, dc: newDCacheModel(cfg)}
+	m := &EventMachine{cfg: cfg, err: cfg.Validate(), engine: engine}
+	if m.err == nil {
+		m.dc = newDCacheModel(cfg)
+	}
+	return m
 }
 
 // WrongPathFetcher is the capability the event model needs from a trace
@@ -59,6 +66,9 @@ func (m *EventMachine) Run(src trace.Source, budget int64) Result {
 // stops early with Err set to ctx.Err() when cancelled, returning the
 // partial result accumulated so far.
 func (m *EventMachine) RunCtx(ctx context.Context, src trace.Source, budget int64) Result {
+	if m.err != nil {
+		return Result{Err: m.err}
+	}
 	cfg := m.cfg
 	var res Result
 	deadlockAfter := cfg.DeadlockCycles
@@ -342,10 +352,7 @@ type dcacheModel struct {
 
 func newDCacheModel(cfg Config) *dcacheModel {
 	sets := cfg.DCacheBytes / (cfg.DCacheLine * cfg.DCacheWays)
-	d := &dcacheModel{sets: sets}
-	for 1<<d.lineShift < cfg.DCacheLine {
-		d.lineShift++
-	}
+	d := &dcacheModel{sets: sets, lineShift: lineShift(cfg)}
 	d.tags = make([][]uint64, sets)
 	d.valid = make([][]bool, sets)
 	d.lru = make([][]int64, sets)
