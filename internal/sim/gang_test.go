@@ -92,6 +92,88 @@ func TestGangMatchesSolo(t *testing.T) {
 	}
 }
 
+// referenceBits is the per-branch record a streaming Engine run of cfg
+// makes over the first budget records: bit i set when the i-th branch
+// was mispredicted, the structures reset every flush instructions.
+func referenceBits(src trace.Source, budget, flush int64, cfg Config) BranchBits {
+	e := NewEngine(cfg)
+	var out BranchBits
+	var r trace.Record
+	var n, br int64
+	for lim := trace.NewLimit(src, budget); lim.Next(&r); {
+		if n++; flush > 0 && n%flush == 0 {
+			e.Reset()
+		}
+		if !r.Class.IsBranch() {
+			continue
+		}
+		p := e.Predict(&r)
+		if !p.Correct(&r) {
+			out = out.Set(br)
+		}
+		br++
+		e.Resolve(&r, p)
+	}
+	return out
+}
+
+// TestGangMispredictBits pins the bits a gang hands members that ask for
+// them: for every member, whatever the flush interval and segment count,
+// exactly the branches a streaming Engine run of that member alone
+// mispredicts. Members that do not ask get none, and asking changes no
+// member's AccuracyResult.
+func TestGangMispredictBits(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 60_000
+	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+	for _, flush := range []int64{0, 7_000} {
+		plain := gangPoints()
+		want, _ := RunAccuracyGangSegmentedCtx(context.Background(), rep, budget, flush, 1, plain)
+		for _, segments := range []int{1, 4} {
+			pts := gangPoints()
+			bits := make([]BranchBits, len(pts))
+			for i := range pts {
+				if i != 2 { // one member asks for nothing
+					pts[i].Mispredicts = &bits[i]
+				}
+			}
+			before := SegmentCounters().SegmentedRuns
+			got, ok := RunAccuracyGangSegmentedCtx(context.Background(), rep, budget, flush, segments, pts)
+			if !ok {
+				t.Fatal("gang refused to fuse")
+			}
+			if split := SegmentCounters().SegmentedRuns > before; split != (segments > 1) {
+				t.Fatalf("%d segments: segmented %v", segments, split)
+			}
+			for i := range pts {
+				if got[i] != want[i] {
+					t.Errorf("flush %d, %d segments, member %d: asking for bits changed the result\n  got  %+v\n  want %+v", flush, segments, i, got[i], want[i])
+				}
+				if pts[i].Mispredicts == nil {
+					continue
+				}
+				ref := referenceBits(rep.Open(), budget, flush, pts[i].Config)
+				var n, diff int64
+				for b := int64(0); b < got[i].Branches; b++ {
+					if bits[i].Has(b) {
+						n++
+					}
+					if bits[i].Has(b) != ref.Has(b) {
+						diff++
+					}
+				}
+				if diff != 0 || n != got[i].Overall.Mispredicts || int64(len(bits[i])) != (got[i].Branches+63)/64 {
+					t.Errorf("flush %d, %d segments, member %d: %d of %d branch bits differ from the engine's; %d set, %d mispredicts, %d words",
+						flush, segments, i, diff, got[i].Branches, n, got[i].Overall.Mispredicts, len(bits[i]))
+				}
+			}
+		}
+	}
+}
+
 // TestGangSharedHistoryMatchesPrivate verifies that history sharing is
 // invisible in the results: the same gang with all share keys cleared
 // (every member gets a private provider) reports identical results.
