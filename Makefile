@@ -58,7 +58,7 @@ bench-module:
 # One-iteration benchmark smoke pass over the hot-path packages: catches
 # benchmarks that no longer compile or crash, without the timing cost.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/trace ./internal/sim
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/trace ./internal/sim ./internal/cpu
 
 # Write an N-repetition snapshot in the standard Go benchmark format. The
 # first (warm-up) repetition is discarded so the one-time capture build

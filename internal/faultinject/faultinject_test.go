@@ -247,6 +247,108 @@ func TestPanicInFusedMemberIsIsolated(t *testing.T) {
 	}
 }
 
+// TestPanicInFusedTimingMemberIsIsolated panics one fast timing run:
+// table7's 8-way History Xor cell on gcc is a member of gcc's timing gang,
+// beside the baseline and the other twenty tagged caches, and has a
+// pipeline pass of its own. The gang must run without it, so only that
+// entry renders ERR at 1 and 8 workers; and a delay on it changes
+// nothing.
+func TestPanicInFusedTimingMemberIsIsolated(t *testing.T) {
+	const label = "table7/gcc/8way/scheme2"
+	exps := experiments(t, "table7")
+	_, healthy := runSuite(t, exps, 1)
+
+	delay := &Plan{DelayCells: map[string]time.Duration{label: 30 * time.Millisecond}}
+	restore := delay.Install()
+	for _, workers := range []int{1, 8} {
+		res, out := runSuite(t, exps, workers)
+		if len(res.Failures) != 0 {
+			t.Fatalf("%d workers: a delay must not fail cells: %v", workers, res.Failures)
+		}
+		if out != healthy {
+			t.Errorf("%d workers: delaying a fused timing member changed the output", workers)
+		}
+	}
+	if len(delay.Triggered()) == 0 {
+		t.Fatal("the delay never fired")
+	}
+	restore()
+
+	plan := &Plan{PanicCells: map[string]string{label: "injected panic"}}
+	restore = plan.Install()
+	defer restore()
+	for _, workers := range []int{1, 8} {
+		res, out := runSuite(t, exps, workers)
+		if len(res.Failures) != 1 {
+			t.Fatalf("%d workers: got %d failures, want exactly the injected one: %v", workers, len(res.Failures), res.Failures)
+		}
+		if ce := res.Failures[0]; ce.CellLabel() != label || ce.Stack == "" {
+			t.Errorf("%d workers: failure %q (stack %d bytes), want %s with a stack", workers, ce.CellLabel(), len(ce.Stack), label)
+		}
+		// The perl table has an "8" row too; it must not change.
+		assertOnlyEntryErr(t, healthy, out, "8", 3)
+	}
+	if len(plan.Triggered()) == 0 {
+		t.Fatal("the fault never fired")
+	}
+}
+
+// TestPanicInTimingBaselineFailsItsReductions pins the contract for the
+// BTB-only baseline, an ordinary member of its workload's timing gang
+// that every execution-time reduction of the workload is taken against.
+// A panic in table7's gcc baseline cell fails that cell alone — it is the
+// only failure in the digest — and every gcc reduction renders ERR,
+// because none can be computed without it; the perl table is untouched,
+// at 1 and 8 workers alike.
+func TestPanicInTimingBaselineFailsItsReductions(t *testing.T) {
+	const label = "table7/gcc/btb-baseline"
+	exps := experiments(t, "table7")
+	_, healthy := runSuite(t, exps, 1)
+
+	plan := &Plan{PanicCells: map[string]string{label: "injected panic"}}
+	restore := plan.Install()
+	defer restore()
+	var outs []string
+	for _, workers := range []int{1, 8} {
+		res, out := runSuite(t, exps, workers)
+		outs = append(outs, out)
+		if len(res.Failures) != 1 || res.Failures[0].CellLabel() != label {
+			t.Fatalf("%d workers: failures %v, want exactly %s", workers, res.Failures, label)
+		}
+		var lines []string
+		for _, l := range strings.Split(out, "\n") {
+			if !strings.Contains(l, "cell(s) failed") && !strings.HasPrefix(l, "note: ERR ") {
+				lines = append(lines, l)
+			}
+		}
+		want := strings.Split(healthy, "\n")
+		if len(lines) != len(want) {
+			t.Fatalf("%d workers: faulty output has %d lines besides the footer, healthy has %d", workers, len(lines), len(want))
+		}
+		// The ERR entries narrow the gcc table's columns, so its rules and
+		// header may change width; their words may not.
+		rule := func(l string) bool { return strings.Trim(l, "-") == "" }
+		inGcc, changed := false, 0
+		for i := range want {
+			inGcc = inGcc || strings.HasPrefix(want[i], "Table 7 (gcc)")
+			got, wantFields := strings.Fields(lines[i]), strings.Fields(want[i])
+			if lines[i] == want[i] || inGcc && (rule(lines[i]) && rule(want[i]) || strings.Join(got, " ") == strings.Join(wantFields, " ")) {
+				continue
+			}
+			if !inGcc || len(got) != 4 || got[0] != wantFields[0] || got[1] != "ERR" || got[2] != "ERR" || got[3] != "ERR" {
+				t.Fatalf("%d workers: unexpected change:\n  healthy: %q\n  faulty:  %q", workers, want[i], lines[i])
+			}
+			changed++
+		}
+		if changed != 7 {
+			t.Errorf("%d workers: %d gcc rows render ERR, want all 7", workers, changed)
+		}
+	}
+	if outs[0] != outs[1] {
+		t.Error("faulty output differs between 1 and 8 workers")
+	}
+}
+
 // assertOnlyEntryErr requires faulty to be healthy plus the failure
 // footer, with exactly one entry changed: field col of the row starting
 // with row now reads ERR.

@@ -96,3 +96,34 @@ func TestPathHistoryWinsOnPerl(t *testing.T) {
 			100*path.IndirectMispredictRate(), 100*pat.IndirectMispredictRate())
 	}
 }
+
+// TestFacadeRejectsBadMachines pins that the public timing entry points
+// report an impossible machine in TimingResult.Err instead of hanging
+// (zero width) or panicking (zero window, zero-way data cache).
+func TestFacadeRejectsBadMachines(t *testing.T) {
+	w, err := repro.WorkloadByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := w.Replay(5_000)
+	bad := map[string]func(*repro.MachineConfig){
+		"width 0":        func(m *repro.MachineConfig) { m.Width = 0 },
+		"window 0":       func(m *repro.MachineConfig) { m.Window = 0 },
+		"dcache ways 0":  func(m *repro.MachineConfig) { m.DCacheWays = 0 },
+		"dcache line 48": func(m *repro.MachineConfig) { m.DCacheLine = 48 },
+	}
+	for name, mutate := range bad {
+		m := repro.DefaultMachine()
+		mutate(&m)
+		timeline, _ := repro.RunTimelineDiagram(src, 5_000, repro.BaselineConfig(), m, 8)
+		for model, res := range map[string]repro.TimingResult{
+			"fast":     repro.RunTiming(src, 5_000, repro.BaselineConfig(), m),
+			"event":    repro.RunTimingEvent(src, 5_000, repro.BaselineConfig(), m),
+			"timeline": timeline,
+		} {
+			if res.Err == nil || res.Instructions != 0 {
+				t.Errorf("%s/%s: got %+v, want a validation error and nothing simulated", name, model, res)
+			}
+		}
+	}
+}
