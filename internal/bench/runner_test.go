@@ -20,7 +20,7 @@ func suiteParams() Params {
 }
 
 // suiteExperiments is a small but representative slice of the suite: one
-// accuracy experiment, one timing experiment (exercises timingContext),
+// accuracy experiment, one timing experiment (fused timing runs),
 // and the claims verifier is deliberately excluded for speed.
 func suiteExperiments(t *testing.T) []*Experiment {
 	t.Helper()
