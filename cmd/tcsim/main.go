@@ -302,8 +302,8 @@ func run() int {
 		}
 		if spilledCaptures, spilledBytes := workload.SpillStats(); spilledCaptures > 0 {
 			cache := trace.StoreCacheCounters()
-			fmt.Fprintf(os.Stderr, "tcsim: spilled %d captures (%d bytes on disk); store cache %d hits / %d misses / %d evictions\n",
-				spilledCaptures, spilledBytes, cache.Hits, cache.Misses, cache.Evictions)
+			fmt.Fprintf(os.Stderr, "tcsim: spilled %d captures (%d bytes on disk); store cache %d hits / %d misses\n",
+				spilledCaptures, spilledBytes, cache.Hits, cache.Misses)
 		}
 	}
 
@@ -318,21 +318,20 @@ func run() int {
 		cache := trace.StoreCacheCounters()
 		spilledCaptures, spilledBytes := workload.SpillStats()
 		rep := recorder.Report(telemetry.RunInfo{
-			Workers:             params.Workers(),
-			Wall:                wall,
-			Instructions:        work.Instructions,
-			MemoCaptures:        captureCount,
-			MemoHits:            replayCalls - captureCount,
-			MemoBytes:           memoBytes,
-			SegmentedRuns:       segs.SegmentedRuns,
-			SegmentsExecuted:    segs.SegmentsExecuted,
-			WarmupInstructions:  segs.WarmupInstructions,
-			StoreCacheHits:      cache.Hits,
-			StoreCacheMisses:    cache.Misses,
-			StoreCacheEvictions: cache.Evictions,
-			SpilledCaptures:     spilledCaptures,
-			SpilledBytes:        spilledBytes,
-			Interrupted:         res.Interrupted,
+			Workers:            params.Workers(),
+			Wall:               wall,
+			Instructions:       work.Instructions,
+			MemoCaptures:       captureCount,
+			MemoHits:           replayCalls - captureCount,
+			MemoBytes:          memoBytes,
+			SegmentedRuns:      segs.SegmentedRuns,
+			SegmentsExecuted:   segs.SegmentsExecuted,
+			WarmupInstructions: segs.WarmupInstructions,
+			StoreCacheHits:     cache.Hits,
+			StoreCacheMisses:   cache.Misses,
+			SpilledCaptures:    spilledCaptures,
+			SpilledBytes:       spilledBytes,
+			Interrupted:        res.Interrupted,
 		})
 		if *sites {
 			fmt.Println("== telemetry: per-site indirect-jump report ==")

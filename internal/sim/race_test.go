@@ -50,8 +50,9 @@ func TestConcurrentAccuracyOverSharedReplay(t *testing.T) {
 // TestConcurrentSegmentedReplay layers both axes of concurrency: several
 // goroutines each run a segment-parallel simulation (which itself spawns
 // one worker per segment) over one shared replay and over one shared
-// out-of-core store whose LRU cache is small enough to evict under load.
-// Under -race this proves segment workers and the store's group cache
+// out-of-core store whose resident budget holds one group, so the rest
+// are decoded, shared and dropped under load.
+// Under -race this proves segment workers and the store's group slots
 // share no unsynchronized mutable state; the result check proves
 // determinism survives the contention.
 func TestConcurrentSegmentedReplay(t *testing.T) {

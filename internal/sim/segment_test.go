@@ -63,8 +63,9 @@ func TestSegmentedMatchesStreaming(t *testing.T) {
 }
 
 // TestSegmentedOverStore runs the same equivalence over the out-of-core
-// trace store with a cache small enough to evict continuously, covering
-// the segmented kernel's only other BlockSource.
+// trace store with a resident budget of one group, so segments keep
+// decoding and dropping the rest, covering the segmented kernel's only
+// other BlockSource.
 func TestSegmentedOverStore(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -89,8 +90,8 @@ func TestSegmentedOverStore(t *testing.T) {
 	if got := RunAccuracySegmentedCtx(ctx, store, budget, 4, cfg); got != want {
 		t.Fatalf("store segmented run diverges\n  store  %+v\n  memory %+v", got, want)
 	}
-	if st := store.CacheStats(); st.Evictions == 0 {
-		t.Fatalf("store cache never evicted (stats %+v); cache bound too loose for the test", st)
+	if groups := int64(store.NumBlocks() / 2); store.CacheStats().Misses <= groups {
+		t.Fatalf("store decoded each of its %d groups once (stats %+v); budget too loose for the test", groups, store.CacheStats())
 	}
 }
 

@@ -135,11 +135,12 @@ type RunInfo struct {
 	// segment-parallel replay: runs that split, segments executed, and
 	// instructions replayed purely to warm predictor state before a seam.
 	SegmentedRuns, SegmentsExecuted, WarmupInstructions int64
-	// StoreCacheHits/Misses/Evictions are the out-of-core trace store's
-	// block-group cache counters; SpilledCaptures and SpilledBytes describe
-	// captures spilled to trace-store files instead of held in memory.
-	StoreCacheHits, StoreCacheMisses, StoreCacheEvictions int64
-	SpilledCaptures, SpilledBytes                         int64
+	// StoreCacheHits/Misses are the out-of-core trace store's group
+	// counters (trace.CacheStats); SpilledCaptures and SpilledBytes
+	// describe captures spilled to trace-store files instead of held in
+	// memory.
+	StoreCacheHits, StoreCacheMisses int64
+	SpilledCaptures, SpilledBytes    int64
 	// Interrupted marks a run cancelled before completing (SIGINT); the
 	// exported telemetry covers the cells that finished.
 	Interrupted bool
@@ -158,14 +159,13 @@ type RunMetrics struct {
 	// Segment-parallel replay and out-of-core trace-store counters; all
 	// omitempty so reports from runs that never segment or spill (including
 	// the golden fixtures) are unchanged.
-	SegmentedRuns       int64 `json:"segmented_runs,omitempty"`
-	SegmentsExecuted    int64 `json:"segments_executed,omitempty"`
-	WarmupInstructions  int64 `json:"warmup_instructions,omitempty"`
-	StoreCacheHits      int64 `json:"store_cache_hits,omitempty"`
-	StoreCacheMisses    int64 `json:"store_cache_misses,omitempty"`
-	StoreCacheEvictions int64 `json:"store_cache_evictions,omitempty"`
-	SpilledCaptures     int64 `json:"spilled_captures,omitempty"`
-	SpilledBytes        int64 `json:"spilled_bytes,omitempty"`
+	SegmentedRuns      int64 `json:"segmented_runs,omitempty"`
+	SegmentsExecuted   int64 `json:"segments_executed,omitempty"`
+	WarmupInstructions int64 `json:"warmup_instructions,omitempty"`
+	StoreCacheHits     int64 `json:"store_cache_hits,omitempty"`
+	StoreCacheMisses   int64 `json:"store_cache_misses,omitempty"`
+	SpilledCaptures    int64 `json:"spilled_captures,omitempty"`
+	SpilledBytes       int64 `json:"spilled_bytes,omitempty"`
 
 	Workers int     `json:"workers"`
 	WallMS  float64 `json:"wall_ms"`
@@ -226,21 +226,20 @@ type Report struct {
 func (r *Recorder) Report(info RunInfo) *Report {
 	rep := &Report{
 		Run: RunMetrics{
-			MemoCaptures:        info.MemoCaptures,
-			MemoHits:            info.MemoHits,
-			MemoBytes:           info.MemoBytes,
-			SegmentedRuns:       info.SegmentedRuns,
-			SegmentsExecuted:    info.SegmentsExecuted,
-			WarmupInstructions:  info.WarmupInstructions,
-			StoreCacheHits:      info.StoreCacheHits,
-			StoreCacheMisses:    info.StoreCacheMisses,
-			StoreCacheEvictions: info.StoreCacheEvictions,
-			SpilledCaptures:     info.SpilledCaptures,
-			SpilledBytes:        info.SpilledBytes,
-			Workers:             info.Workers,
-			WallMS:              float64(info.Wall.Microseconds()) / 1000,
-			Instructions:        info.Instructions,
-			Interrupted:         info.Interrupted,
+			MemoCaptures:       info.MemoCaptures,
+			MemoHits:           info.MemoHits,
+			MemoBytes:          info.MemoBytes,
+			SegmentedRuns:      info.SegmentedRuns,
+			SegmentsExecuted:   info.SegmentsExecuted,
+			WarmupInstructions: info.WarmupInstructions,
+			StoreCacheHits:     info.StoreCacheHits,
+			StoreCacheMisses:   info.StoreCacheMisses,
+			SpilledCaptures:    info.SpilledCaptures,
+			SpilledBytes:       info.SpilledBytes,
+			Workers:            info.Workers,
+			WallMS:             float64(info.Wall.Microseconds()) / 1000,
+			Instructions:       info.Instructions,
+			Interrupted:        info.Interrupted,
 		},
 	}
 	if r == nil {

@@ -33,13 +33,14 @@ import (
 //   - Spilling. Above a configurable threshold the capture streams from
 //     the VM straight into an out-of-core trace.Store file — the decoded
 //     columns never exist in memory at once — and cells replay it through
-//     the store's bounded block cache, so budgets far beyond RAM run in
-//     flat memory. See ConfigureSpill.
+//     the store, which keeps a bounded prefix of groups decoded and
+//     decodes the rest as readers reach them, so budgets far beyond RAM
+//     run in flat memory. See ConfigureSpill.
 //
 // The memo never evicts: tcsim runs use at most two budgets per workload
-// (accuracy and timing), roughly 4 bytes per instruction resident — or
-// only the block cache when spilled. Library users sweeping many budgets
-// can call ResetMemo between sweeps.
+// (accuracy and timing), roughly 28 bytes per instruction resident — or
+// only the store's resident groups when spilled. Library users sweeping
+// many budgets can call ResetMemo between sweeps.
 
 type memoKey struct {
 	name   string
@@ -58,9 +59,6 @@ type SpillConfig struct {
 	// Threshold is the smallest budget (in instructions) that spills;
 	// 0 disables spilling.
 	Threshold int64
-	// CacheBytes bounds each spilled store's decoded-block LRU cache
-	// (<= 0 selects the trace package default).
-	CacheBytes int64
 	// Compress flate-compresses the spilled files.
 	Compress bool
 }
@@ -145,8 +143,9 @@ func (w *Workload) ReplayPrefix(budget, shareBudget int64) trace.BlockSource {
 }
 
 // spillCapture streams the VM straight into a trace-store file and opens
-// it lazily: peak memory is one block group plus the store's LRU cache,
-// regardless of budget.
+// it lazily with the trace package's default resident budget: peak memory
+// is one block group plus the store's resident groups and the groups its
+// readers are in, regardless of budget.
 func spillCapture(w *Workload, budget int64, cfg SpillConfig) (trace.BlockSource, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -165,7 +164,7 @@ func spillCapture(w *Workload, budget int64, cfg SpillConfig) (trace.BlockSource
 		}
 		return nil, cerr
 	}
-	s, err := trace.OpenStoreFile(path, cfg.CacheBytes)
+	s, err := trace.OpenStoreFile(path, 0)
 	if err != nil {
 		os.Remove(path)
 		return nil, err

@@ -163,7 +163,7 @@ func TestSpillCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	ConfigureSpill(SpillConfig{Dir: dir, Threshold: 40_000, CacheBytes: 1 << 20, Compress: true})
+	ConfigureSpill(SpillConfig{Dir: dir, Threshold: 40_000, Compress: true})
 
 	sc0, _ := SpillStats()
 	small := w.Replay(20_000)
