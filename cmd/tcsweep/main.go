@@ -4,9 +4,12 @@
 // shared capture store, and reports the per-workload Pareto frontier of
 // accuracy versus storage bits.
 //
-// Points sharing a workload and history scheme are fused into gangs: one
-// trace pass updates up to -gang predictor instances in lockstep, with
-// results byte-identical to per-point simulation at any width.
+// Points are fused, with results byte-identical to per-point simulation
+// at any width: a workload's btb points run as gangs of up to -gang BTBs
+// over one capture walk, and its target-cache points, in units of up to
+// -gang sharing a history scheme, replay one walk of the baseline front
+// end that the sweep makes once per workload. -gang 1 walks the capture
+// once per point.
 //
 // Usage:
 //
@@ -254,10 +257,11 @@ func run() int {
 	return 0
 }
 
-// printGangPlan summarizes the planned gang grouping on stderr: trace
-// passes per workload, gang-width distribution, and the largest gang's
-// predictor-state footprint, so the memory cost of a width is visible
-// before anything simulates.
+// printGangPlan summarizes the planned execution on stderr: capture
+// walks per workload — btb gangs and direct points, plus the kept
+// front-end walk the target-cache units replay — the unit-width
+// distributions, and the largest unit's predictor-state footprint, so
+// the memory cost of a width is visible before anything simulates.
 func printGangPlan(points []sweep.Point, shardSize, width int) {
 	plans := sweep.PlanGangs(points, shardSize, width)
 	mode := fmt.Sprintf("width %d", width)
@@ -266,18 +270,31 @@ func printGangPlan(points []sweep.Point, shardSize, width int) {
 	}
 	fmt.Fprintf(os.Stderr, "tcsweep: gang plan (%s):\n", mode)
 	for _, pl := range plans {
-		widths := make([]int, 0, len(pl.Gangs))
-		for w := range pl.Gangs {
-			widths = append(widths, w)
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(widths)))
 		var parts []string
-		for _, w := range widths {
-			parts = append(parts, fmt.Sprintf("%dx%d-point", pl.Gangs[w], w))
+		if len(pl.Gangs) > 0 {
+			parts = append(parts, widthCounts(pl.Gangs)+" walks")
+		}
+		if len(pl.Replays) > 0 {
+			parts = append(parts, "1 kept walk replayed by "+widthCounts(pl.Replays)+" units")
 		}
 		fmt.Fprintf(os.Stderr, "tcsweep:   %-8s %4d points in %4d passes (%s), peak gang state %s\n",
-			pl.Workload, pl.Points, pl.Passes, strings.Join(parts, ", "), formatBytes(pl.MaxStateBytes))
+			pl.Workload, pl.Points, pl.Passes, strings.Join(parts, "; "), formatBytes(pl.MaxStateBytes))
 	}
+}
+
+// widthCounts renders a width histogram, widest first: "2x16-point,
+// 1x4-point".
+func widthCounts(counts map[int]int) string {
+	widths := make([]int, 0, len(counts))
+	for w := range counts {
+		widths = append(widths, w)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(widths)))
+	parts := make([]string, len(widths))
+	for i, w := range widths {
+		parts[i] = fmt.Sprintf("%dx%d-point", counts[w], w)
+	}
+	return strings.Join(parts, ", ")
 }
 
 func formatBytes(n int64) string {

@@ -174,16 +174,9 @@ func (e *Engine) Resolve(r *trace.Record, p Prediction) {
 		e.Tel.Indirect(r.PC, p.hist, p.Target, p.Taken && p.HasTarget, r.Target, p.Correct(r))
 	}
 	// Return address stack: calls push at resolve (in-order driver), and
-	// returns consume the speculatively peeked entry.
-	if r.Class.IsCall() {
-		e.RAS.Push(r.FallThrough())
-	}
-	if r.Class == trace.ClassReturn {
-		e.RAS.Pop()
-	}
-	if r.Class == trace.ClassCondDirect {
-		e.Dir.Update(r.PC, r.Taken)
-	}
+	// returns consume the speculatively peeked entry; then the direction
+	// predictor trains.
+	resolveFront(e.RAS, e.Dir, r)
 	if e.TC != nil {
 		if r.Class.IsTargetCachePredicted() {
 			// Re-access with the fetch-time index and write the computed

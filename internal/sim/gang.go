@@ -16,24 +16,29 @@ import (
 // The batched kernel (kernel.go) is written for gangs throughout: a solo
 // accuracy run is the gang of one.
 //
-// What makes fusion sound: the baseline front-end structures (BTB, return
-// address stack, direction predictor) and the branch-history registers
-// train purely on the resolved record stream, never on prediction
-// outcomes, so two runs differing only in their target cache hold
-// bit-identical front-end state at every instruction. A gang therefore
-// shares
+// What makes fusion sound: the front-end structures (BTB, return address
+// stack, direction predictor) and the branch-history registers train
+// purely on the resolved record stream, never on prediction outcomes, so
+// two runs differing only in one of them hold bit-identical state in all
+// the others at every instruction. A gang therefore shares
 //
 //   - one block iteration: record fields (pc/target/class byte) are read
 //     once per block for the whole gang;
-//   - one front end: every member must carry the same BTB geometry, RAS
-//     depth and direction-predictor config (the sweep's target-cache
-//     families all use the paper's baseline front end, so this holds by
-//     construction, and the bench groups an experiment's runs by front
-//     end); probe, direction prediction and training run once;
-//   - per-scheme history registers: members naming the same HistShare key
-//     provably construct identical providers, so the register is computed
-//     and trained once and its Value is read by every member using that
-//     scheme.
+//   - one RAS and direction predictor: every member must carry the same
+//     RAS depth and direction-predictor config;
+//   - one BTB, unless no member carries a target cache: a gang whose
+//     members carry target caches must agree on the BTB too (the sweep's
+//     target-cache families all use the paper's baseline front end, and
+//     the bench groups an experiment's runs by front end), and its probe,
+//     direction prediction and training run once. A BTB gang — BTB-only
+//     members of different geometries or update strategies, as the
+//     sweep's btb family — gives each member its own BTB, which predicts
+//     from the shared direction predictor's and RAS's verdicts;
+//   - per-key history registers: members naming the same HistShare key
+//     read one register, the deepest of theirs, each member its own low
+//     bits of it — exact because a pattern or path history's n-bit value
+//     is the low n bits of the same history at any greater depth — so the
+//     register is computed and trained once.
 //
 // Per member there remains only the target cache itself (a BTB-only
 // member has none and reads the BTB's target) and its optional telemetry
@@ -44,24 +49,27 @@ import (
 // whose stale BTB entry misclassifies it as indirect. Everything else is
 // accumulated once in shared counters and added into every member's
 // result at the end, so the per-record marginal cost of a gang member is
-// zero on the ~95% of branches that never touch a target cache.
+// zero on the ~95% of branches that never touch a target cache. A walk of
+// the shared front end can also be kept and replayed by many gangs
+// (walk.go).
 //
 // Equivalence contract: for every member, the returned AccuracyResult is
 // struct-identical to sim.RunAccuracy over the same factory, budget and
 // config, and its telemetry collector ends up deep-equal to a solo run's.
-// TestGangMatchesSolo, TestGangTelemetryMatchesSolo and the sweep
-// package's differential harness pin this at gang widths 1, 4 and K
-// across worker counts.
+// TestGangMatchesSolo, TestGangTelemetryMatchesSolo, TestBTBGangMatchesEngine
+// and the sweep package's differential harness pin this at gang widths 1,
+// 4 and K across worker counts.
 
 // GangPoint is one member of a fused gang: a full simulation config plus
 // an optional history-sharing key.
 type GangPoint struct {
 	Config Config
-	// HistShare, when non-empty, identifies the member's history
-	// configuration: members with equal keys are guaranteed by the caller
-	// to construct identical history providers (same kind, same depth,
-	// same path parameters) and share a single register. An empty key
-	// gives the member a private provider, which is always safe.
+	// HistShare, when non-empty, names the member's history register:
+	// members with equal keys are guaranteed by the caller to construct
+	// history providers of one kind (same path parameters) that differ at
+	// most in depth, and share a single register, the deepest; each member
+	// reads its own Len() low bits of it. An empty key gives the member a
+	// private provider, which is always safe.
 	HistShare string
 	// Mispredicts, when non-nil, receives the member's per-branch
 	// mispredict bits once the pass returns (see BranchBits): what a
@@ -115,7 +123,8 @@ func RunAccuracyGang(factory trace.Factory, budget int64, pts []GangPoint) ([]Ac
 //
 // The second return is false — and no simulation runs — when the gang
 // cannot be fused: it is empty, the factory exposes no decoded
-// BlockSource, or the members disagree on front-end configuration.
+// BlockSource, the members disagree on RAS depth or direction predictor,
+// or they disagree on the BTB while some member carries a target cache.
 // Callers fall back to per-point runs.
 func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64, pts []GangPoint) ([]AccuracyResult, bool) {
 	return RunAccuracyGangSegmentedCtx(ctx, factory, budget, 0, 1, pts)
@@ -137,11 +146,25 @@ func RunAccuracyGangSegmentedCtx(ctx context.Context, factory trace.Factory, bud
 	if !ok {
 		return nil, false
 	}
-	front := pts[0].Config
-	for _, pt := range pts[1:] {
-		if cfg := pt.Config; cfg.BTB != front.BTB || cfg.RASDepth != front.RASDepth || cfg.Dir != front.Dir {
-			return nil, false
-		}
+	if !fusable(pts) {
+		return nil, false
 	}
 	return runSegmented(ctx, span{bs: bs, end: budget, flushInterval: flushInterval}, segments, pts), true
+}
+
+// fusable reports whether pts can share one walk: every member has the
+// first's RAS depth and direction predictor, and either every member has
+// its BTB too or no member carries a target cache (a BTB gang).
+func fusable(pts []GangPoint) bool {
+	first := pts[0].Config
+	btbs, tcs := false, false
+	for _, pt := range pts {
+		cfg := pt.Config
+		if cfg.RASDepth != first.RASDepth || cfg.Dir != first.Dir {
+			return false
+		}
+		btbs = btbs || cfg.BTB != first.BTB
+		tcs = tcs || cfg.NewTargetCache != nil
+	}
+	return !(btbs && tcs)
 }

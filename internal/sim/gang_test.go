@@ -3,8 +3,10 @@ package sim
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/btb"
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/telemetry"
@@ -176,7 +178,9 @@ func TestGangMispredictBits(t *testing.T) {
 
 // TestGangSharedHistoryMatchesPrivate verifies that history sharing is
 // invisible in the results: the same gang with all share keys cleared
-// (every member gets a private provider) reports identical results.
+// (every member gets a private provider) reports identical results, and
+// so does the gang keyed by scheme alone, where members of different
+// depths read the low bits of one register.
 func TestGangSharedHistoryMatchesPrivate(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -184,22 +188,52 @@ func TestGangSharedHistoryMatchesPrivate(t *testing.T) {
 	}
 	const budget = 40_000
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
-	shared := gangPoints()
 	private := gangPoints()
 	for i := range private {
 		private[i].HistShare = ""
 	}
-	got, ok := RunAccuracyGang(rep, budget, shared)
-	want, ok2 := RunAccuracyGang(rep, budget, private)
-	if !ok || !ok2 {
+	want, ok := RunAccuracyGang(rep, budget, private)
+	if !ok {
 		t.Fatal("gang refused to fuse")
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("member %d: shared-history result diverges from private providers\n  shared  %+v\n  private %+v",
-				i, got[i], want[i])
+	for name, pts := range map[string][]GangPoint{"by depth": gangPoints(), "by scheme": schemeKeyed(gangPoints())} {
+		got, ok := RunAccuracyGang(rep, budget, pts)
+		if !ok {
+			t.Fatalf("%s: gang refused to fuse", name)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: member %d: shared-history result diverges from private providers\n  shared  %+v\n  private %+v",
+					name, i, got[i], want[i])
+			}
 		}
 	}
+}
+
+// schemeKeyed rekeys pts' history sharing by scheme alone ("pattern#9"
+// becomes "pattern"), so members of one scheme at different depths share
+// a register.
+func schemeKeyed(pts []GangPoint) []GangPoint {
+	for i := range pts {
+		if scheme, _, ok := strings.Cut(pts[i].HistShare, "#"); ok {
+			pts[i].HistShare = scheme
+		}
+	}
+	return pts
+}
+
+// btbGangPoints are BTB-only members over the paper's RAS and direction
+// predictor that differ in BTB geometry and update strategy.
+func btbGangPoints() []GangPoint {
+	var pts []GangPoint
+	for _, geo := range []struct{ sets, ways int }{{256, 4}, {64, 2}, {512, 1}, {128, 8}} {
+		for _, strat := range []btb.Strategy{btb.StrategyDefault, btb.StrategyTwoBit} {
+			cfg := DefaultConfig()
+			cfg.BTB = btb.Config{Sets: geo.sets, Ways: geo.ways, Strategy: strat}
+			pts = append(pts, GangPoint{Config: cfg})
+		}
+	}
+	return pts
 }
 
 // TestGangFallbackConditions enumerates every condition under which the
@@ -245,6 +279,40 @@ func TestGangFallbackConditions(t *testing.T) {
 		pts[1].Config = cfg
 		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
 			t.Error("gang fused members with different front ends")
+		}
+	})
+	t.Run("btb-gang", func(t *testing.T) {
+		// Members differing only in their BTB fuse, and each scores
+		// exactly as its solo run.
+		pts := btbGangPoints()
+		got, ok := RunAccuracyGang(rep, budget, pts)
+		if !ok {
+			t.Fatal("gang refused members differing only in their BTB")
+		}
+		for i, pt := range pts {
+			if want := RunAccuracy(rep, budget, pt.Config); got[i] != want {
+				t.Errorf("member %d diverges from solo run\n  gang %+v\n  solo %+v", i, got[i], want)
+			}
+		}
+	})
+	t.Run("btb-gang-direction-mismatch", func(t *testing.T) {
+		pts := btbGangPoints()
+		pts[1].Config.Dir.HistoryBits = 8
+		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
+			t.Error("BTB gang fused members with different direction predictors")
+		}
+	})
+	t.Run("btb-gang-ras-mismatch", func(t *testing.T) {
+		pts := btbGangPoints()
+		pts[2].Config.RASDepth = 8
+		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
+			t.Error("BTB gang fused members with different RAS depths")
+		}
+	})
+	t.Run("btb-gang-with-target-cache", func(t *testing.T) {
+		pts := append(btbGangPoints(), base[0])
+		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
+			t.Error("gang fused a target cache with members of a different BTB")
 		}
 	})
 }
@@ -353,7 +421,9 @@ func TestGangCancellation(t *testing.T) {
 }
 
 // BenchmarkGangVsSolo measures the fused kernel's amortization: one pass
-// updating 8 tagless configs against 8 separate solo passes.
+// updating 8 tagless configs against 8 separate solo passes, and one BTB
+// gang of 36 BTB geometries and update strategies against 36 solo passes,
+// each reported per member-instruction.
 func BenchmarkGangVsSolo(b *testing.B) {
 	const budget = 1_000_000
 	w, err := workload.ByName("gcc")
@@ -388,5 +458,35 @@ func BenchmarkGangVsSolo(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(int64(len(pts))*budget*int64(b.N))/b.Elapsed().Seconds()/1e6, "Mpointinstr/s")
+	})
+
+	var btbs []GangPoint
+	for _, strat := range []btb.Strategy{btb.StrategyDefault, btb.StrategyTwoBit} {
+		for _, entries := range []int{256, 512, 1024, 2048, 4096, 8192} {
+			for _, ways := range []int{1, 2, 4} {
+				cfg := DefaultConfig()
+				cfg.BTB = btb.Config{Sets: entries / ways, Ways: ways, Strategy: strat}
+				btbs = append(btbs, GangPoint{Config: cfg})
+			}
+		}
+	}
+	perMemberInstr := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(len(btbs))*budget*int64(b.N)), "ns/member-instr")
+	}
+	b.Run("btb-gang-36", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := RunAccuracyGang(rep, budget, btbs); !ok {
+				b.Fatal("BTB gang refused to fuse")
+			}
+		}
+		perMemberInstr(b)
+	})
+	b.Run("btb-solo-36", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, pt := range btbs {
+				RunAccuracy(rep, budget, pt.Config)
+			}
+		}
+		perMemberInstr(b)
 	})
 }

@@ -3,8 +3,12 @@ package sim
 import (
 	"context"
 	"math"
+	"slices"
+	"sync"
 
+	"repro/internal/btb"
 	"repro/internal/core"
+	"repro/internal/dirpred"
 	"repro/internal/history"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -13,10 +17,10 @@ import (
 
 // Batched accuracy kernel: every accuracy run over a decoded block stream —
 // a solo run (a gang of one), a run with periodic flushes, a segment
-// worker's priming walk and its simulated span, and a fused sweep gang —
-// executes gangKernel below. It differs from the streaming reference loop
-// (RunAccuracyWithFlushesCtx over an arbitrary source) in ways none of
-// which is observable in the results:
+// worker's priming walk and its simulated span, a fused gang, and a
+// kept front-end walk (walk.go) — executes gangKernel below. It differs
+// from the streaming reference loop (RunAccuracyWithFlushesCtx over an
+// arbitrary source) in ways none of which is observable in the results:
 //
 //   - Batched iteration. Records come from a trace.BlockSource's column
 //     batches — built once per capture process-wide — and non-branch
@@ -27,7 +31,19 @@ import (
 //     pair, so the hot path is direct calls on concrete structs instead
 //     of interface dispatch through core.TargetCache/history.Provider.
 //   - Fusion. K members share one front end and one history register per
-//     scheme; see gang.go for why that is exact.
+//     share key; see gang.go for why that is exact.
+//   - Two steps. The kernel is a walk and a member step. The walk runs
+//     the front end over every branch: BTB probe, the prediction of every
+//     branch that consults no target cache (counted once, it is every
+//     member's), and the training of the BTB, RAS, direction predictor
+//     and history registers. It emits an event for each record whose
+//     prediction consults the target caches or whose resolution trains
+//     them, with the history values it was fetched under, and the member
+//     step (memberStep) runs every member's target cache over the event.
+//     A kept walk (walk.go) instead keeps every event, and its replays
+//     run the member step over them. A BTB gang has a walk and a member
+//     loop of its own (btbGangKernel, runBTBMembers), which share the
+//     BTB's prediction (btbPredict) with the walk.
 //
 // The inlined sequence must mirror Engine.Predict/Engine.Resolve exactly;
 // TestKernelMatchesGenericLoop, TestGangMatchesSolo and the bench golden
@@ -68,34 +84,104 @@ func blocksFor(factory trace.Factory) (trace.BlockSource, bool) {
 	return bs, ok
 }
 
+// event is one record the member step reads. In a gang with target
+// caches: a branch whose prediction consulted them (its BTB entry holds an
+// indirect class), or an indirect jump or call, whose resolution trains
+// them. In a BTB gang: every branch, which each member's BTB predicts.
+type event struct {
+	pc, target uint64
+	// btbTarget is, on a consulting event, the BTB entry's target — a
+	// member's prediction when its target cache misses; on another
+	// target-cache event, the front end's shared predicted target, which
+	// telemetry reports; in a BTB gang, the RAS top.
+	btbTarget uint64
+	n         int64 // instruction index: the telemetry clock
+	cls       trace.Class
+	flags     uint8
+}
+
+const (
+	evTaken     uint8 = 1 << iota // the branch was taken
+	evConsult                     // the prediction consulted the target caches
+	evPredicted                   // shared outcome: a taken target was predicted
+	evCorrect                     // shared outcome: and it was right
+	evDirTaken                    // BTB gang: the direction predictor says taken
+	evRASValid                    // BTB gang: the RAS holds a return address
+)
+
+// outcomes counts predictions by branch class, indexed by trace.Class;
+// AccuracyResult's split (add) merges calls into Direct and indirect
+// calls into Indirect, and every class into Overall.
+type outcomes [8]stats.Counter
+
+// record counts one prediction of a branch of class cls.
+func (o *outcomes) record(cls trace.Class, correct bool) { o[cls&7].Record(correct) }
+
+// add merges o into res's class counters.
+func (o *outcomes) add(res *AccuracyResult) {
+	res.Conditional.Add(o[trace.ClassCondDirect])
+	res.Direct.Add(o[trace.ClassUncondDirect])
+	res.Direct.Add(o[trace.ClassCall])
+	res.Returns.Add(o[trace.ClassReturn])
+	res.Indirect.Add(o[trace.ClassIndJump])
+	res.Indirect.Add(o[trace.ClassIndCall])
+	for _, c := range o {
+		res.Overall.Add(c)
+	}
+}
+
+// btbPredict is Engine.Predict for a branch whose target no target cache
+// supplies: a BTB miss falls through; a hit predicts the entry's class's
+// way — a conditional entry by the direction predictor's verdict
+// dirTaken, a return entry to the RAS top (rasTarget, rasOK), any other
+// entry to its target.
+func btbPredict(entry btb.Entry, hit, dirTaken bool, rasTarget uint64, rasOK bool) (taken bool, target uint64, hasTarget bool) {
+	switch {
+	case !hit || entry.Class == trace.ClassCondDirect && !dirTaken:
+		return false, 0, false
+	case entry.Class == trace.ClassReturn:
+		return true, rasTarget, rasOK
+	}
+	return true, entry.Target, true
+}
+
 // gangMember is the per-member state of a kernel run. The slice of these
-// is the gang's only per-member allocation besides the target caches
-// themselves; counters here record only the records whose outcome
-// diverged per member (their prediction consulted the member's target
-// cache) — the shared skeleton counters live once in the kernel.
+// is the gang's only per-member allocation besides the target caches (or,
+// in a BTB gang, the BTBs) themselves; counters here record only the
+// records whose outcome diverged per member — their prediction consulted
+// the member's target cache, or, in a BTB gang, any branch — while the
+// shared skeleton counters live once in the gang.
 type gangMember struct {
-	hist int32                // index into the shared provider table (len for none)
+	hist int32 // index into the history values (their count for none)
+	// mask keeps the low bits of a shared register a shallower member
+	// reads; all ones when the member's depth is the register's.
+	mask uint64
+	btb  *btb.BTB             // the member's own BTB in a BTB gang; nil otherwise
 	tel  *telemetry.Collector // nil when the member collects no telemetry
 
-	cond, direct, returns, indirect, overall stats.Counter
-	tcCovered                                int64
+	outcomes
+	tcCovered int64
 	// bits marks the member's mispredictions among the records whose
-	// prediction consulted the target caches, by their ordinal among
-	// those records, when the gang records mispredict bits; noted is
-	// overall.Mispredicts as of the last such record.
-	bits  BranchBits
-	noted int64
+	// prediction consulted the target caches (in a BTB gang, every
+	// branch), by their ordinal among those records, when the gang
+	// records mispredict bits.
+	bits BranchBits
 }
 
 // gang is the instantiated state the kernel runs over: one front end
-// shared by every member (its Engine carries no target cache, history or
-// collector), and per member a target cache and an index into the shared
-// history providers.
+// shared by every member — a BTB (unless each member brings its own), a
+// RAS and a direction predictor — the history registers, and per member
+// a target cache and its register index.
 type gang struct {
-	engine    *Engine
+	btb       *btb.BTB // nil in a BTB gang
+	ras       *btb.RAS
+	dir       *dirpred.Predictor
 	members   []gangMember
 	tcs       []core.TargetCache
 	providers []history.Provider
+	// consults is set when some member carries a target cache: the walk
+	// then emits an event for every record that consults or trains one.
+	consults  bool
 	telemetry bool // some member carries a collector
 	// bits is set when some member wants mispredict bits. Indexed by
 	// branch ordinal within the span, shared then marks the mispredicted
@@ -107,23 +193,40 @@ type gang struct {
 	shared    BranchBits
 	mask      BranchBits
 	consulted int64
+
+	// kept holds a kept walk's events with, for each, the providers'
+	// values at its fetch: one exactly sized chunk per poll interval.
+	kept []eventBuf
+	// The kernel's outcome: the shared-outcome counters, the span's
+	// branch and instruction counts, and the error that stopped it.
+	res             outcomes
+	branches, insns int64
+	err             error
 }
 
-// newGang instantiates pts over the first member's front-end config; the
-// caller guarantees every member shares it. A member without a target
-// cache (the BTB-only baseline) runs with noTC and no history.
+// newGang instantiates pts over the first member's front end, or, when
+// the members' BTBs differ, over its RAS and direction predictor with one
+// BTB per member; the caller guarantees every member shares the RAS and
+// direction predictor, and that a BTB gang carries no target cache. A
+// member without a target cache (the BTB-only baseline) runs with noTC
+// and no history.
 func newGang(pts []GangPoint) *gang {
-	front := pts[0].Config
-	front.NewTargetCache, front.NewHistory, front.Telemetry = nil, nil, nil
-	g := &gang{
-		engine:  NewEngine(front),
-		members: make([]gangMember, len(pts)),
-		tcs:     make([]core.TargetCache, len(pts)),
+	g := newFrontEnd(pts[0].Config)
+	g.members = make([]gangMember, len(pts))
+	g.tcs = make([]core.TargetCache, len(pts))
+	for _, pt := range pts {
+		if pt.Config.BTB != pts[0].Config.BTB {
+			g.btb = nil
+		}
 	}
-	shared := make(map[string]int32, len(pts))
+	regs := make(map[string]int32, len(pts))
+	depths := make([]int, len(pts))
 	for i, pt := range pts {
 		cfg := pt.Config
 		m := &g.members[i]
+		if g.btb == nil {
+			m.btb = btb.New(cfg.BTB)
+		}
 		m.tel = cfg.Telemetry
 		g.telemetry = g.telemetry || m.tel != nil
 		g.bits = g.bits || pt.Mispredicts != nil
@@ -132,26 +235,58 @@ func newGang(pts []GangPoint) *gang {
 			m.hist = -1
 			continue
 		}
-		if cfg.NewHistory == nil {
-			panic("sim: target cache configured without a history")
-		}
 		g.tcs[i] = cfg.NewTargetCache()
-		if key := pt.HistShare; key != "" {
-			if idx, ok := shared[key]; ok {
-				m.hist = idx
-				continue
-			}
-			shared[key] = int32(len(g.providers))
-		}
-		m.hist = int32(len(g.providers))
-		g.providers = append(g.providers, cfg.NewHistory())
+		g.consults = true
+		m.hist, depths[i] = g.register(pt, regs)
 	}
 	for i := range g.members {
-		if g.members[i].hist < 0 {
-			g.members[i].hist = int32(len(g.providers))
+		m := &g.members[i]
+		if m.hist < 0 {
+			m.hist = int32(len(g.providers))
+			continue
 		}
+		m.mask = readMask(depths[i], g.providers[m.hist].Len())
 	}
 	return g
+}
+
+// newFrontEnd is a gang of no members over cfg's front end.
+func newFrontEnd(cfg Config) *gang {
+	return &gang{
+		btb: btb.New(cfg.BTB),
+		ras: btb.NewRAS(cfg.RASDepth),
+		dir: dirpred.New(cfg.Dir),
+	}
+}
+
+// register builds pt's history provider and returns the index of the
+// register it reads, and its depth: members with equal HistShare keys
+// read one register, the deepest of theirs.
+func (g *gang) register(pt GangPoint, regs map[string]int32) (int32, int) {
+	if pt.Config.NewHistory == nil {
+		panic("sim: target cache configured without a history")
+	}
+	h := pt.Config.NewHistory()
+	if key := pt.HistShare; key != "" {
+		if idx, ok := regs[key]; ok {
+			if h.Len() > g.providers[idx].Len() {
+				g.providers[idx] = h
+			}
+			return idx, h.Len()
+		}
+		regs[key] = int32(len(g.providers))
+	}
+	g.providers = append(g.providers, h)
+	return int32(len(g.providers) - 1), h.Len()
+}
+
+// readMask is the mask a member of the given history depth applies to a
+// register of regDepth bits: the low depth bits, or all of them.
+func readMask(depth, regDepth int) uint64 {
+	if depth >= regDepth || depth >= 64 {
+		return math.MaxUint64
+	}
+	return 1<<depth - 1
 }
 
 // soloGang is the one-member gang a solo run of cfg executes.
@@ -165,35 +300,47 @@ type span struct {
 	// prime walks for the state mutations only: no counters, no
 	// telemetry, and none of the pure lookups that only feed them.
 	prime bool
+	// keep keeps every event for later replays (a kept walk, which
+	// has no members) instead of running the members on each.
+	keep bool
+	// walk, when set, replaces the walk: the members run over its events.
+	walk *Walk
 }
 
-// run executes the kernel over sp at the members' concrete target-cache
-// and history types. Solo runs are trivially homogeneous, and grid
-// expansion emits sweep points family by family, so gangs mix families
-// only at grid boundaries; a heterogeneous gang (or an unlisted type) takes
-// the interface-typed instantiation of the same kernel.
+// run executes the kernel over sp: a BTB gang's walk, or the kernel (or a
+// replay of sp.walk) at the members' concrete target-cache and history
+// types. Solo runs are trivially homogeneous, and grid expansion emits
+// sweep points family by family, so gangs mix families only at grid
+// boundaries; a heterogeneous gang (or an unlisted type) takes the
+// interface-typed instantiation of the same kernel.
 func (g *gang) run(ctx context.Context, sp span) []AccuracyResult {
+	if g.btb == nil && sp.walk == nil {
+		return btbGangKernel(ctx, sp, g)
+	}
 	switch {
 	case allOf[noTC](g.tcs):
-		return runHist(ctx, sp, g, cast[noTC](g.tcs))
+		return runTC(ctx, sp, g, cast[noTC](g.tcs))
 	case allOf[*core.Tagless](g.tcs):
-		return runHist(ctx, sp, g, cast[*core.Tagless](g.tcs))
+		return runTC(ctx, sp, g, cast[*core.Tagless](g.tcs))
 	case allOf[*core.Tagged](g.tcs):
-		return runHist(ctx, sp, g, cast[*core.Tagged](g.tcs))
+		return runTC(ctx, sp, g, cast[*core.Tagged](g.tcs))
 	case allOf[*core.Cascaded](g.tcs):
-		return runHist(ctx, sp, g, cast[*core.Cascaded](g.tcs))
+		return runTC(ctx, sp, g, cast[*core.Cascaded](g.tcs))
 	case allOf[*core.ITTAGE](g.tcs):
-		return runHist(ctx, sp, g, cast[*core.ITTAGE](g.tcs))
+		return runTC(ctx, sp, g, cast[*core.ITTAGE](g.tcs))
 	case allOf[*core.Chooser](g.tcs):
-		return runHist(ctx, sp, g, cast[*core.Chooser](g.tcs))
+		return runTC(ctx, sp, g, cast[*core.Chooser](g.tcs))
 	}
-	return runHist(ctx, sp, g, g.tcs)
+	return runTC(ctx, sp, g, g.tcs)
 }
 
-// runHist is run's second half: it instantiates the kernel over the
-// providers' concrete type for an already-resolved target-cache type (the
-// baseline, with no providers, takes the first arm).
-func runHist[TC targetCache](ctx context.Context, sp span, g *gang, tcs []TC) []AccuracyResult {
+// runTC is run's second half: for an already-resolved target-cache type
+// it replays a kept walk, or instantiates the kernel over the providers'
+// concrete type (a gang with no providers takes the first arm).
+func runTC[TC targetCache](ctx context.Context, sp span, g *gang, tcs []TC) []AccuracyResult {
+	if sp.walk != nil {
+		return replayWalk(ctx, sp.walk, g, tcs)
+	}
 	if hs, ok := homogeneous[history.PatternProvider](g.providers); ok {
 		return gangKernel(ctx, sp, g, tcs, hs)
 	}
@@ -237,10 +384,9 @@ func cast[TC targetCache](tcs []core.TargetCache) []TC {
 	return out
 }
 
-// gangKernel is the batched accuracy loop over records [sp.start, sp.end),
-// with the per-branch work split into a shared skeleton (run once) and a
-// per-member tail (run only on records that consult or train the target
-// caches).
+// gangKernel is the walk over records [sp.start, sp.end): the shared
+// front end per branch, and the member step on every event it emits
+// (unless sp.keep keeps the events for later replays).
 // Instruction indices (context polls, flush points, telemetry clocks) are
 // absolute trace positions, so a segment's span behaves exactly like the
 // same span of a streaming run; each result's Instructions counts only the
@@ -248,23 +394,26 @@ func cast[TC targetCache](tcs []core.TargetCache) []TC {
 func gangKernel[TC targetCache, H historySource](
 	ctx context.Context, sp span, g *gang, tcs []TC, hists []H,
 ) []AccuracyResult {
-	var res AccuracyResult // shared skeleton counters
-	// sharedInd counts indirect-class records whose prediction never
-	// consulted a target cache (BTB miss, not-taken direction, or a stale
-	// non-indirect BTB class): their outcome is identical for every
-	// member.
-	var sharedInd stats.Counter
+	var res outcomes // shared skeleton counters
+	var branches int64
 	bs, members := sp.bs, g.members
-	btbT, ras, dir := g.engine.BTB, g.engine.RAS, g.engine.Dir
-	count, tel := !sp.prime, !sp.prime && g.telemetry
-	phVals := make([]uint64, len(hists)+1) // the last slot is the no-history 0
+	btbT, ras, dir := g.btb, g.ras, g.dir
+	count, tel, consults := !sp.prime, !sp.prime && g.telemetry, g.consults
+	bits := count && g.bits
+	nh := len(hists)
+	// e and hv are the event being emitted; a kept walk collects events
+	// in events and hvals until it keeps them as a chunk.
+	var e event
+	hv := make([]uint64, nh)
+	var events []event
+	var hvals []uint64
 
 	// The block layout invariant (block i covers records [i*BlockLen,
 	// i*BlockLen+len)) lets the kernel seek straight to the start block.
 	effEnd := min(max(sp.end, 0), bs.Len())
 	start := min(max(sp.start, 0), effEnd)
 	insns := start
-	if count && g.bits {
+	if bits {
 		// A bit per record holds every branch ordinal of the span, so the
 		// loop sets shared and mask bits in place.
 		words := (effEnd - start + 63) / 64
@@ -283,7 +432,7 @@ func gangKernel[TC targetCache, H historySource](
 	for bi := int(start / trace.BlockLen); insns < effEnd; bi++ {
 		blk, err := bs.BlockAt(bi)
 		if err != nil {
-			return g.results(res, sharedInd, insns-start, err)
+			return g.finish(res, branches, insns-start, err)
 		}
 		base := int64(bi) * trace.BlockLen
 		meta := blk.Meta
@@ -305,15 +454,19 @@ func gangKernel[TC targetCache, H historySource](
 		for i := lo; i < m; i++ {
 			if int64(i) == stop {
 				n := base + int64(i) + 1
+				if sp.keep {
+					g.keepChunk(events, hvals)
+					events, hvals = events[:0], hvals[:0]
+				}
 				if n == nextPoll {
 					nextPoll += ctxCheckMask + 1
 					if err := ctx.Err(); err != nil {
-						return g.results(res, sharedInd, n-start, err)
+						return g.finish(res, branches, n-start, err)
 					}
 				}
 				if n == nextFlush {
 					nextFlush += sp.flushInterval
-					g.engine.Reset()
+					g.reset()
 					for mi := range tcs {
 						tcs[mi].Reset()
 					}
@@ -337,121 +490,95 @@ func gangKernel[TC targetCache, H historySource](
 			r.Class = cls
 			r.Op = trace.OpClass(mb >> trace.MetaOpShift & trace.MetaOpMask)
 			r.Taken = mb&trace.MetaTaken != 0
+			if count {
+				branches++
+			}
 
 			// ---- shared fetch skeleton: one BTB probe ----
 			entry, bref, hit := btbT.Probe(r.PC)
 			indirectCls := cls == trace.ClassIndJump || cls == trace.ClassIndCall
-			// perMember: the prediction consults the target cache, so the
-			// outcome can differ per member. This keys on the BTB's
-			// *detected* class, like Engine.Predict; an indirect class is
-			// always predicted taken, so no direction lookup gates it.
-			perMember := hit && (entry.Class == trace.ClassIndJump || entry.Class == trace.ClassIndCall)
-
-			if count {
-				res.Branches++
-			}
-			if perMember || indirectCls {
+			// consult: the prediction consults the target caches, so
+			// the outcome can differ per member. This keys on the BTB's
+			// *detected* class, like Engine.Predict; an indirect class
+			// is always predicted taken, so no direction lookup gates
+			// it.
+			consult := consults && hit && (entry.Class == trace.ClassIndJump || entry.Class == trace.ClassIndCall)
+			var ev *event
+			if consult || consults && indirectCls {
+				e = event{pc: r.PC, target: r.Target, btbTarget: entry.Target, n: base + int64(i) + 1, cls: cls}
+				ev = &e
+				if r.Taken {
+					ev.flags |= evTaken
+				}
+				if consult {
+					ev.flags |= evConsult
+					if bits {
+						ord := branches - 1
+						g.mask[ord>>6] |= 1 << (ord & 63)
+					}
+				}
 				// Value is pure and providers are not trained until
-				// Observe below, so one read per scheme serves every member
-				// — the same value a solo run would see.
+				// Observe below, so one read per register serves every
+				// member — the same value a solo run would see.
 				for pi := range hists {
-					phVals[pi] = hists[pi].Value(r.PC)
-				}
-				// Each member's lookup and training touch only its own
-				// target cache, so one pass does both in Engine order.
-				for mi := range members {
-					mem := &members[mi]
-					ph := phVals[mem.hist]
-					if perMember {
-						// Priming still looks up every member: a tagged
-						// cache's Predict ticks replacement state on a hit.
-						pTarget, pFromTC := entry.Target, false
-						if tgt, ok := tcs[mi].Predict(r.PC, ph); ok {
-							pTarget, pFromTC = tgt, true
-						}
-						if count {
-							correct := r.Taken && pTarget == r.Target
-							if indirectCls {
-								mem.indirect.Record(correct)
-								if pFromTC {
-									mem.tcCovered++
-								}
-								// Accuracy runs have no cycle clock;
-								// telemetry events are stamped with the
-								// instruction index.
-								if mem.tel != nil {
-									mem.tel.SetClock(base + int64(i) + 1)
-									mem.tel.Indirect(r.PC, ph, pTarget, true, r.Target, correct)
-								}
-							} else {
-								// A stale BTB entry misclassified a direct
-								// branch or return as indirect.
-								switch cls {
-								case trace.ClassCondDirect:
-									mem.cond.Record(correct)
-								case trace.ClassUncondDirect, trace.ClassCall:
-									mem.direct.Record(correct)
-								case trace.ClassReturn:
-									mem.returns.Record(correct)
-								}
-							}
-							mem.overall.Record(correct)
-						}
-					}
-					if indirectCls {
-						tcs[mi].Update(r.PC, ph, r.Target)
-					}
-				}
-				if perMember && count && g.bits {
-					g.consult(res.Branches - 1)
+					hv[pi] = hists[pi].Value(r.PC)
 				}
 			}
-			if !perMember && count {
+			if !consult && count {
 				// No target cache consulted: the prediction — and its
-				// correctness — is identical for every member. Count once.
-				pTaken := hit
-				if hit && entry.Class == trace.ClassCondDirect {
-					pTaken = dir.Predict(r.PC)
+				// correctness — is identical for every member. Count
+				// once.
+				// The direction and RAS lookups are only made when the
+				// entry's class reads them (a RAS peek divides).
+				var rasTarget uint64
+				rasOK := false
+				if hit && entry.Class == trace.ClassReturn {
+					rasTarget, rasOK = ras.Peek()
 				}
-				var pTarget uint64
-				var pHasTarget bool
-				if pTaken {
-					if entry.Class == trace.ClassReturn {
-						if addr, ok := ras.Peek(); ok {
-							pTarget, pHasTarget = addr, true
-						}
-					} else {
-						pTarget, pHasTarget = entry.Target, true
-					}
-				}
+				pTaken, pTarget, pHasTarget := btbPredict(entry, hit,
+					hit && entry.Class == trace.ClassCondDirect && dir.Predict(r.PC), rasTarget, rasOK)
 				correct := pTaken == r.Taken && (!r.Taken || (pHasTarget && pTarget == r.Target))
-				switch cls {
-				case trace.ClassCondDirect:
-					res.Conditional.Record(correct)
-				case trace.ClassUncondDirect, trace.ClassCall:
-					res.Direct.Record(correct)
-				case trace.ClassReturn:
-					res.Returns.Record(correct)
-				case trace.ClassIndJump, trace.ClassIndCall:
-					sharedInd.Record(correct)
-					if tel {
-						for mi := range members {
-							if mem := &members[mi]; mem.tel != nil {
-								mem.tel.SetClock(base + int64(i) + 1)
-								mem.tel.Indirect(r.PC, phVals[mem.hist], pTarget, pTaken && pHasTarget, r.Target, correct)
-							}
+				res.record(cls, correct)
+				if ev != nil {
+					// An indirect jump: the member step reports it to
+					// telemetry, in order with the members' outcomes.
+					ev.btbTarget = pTarget
+					if pTaken && pHasTarget {
+						ev.flags |= evPredicted
+					}
+					if correct {
+						ev.flags |= evCorrect
+					}
+				} else if tel && indirectCls {
+					for mi := range members {
+						if mem := &members[mi]; mem.tel != nil {
+							mem.tel.SetClock(base + int64(i) + 1)
+							mem.tel.Indirect(r.PC, 0, pTarget, pTaken && pHasTarget, r.Target, correct)
 						}
 					}
 				}
-				res.Overall.Record(correct)
-				if !correct && g.bits {
-					ord := res.Branches - 1
+				if !correct && bits {
+					ord := branches - 1
 					g.shared[ord>>6] |= 1 << (ord & 63)
+				}
+			}
+			if hit {
+				btbT.UpdateHit(bref, &r)
+			} else {
+				btbT.Update(&r)
+			}
+			if ev != nil {
+				if sp.keep {
+					events = append(events, e)
+					hvals = append(hvals, hv...)
+				} else {
+					memberStep(g, tcs, ev, hv, count)
 				}
 			}
 
 			// ---- resolve the shared structures, in Engine.Resolve's
-			// order (target caches were trained above) ----
+			// order (the target caches train in the member step, on the
+			// values read at fetch) ----
 			if cls == trace.ClassCall || cls == trace.ClassIndCall {
 				ras.Push(r.FallThrough())
 			}
@@ -464,53 +591,265 @@ func gangKernel[TC targetCache, H historySource](
 			for pi := range hists {
 				hists[pi].Observe(&r)
 			}
-			if hit {
-				btbT.UpdateHit(bref, &r)
-			} else {
-				btbT.Update(&r)
-			}
 		}
 		insns = base + int64(m)
 	}
-	return g.results(res, sharedInd, insns-start, nil)
+	if sp.keep {
+		g.keepChunk(events, hvals)
+	}
+	return g.finish(res, branches, insns-start, nil)
 }
 
-// consult records that branch ord's prediction consulted the target
-// caches, and which members mispredicted it: those whose overall
-// misprediction count moved since the last consulted branch. It stays
-// out of line, after the member loop, so that loop is the one every
-// accuracy pass runs.
-//
-//go:noinline
-func (g *gang) consult(ord int64) {
-	g.mask[ord>>6] |= 1 << (ord & 63)
+// finish records a kernel walk's outcome — shared counters res over
+// insns records, branches of them branches, stopped by err — and reports
+// every member's result.
+func (g *gang) finish(res outcomes, branches, insns int64, err error) []AccuracyResult {
+	g.res, g.branches, g.insns, g.err = res, branches, insns, err
+	return g.results()
+}
+
+// keepChunk adds a kept walk's pending events to it as an exactly sized
+// chunk.
+func (g *gang) keepChunk(events []event, hvals []uint64) {
+	if len(events) > 0 {
+		g.kept = append(g.kept, eventBuf{slices.Clone(events), slices.Clone(hvals)})
+	}
+}
+
+// btbEvents recycles the buffers BTB gangs collect events in between two
+// stops, so that a BTB gang pass allocates none.
+var btbEvents = sync.Pool{New: func() any { return new([]event) }}
+
+// eventBuf is a run of events with, for each, its history values.
+type eventBuf struct {
+	events []event
+	hvals  []uint64
+}
+
+// resolveFront trains the RAS and the direction predictor with the
+// resolved branch r: Engine.Resolve's first step, and the walk of a BTB
+// gang's (gangKernel inlines the same three lines).
+func resolveFront(ras *btb.RAS, dir *dirpred.Predictor, r *trace.Record) {
+	if r.Class == trace.ClassCall || r.Class == trace.ClassIndCall {
+		ras.Push(r.FallThrough())
+	}
+	if r.Class == trace.ClassReturn {
+		ras.Pop()
+	}
+	if r.Class == trace.ClassCondDirect {
+		dir.Update(r.PC, r.Taken)
+	}
+}
+
+// btbGangKernel is gangKernel's walk for a BTB gang, whose members differ
+// only in their BTB: the walk trains the shared RAS and direction
+// predictor and emits every branch as an event carrying their verdicts
+// at its fetch, from which the member loop has each member's own BTB
+// predict and train. It is a loop of its own so that the walk every other
+// gang runs stays as lean.
+func btbGangKernel(ctx context.Context, sp span, g *gang) []AccuracyResult {
+	var branches int64
+	bs, ras, dir := sp.bs, g.ras, g.dir
+	count := !sp.prime
+	bits := count && g.bits
+	buf := btbEvents.Get().(*[]event)
+	events := (*buf)[:0]
+	defer btbEvents.Put(buf)
+	effEnd := min(max(sp.end, 0), bs.Len())
+	start := min(max(sp.start, 0), effEnd)
+	insns := start
+	if bits {
+		g.mask = make(BranchBits, (effEnd-start+63)/64)
+	}
+	nextPoll := (start/(ctxCheckMask+1) + 1) * (ctxCheckMask + 1)
+	nextFlush := int64(math.MaxInt64)
+	if fi := sp.flushInterval; fi > 0 {
+		nextFlush = (start/fi + 1) * fi
+	}
+	var r trace.Record
+	for bi := int(start / trace.BlockLen); insns < effEnd; bi++ {
+		blk, err := bs.BlockAt(bi)
+		if err != nil {
+			runBTBMembers(g, events, count)
+			*buf = events
+			return g.finish(outcomes{}, branches, insns-start, err)
+		}
+		base := int64(bi) * trace.BlockLen
+		m := min(len(blk.Meta), int(effEnd-base))
+		for i := max(int(insns-base), 0); i < m; i++ {
+			if n := base + int64(i) + 1; n == nextPoll || n == nextFlush {
+				runBTBMembers(g, events, count)
+				events = events[:0]
+				if n == nextPoll {
+					nextPoll += ctxCheckMask + 1
+					if err := ctx.Err(); err != nil {
+						*buf = events
+						return g.finish(outcomes{}, branches, n-start, err)
+					}
+				}
+				if n == nextFlush {
+					nextFlush += sp.flushInterval
+					g.reset()
+				}
+			}
+			mb := blk.Meta[i]
+			r.Class = trace.Class(mb & trace.MetaClassMask)
+			if r.Class == trace.ClassOther {
+				continue
+			}
+			r.PC, r.Target, r.Taken = blk.PC[i], blk.Target[i], mb&trace.MetaTaken != 0
+			if count {
+				branches++
+			}
+			rasTarget, rasOK := ras.Peek()
+			ev := event{pc: r.PC, target: r.Target, btbTarget: rasTarget, n: base + int64(i) + 1, cls: r.Class}
+			if r.Taken {
+				ev.flags |= evTaken
+			}
+			if dir.Predict(r.PC) {
+				ev.flags |= evDirTaken
+			}
+			if rasOK {
+				ev.flags |= evRASValid
+			}
+			events = append(events, ev)
+			if bits {
+				ord := branches - 1
+				g.mask[ord>>6] |= 1 << (ord & 63)
+			}
+			resolveFront(ras, dir, &r)
+		}
+		insns = base + int64(m)
+	}
+	runBTBMembers(g, events, count)
+	*buf = events
+	return g.finish(outcomes{}, branches, insns-start, nil)
+}
+
+// reset clears the front end: the shared structures and, in a BTB gang,
+// every member's BTB.
+func (g *gang) reset() {
+	g.ras.Reset()
+	g.dir.Reset()
+	if g.btb != nil {
+		g.btb.Reset()
+	}
 	for mi := range g.members {
-		if m := &g.members[mi]; m.overall.Mispredicts != m.noted {
-			m.noted = m.overall.Mispredicts
-			m.bits = m.bits.Set(g.consulted)
+		if b := g.members[mi].btb; b != nil {
+			b.Reset()
 		}
 	}
-	g.consulted++
+}
+
+// runBTBMembers is a BTB gang's member loop: each member's own BTB
+// predicts every event from the walk's verdicts, is counted, and trains,
+// one member over all the events before the next, keeping its BTB hot.
+func runBTBMembers(g *gang, evs []event, count bool) {
+	bits := count && g.bits
+	consulted := g.consulted
+	var r trace.Record
+	for mi := range g.members {
+		m := &g.members[mi]
+		consulted = g.consulted
+		for ei := range evs {
+			ev := &evs[ei]
+			taken := ev.flags&evTaken != 0
+			entry, bref, hit := m.btb.Probe(ev.pc)
+			if count {
+				pTaken, pTarget, pHasTarget := btbPredict(entry, hit,
+					ev.flags&evDirTaken != 0, ev.btbTarget, ev.flags&evRASValid != 0)
+				correct := pTaken == taken && (!taken || (pHasTarget && pTarget == ev.target))
+				m.record(ev.cls, correct)
+				if m.tel != nil && ev.cls.IsTargetCachePredicted() {
+					m.tel.SetClock(ev.n)
+					m.tel.Indirect(ev.pc, 0, pTarget, pTaken && pHasTarget, ev.target, correct)
+				}
+				if bits {
+					if !correct {
+						m.bits = m.bits.Set(consulted)
+					}
+					consulted++
+				}
+			}
+			r.PC, r.Target, r.Class, r.Taken = ev.pc, ev.target, ev.cls, taken
+			if hit {
+				m.btb.UpdateHit(bref, &r)
+			} else {
+				m.btb.Update(&r)
+			}
+		}
+	}
+	g.consulted = consulted
+}
+
+// memberStep runs every member over one event, whose history values are
+// hv: each member's lookup, when the event's prediction consulted the
+// target caches, then its training, when it is an indirect jump — Engine
+// order, since both touch only the member's own target cache.
+func memberStep[TC targetCache](g *gang, tcs []TC, ev *event, hv []uint64, count bool) {
+	bits := count && g.bits
+	consult := ev.flags&evConsult != 0
+	indirectCls := ev.cls == trace.ClassIndJump || ev.cls == trace.ClassIndCall
+	for mi := range g.members {
+		m := &g.members[mi]
+		var ph uint64
+		if hist := int(m.hist); hist < len(hv) {
+			ph = hv[hist] & m.mask
+		}
+		if consult {
+			// Priming still looks up every member: a tagged cache's
+			// Predict ticks replacement state on a hit.
+			pTarget, pFromTC := ev.btbTarget, false
+			if tgt, ok := tcs[mi].Predict(ev.pc, ph); ok {
+				pTarget, pFromTC = tgt, true
+			}
+			if count {
+				// An indirect class is always predicted taken; on a direct
+				// branch or return, a stale BTB entry misclassified it as
+				// indirect.
+				correct := ev.flags&evTaken != 0 && pTarget == ev.target
+				m.record(ev.cls, correct)
+				if indirectCls {
+					if pFromTC {
+						m.tcCovered++
+					}
+					// Accuracy runs have no cycle clock; telemetry events
+					// are stamped with the instruction index.
+					if m.tel != nil {
+						m.tel.SetClock(ev.n)
+						m.tel.Indirect(ev.pc, ph, pTarget, true, ev.target, correct)
+					}
+				}
+				if bits && !correct {
+					m.bits = m.bits.Set(g.consulted)
+				}
+			}
+		} else if count && m.tel != nil {
+			// An indirect jump whose shared prediction the walk counted
+			// once.
+			m.tel.SetClock(ev.n)
+			m.tel.Indirect(ev.pc, ph, ev.btbTarget, ev.flags&evPredicted != 0, ev.target, ev.flags&evCorrect != 0)
+		}
+		if indirectCls {
+			tcs[mi].Update(ev.pc, ph, ev.target)
+		}
+	}
+	if consult && bits {
+		g.consulted++
+	}
 }
 
 // results assembles the per-member results: the shared skeleton plus
 // each member's divergence counters, every member reporting the same
 // instruction count and error a solo run stopped at this record would.
-func (g *gang) results(res AccuracyResult, sharedInd stats.Counter, insns int64, err error) []AccuracyResult {
+func (g *gang) results() []AccuracyResult {
 	out := make([]AccuracyResult, len(g.members))
 	for mi := range g.members {
 		m := &g.members[mi]
-		mr := res
-		mr.Instructions = insns
-		mr.Conditional.Add(m.cond)
-		mr.Direct.Add(m.direct)
-		mr.Returns.Add(m.returns)
-		mr.Indirect = sharedInd
-		mr.Indirect.Add(m.indirect)
-		mr.Overall.Add(m.overall)
-		mr.TCCovered = m.tcCovered
-		mr.Err = err
-		out[mi] = mr
+		r := &out[mi]
+		r.Instructions, r.Branches, r.TCCovered, r.Err = g.insns, g.branches, m.tcCovered, g.err
+		g.res.add(r)
+		m.outcomes.add(r)
 	}
 	return out
 }

@@ -59,12 +59,13 @@ type Options struct {
 	// recorded there atomically, and a later run with the same spec and
 	// shard size skips them. Empty disables checkpointing.
 	ManifestPath string
-	// GangWidth bounds how many points one fused trace pass updates:
-	// 0 picks a width per gang automatically from a memory budget, 1
-	// disables fusion (every point runs its own pass), higher values force
-	// that width. Results are byte-identical at any width — the gang
-	// kernel is equivalence-pinned against per-point simulation — so the
-	// width, like the worker count, is absent from the resume fingerprint.
+	// GangWidth bounds how many points one fused unit updates: 0 picks
+	// a width per unit automatically from a memory budget, 1 disables
+	// fusion (every point walks the capture on its own), higher values
+	// force that width. Results are byte-identical at any width — the
+	// gang kernel and the kept walk are equivalence-pinned against
+	// per-point simulation — so the width, like the worker count, is
+	// absent from the resume fingerprint.
 	GangWidth int
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
@@ -105,15 +106,19 @@ type Outcome struct {
 	// SimulatedInstructions counts instructions simulated by this run
 	// (resumed shards contribute nothing).
 	SimulatedInstructions int64
-	// FusedGangs/FusedPoints count fused trace passes this run made and
-	// the points simulated inside them; DirectPoints ran one pass each
-	// (btb-family points, gang width 1, singleton groups, or fallbacks);
-	// GangFallbacks counts gangs the fused kernel refused and the engine
-	// re-ran per point. FusedPoints - FusedGangs is the passes avoided.
+	// FusedGangs counts the fused capture walks this run made — one kept
+	// front-end walk per workload with target-cache points, and one per
+	// btb gang — and FusedPoints the points simulated from them: every
+	// target-cache point replaying a kept walk, and every btb-gang
+	// member. DirectPoints walked the capture once each (gang width 1, a
+	// btb point alone in its shard, or fallbacks); GangFallbacks counts
+	// units the fused kernel refused and the engine re-ran per point.
+	// FusedGangs + DirectPoints is the walks made, FusedPoints -
+	// FusedGangs the walks avoided.
 	FusedGangs, FusedPoints, DirectPoints, GangFallbacks int64
 }
 
-// PassesAvoided reports the trace passes a per-point sweep would have
+// PassesAvoided reports the capture walks a per-point sweep would have
 // made that fusion did not.
 func (o *Outcome) PassesAvoided() int64 { return o.FusedPoints - o.FusedGangs }
 
@@ -274,6 +279,10 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Outcome, error) {
 		instrs  int64
 		units   unitCounters
 	)
+	var walks *walkSet
+	if opts.GangWidth != 1 {
+		walks = newWalkSet(ex.Points, spec.Budget, shardSize, func(si int) bool { return !done[si] })
+	}
 	pool.Run(opts.Workers, nShards, func(si int) {
 		if done[si] || ctx.Err() != nil {
 			return
@@ -289,7 +298,7 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Outcome, error) {
 		shard := make([]Result, hi-lo)
 		var uc unitCounters
 		for _, unit := range planUnits(ex.Points, lo, hi, opts.GangWidth) {
-			rs, key, err := runUnit(ctx, workloads[ex.Points[unit[0]].Workload], ex.Points, unit, spec.Budget, &uc)
+			rs, key, err := runUnit(ctx, workloads[ex.Points[unit[0]].Workload], ex.Points, unit, spec.Budget, walks, &uc)
 			if err != nil {
 				if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 					mu.Lock()

@@ -3,25 +3,32 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // diffSpec is the differential-test grid: at least one point per
-// predictor family, two workloads, small budget.
+// predictor family, two workloads, small budget. Each workload has
+// several btb points mixing geometry and update strategy, and at least
+// two points per history scheme at two depths, so every kind of fused
+// unit — btb gangs and target-cache gangs over pattern, global path and
+// per-address path history — forms and is checked.
 const diffSpec = `{
 	"name": "differential",
 	"budget": 30000,
 	"workloads": ["perl", "gcc"],
 	"grids": [
-		{"family": "btb", "schemes": ["default", "2bit"], "entries": [1024], "ways": [4]},
-		{"family": "tagless", "schemes": ["gag", "gshare"], "entries": [512], "hist_bits": [9]},
-		{"family": "tagged", "schemes": ["xor"], "entries": [256], "ways": [4], "hist_bits": [9], "tag_bits": [32], "history": ["pattern", "path-indjmp"]},
+		{"family": "btb", "schemes": ["default", "2bit"], "entries": [512, 1024], "ways": [2, 4]},
+		{"family": "tagless", "schemes": ["gag", "gshare"], "entries": [512], "hist_bits": [6, 9]},
+		{"family": "tagged", "schemes": ["xor"], "entries": [256, 512], "ways": [4], "hist_bits": [6, 9], "tag_bits": [32], "history": ["pattern", "path-indjmp", "path-peraddr"]},
 		{"family": "cascaded", "entries": [256], "ways": [4], "hist_bits": [9]},
 		{"family": "ittage", "entries": [128], "tables": [5]}
 	]
@@ -271,6 +278,119 @@ func TestStorageBitsAcrossFamilies(t *testing.T) {
 		}
 		if got != tt.want {
 			t.Errorf("%s: StorageBits = %d, want %d", tt.p.Key(), got, tt.want)
+		}
+	}
+}
+
+// TestPlanGangsMatchesRun pins that -expand's plan is what a run does:
+// at every width, PlanGangs' passes equal the capture walks a fresh Run
+// reports (kept walks and btb gangs in FusedGangs, plus DirectPoints),
+// and at auto width the differential grid forms multi-point btb gangs and
+// path-history units.
+func TestPlanGangsMatchesRun(t *testing.T) {
+	spec, err := ParseSpec([]byte(diffSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var btbGang, pathUnit bool
+	for lo := 0; lo < len(ex.Points); lo += defaultShardSize {
+		for _, u := range planUnits(ex.Points, lo, min(lo+defaultShardSize, len(ex.Points)), 0) {
+			p := ex.Points[u[0]]
+			btbGang = btbGang || p.Family == "btb" && len(u) >= 2
+			pathUnit = pathUnit || strings.HasPrefix(p.History, "path-") && len(u) >= 2
+		}
+	}
+	if !btbGang || !pathUnit {
+		t.Errorf("auto width plans a multi-point btb gang: %v, path-history unit: %v; want both", btbGang, pathUnit)
+	}
+	for _, width := range []int{0, 1, 3, 4} {
+		var passes int64
+		for _, pl := range PlanGangs(ex.Points, 0, width) {
+			passes += int64(pl.Passes)
+		}
+		out, err := Run(context.Background(), spec, Options{Workers: 2, GangWidth: width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if walks := out.FusedGangs + out.DirectPoints; walks != passes {
+			t.Errorf("gang=%d: plan has %d passes, run made %d walks (%d fused, %d direct)",
+				width, passes, walks, out.FusedGangs, out.DirectPoints)
+		}
+	}
+}
+
+// TestRunDamagedCapture hands one workload a trace store with a damaged
+// block group and requires the sweep to fail cleanly at every gang width:
+// an error wrapping trace.ErrCorrupt, no shard holding that workload's
+// points in the manifest, and a clean rerun once the capture is healthy
+// again — so a failed front-end walk is neither kept nor handed on.
+func TestRunDamagedCapture(t *testing.T) {
+	spec, err := ParseSpec([]byte(diffSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim, shardSize = "gcc", 8
+	workload.TestCaptureTransform = func(name string, budget int64, rep *trace.Replay) trace.BlockSource {
+		if name != victim {
+			return rep
+		}
+		var img bytes.Buffer
+		if _, err := trace.WriteStore(&img, rep.Open(), trace.StoreOptions{GroupRecords: trace.BlockLen}); err != nil {
+			panic(err)
+		}
+		b := img.Bytes()
+		b[len(b)/2] ^= 0x10
+		s, err := trace.OpenStore(bytes.NewReader(b), int64(len(b)), 0)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+	workload.ResetMemo()
+	defer func() {
+		workload.TestCaptureTransform = nil
+		workload.ResetMemo()
+	}()
+
+	for _, width := range []int{0, 1} {
+		manifest := filepath.Join(t.TempDir(), "sweep.manifest")
+		opts := Options{Workers: 2, ShardSize: shardSize, GangWidth: width, ManifestPath: manifest}
+		if _, err := Run(context.Background(), spec, opts); !errors.Is(err, trace.ErrCorrupt) {
+			t.Fatalf("gang=%d: err = %v, want one wrapping trace.ErrCorrupt", width, err)
+		}
+		if data, err := os.ReadFile(manifest); err == nil {
+			var m manifestFile
+			if err := json.Unmarshal(data, &m); err != nil {
+				t.Fatal(err)
+			}
+			for _, sh := range m.Shards {
+				for _, r := range sh.Results {
+					if r.Point.Workload == victim {
+						t.Errorf("gang=%d: shard %d with %s's points entered the manifest", width, sh.Index, victim)
+						break
+					}
+				}
+			}
+		}
+	}
+
+	workload.TestCaptureTransform = nil
+	workload.ResetMemo()
+	for _, width := range []int{0, 1} {
+		out, err := Run(context.Background(), spec, Options{Workers: 2, ShardSize: shardSize, GangWidth: width})
+		if err != nil {
+			t.Fatalf("gang=%d: rerun over a healthy capture: %v", width, err)
+		}
+		if len(out.Results) != len(ex.Points) {
+			t.Fatalf("gang=%d: rerun returned %d results, want %d", width, len(out.Results), len(ex.Points))
 		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 // FuzzParseSpec drives the spec parser — the axis range DSL, the JSON
 // shapes, the validation tables — with arbitrary bytes. The property:
 // ParseSpec either errors or returns a spec whose expansion terminates
-// within the documented bounds; it never panics and never silently
-// accepts a spec that then fails its own Validate.
+// within the documented bounds and which survives json.Marshal and
+// ParseSpec with its fingerprint unchanged; it never panics and never
+// silently accepts a spec that then fails its own Validate.
 func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(ExampleSpec))
 	f.Add([]byte(diffSpec))
@@ -25,6 +26,9 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("ParseSpec accepted a spec its own Validate rejects: %v", err)
+		}
+		if err := checkRoundTrip(spec); err != nil {
+			t.Fatal(err)
 		}
 		ex, err := spec.Expand()
 		if err != nil {

@@ -4,23 +4,26 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // Gang planning: within each checkpoint shard, points are grouped by
-// (workload, history scheme) into gangs that sim.RunAccuracyGangCtx fuses
-// into a single trace pass. The grouping rule follows what fusion can
-// share: one workload means one decoded block stream, one history scheme
-// means the gang's history registers collapse to one per distinct depth
-// (the share key is scheme + depth). Every target-cache family rides the
-// paper's baseline front end, so front-end state is shared by
-// construction; btb-family points sweep that front end itself and always
-// run direct. Gangs never cross shard boundaries — the shard remains the
-// checkpoint/resume unit and manifests stay byte-identical at any width.
+// (workload, history scheme) into units, in first-seen order, and every
+// unit runs fused. btb-family points (no history) form their workload's
+// btb gangs: sim.RunAccuracyGangCtx runs each as one capture walk with
+// one BTB per member, sharing the RAS and direction predictor, which no
+// btb axis changes. Every target-cache family rides the paper's baseline
+// front end, so a Run walks each workload's capture with that front end
+// once (sim.WalkFrontEnd), keeping the records the target caches read,
+// and every target-cache unit — singletons included — replays that walk
+// (sim.Walk.RunGang) instead of walking the capture again. Units never
+// cross shard boundaries — the shard remains the checkpoint/resume unit
+// and manifests stay byte-identical at any width. Width 1 runs every
+// point direct: its own walk, no kept walk, the reference path.
 
 // TestPointHook, when non-nil, runs just before each point is simulated,
 // inside the per-unit recover scope. The fault-injection harness uses it
@@ -47,18 +50,13 @@ func (e *PointError) Error() string {
 	return fmt.Sprintf("panic: %v\n%s", e.Value, e.Stack)
 }
 
-// gangable reports whether the point can join a fused gang: every
-// target-cache family runs the baseline front end, while btb-family
-// points sweep the front-end geometry fusion shares.
-func gangable(p Point) bool { return p.Family != "btb" }
+// histShareKey names the history register the point reads: its scheme.
+// A kept walk holds one register per scheme at the deepest depth its
+// points use, and each point reads its own low HistBits bits of it.
+func histShareKey(p Point) string { return p.History }
 
-// histShareKey identifies the point's exact history-provider
-// configuration (scheme + depth fully determine the provider, see
-// historyProvider); equal keys within a gang share one register.
-func histShareKey(p Point) string { return p.History + "#" + strconv.Itoa(p.HistBits) }
-
-// gangKey is the grouping key: one workload (one trace pass) and one
-// history scheme (registers shared across the gang's depths).
+// gangKey is the grouping key: one workload (one capture) and one history
+// scheme; btb points, which have none, group apart from the rest.
 func gangKey(p Point) string { return p.Workload + "\x00" + p.History }
 
 // StateBytes estimates the point's in-memory predictor footprint, the
@@ -119,15 +117,15 @@ func autoWidth(points []Point, idxs []int) int {
 }
 
 // planUnits groups the points of one shard [lo, hi) into execution units:
-// singleton units for direct points, gangs of at most width points for
-// the rest, grouped by gangKey in first-seen order. width 0 picks a width
-// per gang automatically; width 1 forces every point direct.
+// at width 1 one unit per point, otherwise units of at most width points
+// grouped by gangKey in first-seen order. width 0 picks a width per group
+// automatically.
 func planUnits(points []Point, lo, hi, width int) [][]int {
 	var units [][]int
 	var order []string
 	buckets := make(map[string][]int)
 	for i := lo; i < hi; i++ {
-		if width == 1 || !gangable(points[i]) {
+		if width == 1 {
 			units = append(units, []int{i})
 			continue
 		}
@@ -155,23 +153,118 @@ func planUnits(points []Point, lo, hi, width int) [][]int {
 	return units
 }
 
-// unitCounters reports how a shard's units actually executed.
+// replays reports whether the point replays its workload's kept walk
+// (unless width 1 runs it direct): every target-cache point does.
+func replays(p Point) bool { return p.Family != "btb" }
+
+// unitCounters reports how a shard's units actually executed. A capture
+// walk is a kept front-end walk, a btb-gang walk or a direct point;
+// replaying a kept walk walks no capture.
 type unitCounters struct {
-	fusedGangs   int64 // gangs that ran as one fused pass
-	fusedPoints  int64 // points simulated inside those passes
-	directPoints int64 // points simulated one pass each
-	fallbacks    int64 // gangs the fused kernel refused (ran per point)
+	fusedGangs   int64 // fused walks: kept front-end walks and btb-gang walks
+	fusedPoints  int64 // points simulated from them
+	directPoints int64 // points simulated one walk each
+	fallbacks    int64 // units the fused kernel refused (ran per point)
 }
 
-// passesAvoided is the headline amortization: trace passes a per-point
-// sweep would have made that fusion did not.
-func (c unitCounters) passesAvoided() int64 { return c.fusedPoints - c.fusedGangs }
+// walkSet holds, for one Run, each workload's kept front-end walk: the
+// first target-cache unit of the workload walks its capture, with a
+// register per history scheme its target-cache points read, every
+// target-cache unit of it replays that walk, and the last lets it go.
+type walkSet struct {
+	points  []Point
+	budget  int64
+	mu      sync.Mutex
+	walks   map[string]*keptWalk
+	pending map[string]int // target-cache points yet to replay, per workload
+}
 
-// runUnit simulates one planned unit. Panics anywhere inside — predictor
-// construction, the kernel, a fault-injection hook — are recovered into a
-// *PointError naming the unit's points. On error, key names the failing
-// point (or the unit's first point for a panic).
-func runUnit(ctx context.Context, w *workload.Workload, points []Point, idxs []int, budget int64, c *unitCounters) (rs []Result, key string, err error) {
+type keptWalk struct {
+	mu   sync.Mutex
+	walk *sim.Walk
+}
+
+// newWalkSet serves the target-cache points of the shards of points that
+// run reports this Run simulates.
+func newWalkSet(points []Point, budget int64, shardSize int, run func(si int) bool) *walkSet {
+	s := &walkSet{points: points, budget: budget, walks: make(map[string]*keptWalk), pending: make(map[string]int)}
+	for lo := 0; lo < len(points); lo += shardSize {
+		if !run(lo / shardSize) {
+			continue
+		}
+		for _, p := range points[lo:min(lo+shardSize, len(points))] {
+			if replays(p) {
+				s.pending[p.Workload]++
+			}
+		}
+	}
+	return s
+}
+
+// release records that n of workload's target-cache points are done with
+// its walk; after the last, the walk is dropped.
+func (s *walkSet) release(workload string, n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pending[workload] -= n; s.pending[workload] <= 0 {
+		delete(s.walks, workload)
+	}
+}
+
+// get returns w's kept walk, walking its capture first when no unit has
+// yet; walked reports that this call made the walk. A unit that finds
+// the walk in progress waits for it. A failed walk is never kept: the
+// next unit that needs it walks again.
+func (s *walkSet) get(ctx context.Context, w *workload.Workload) (walk *sim.Walk, walked bool, err error) {
+	s.mu.Lock()
+	kw, ok := s.walks[w.Name]
+	if !ok {
+		kw = &keptWalk{}
+		s.walks[w.Name] = kw
+	}
+	s.mu.Unlock()
+
+	kw.mu.Lock()
+	defer kw.mu.Unlock()
+	if kw.walk != nil {
+		return kw.walk, false, nil
+	}
+	// One member per history scheme, at its deepest depth, gives the walk
+	// every register the workload's target-cache points read.
+	var regs []Point
+	deepest := make(map[string]int) // scheme -> index in regs
+	for _, p := range s.points {
+		if p.Workload != w.Name || !replays(p) {
+			continue
+		}
+		if i, ok := deepest[p.History]; !ok {
+			deepest[p.History] = len(regs)
+			regs = append(regs, p)
+		} else if p.HistBits > regs[i].HistBits {
+			regs[i] = p
+		}
+	}
+	pts := make([]sim.GangPoint, len(regs))
+	for i, p := range regs {
+		cfg, err := p.SimConfig()
+		if err != nil {
+			return nil, false, err
+		}
+		pts[i] = sim.GangPoint{Config: cfg, HistShare: histShareKey(p)}
+	}
+	if kw.walk, err = sim.WalkFrontEnd(ctx, w.Replay(s.budget), s.budget, pts); err != nil {
+		return nil, false, err
+	}
+	return kw.walk, true, nil
+}
+
+// runUnit simulates one planned unit: a direct point (width 1, or a lone
+// btb point), a btb gang, or target-cache points replaying their
+// workload's kept walk; walks is nil at width 1. Panics anywhere inside —
+// predictor construction, the kernel, a fault-injection hook — are
+// recovered into a *PointError naming the unit's points. On error, key
+// names the failing point (or the unit's first point).
+func runUnit(ctx context.Context, w *workload.Workload, points []Point, idxs []int, budget int64, walks *walkSet, c *unitCounters) (rs []Result, key string, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			pe := &PointError{Value: v, Stack: string(debug.Stack())}
@@ -199,7 +292,9 @@ func runUnit(ctx context.Context, w *workload.Workload, points []Point, idxs []i
 		return out, "", nil
 	}
 
-	if len(idxs) == 1 {
+	first := points[idxs[0]]
+	replay := walks != nil && replays(first)
+	if !replay && len(idxs) == 1 {
 		return runDirect()
 	}
 
@@ -219,7 +314,21 @@ func runUnit(ctx context.Context, w *workload.Workload, points []Point, idxs []i
 		}
 		gang[gi] = sim.GangPoint{Config: cfg, HistShare: histShareKey(p)}
 	}
-	res, ok := sim.RunAccuracyGangCtx(ctx, w.Replay(budget), budget, gang)
+	var res []sim.AccuracyResult
+	ok := false
+	if replay {
+		walk, walked, err := walks.get(ctx, w)
+		if err != nil {
+			return nil, first.Key(), err
+		}
+		if walked {
+			c.fusedGangs++
+		}
+		res, ok = walk.RunGang(ctx, gang)
+		walks.release(w.Name, len(idxs))
+	} else if res, ok = sim.RunAccuracyGangCtx(ctx, w.Replay(budget), budget, gang); ok {
+		c.fusedGangs++
+	}
 	if !ok {
 		c.fallbacks++
 		return runDirect()
@@ -242,27 +351,32 @@ func runUnit(ctx context.Context, w *workload.Workload, points []Point, idxs []i
 			TCCovered:    res[gi].TCCovered,
 		}
 	}
-	c.fusedGangs++
 	c.fusedPoints += int64(len(idxs))
 	return out, "", nil
 }
 
-// GangPlan describes the planned grouping of one workload's points, for
-// -expand: how many passes the sweep will make and how big each gang is.
+// GangPlan describes the planned execution of one workload's points, for
+// -expand: the capture walks the sweep will make and how many points each
+// serves.
 type GangPlan struct {
 	Workload string
-	// Gangs[w] counts gangs of width w (passes updating w points each).
+	// Gangs[w] counts the capture walks over w points each: btb gangs,
+	// and at w = 1 points run direct.
 	Gangs map[int]int
-	// Points/Passes summarize: Points simulations in Passes trace passes.
+	// Replays[w] counts the target-cache units of w points that replay
+	// the workload's kept front-end walk, which is one more walk.
+	Replays map[int]int
+	// Points/Passes summarize: Points simulations in Passes capture walks.
 	Points, Passes int
-	// MaxStateBytes is the largest single gang's summed predictor state —
+	// MaxStateBytes is the largest single unit's summed predictor state —
 	// the planner's memory-footprint prediction.
 	MaxStateBytes int64
 }
 
 // PlanGangs simulates the engine's unit planning over a full expansion
 // (shard by shard, exactly as Run schedules it) and summarizes per
-// workload, preserving workload first-appearance order.
+// workload, preserving workload first-appearance order. Its Passes sum to
+// the FusedGangs + DirectPoints a fresh Run of the points reports.
 func PlanGangs(points []Point, shardSize, width int) []GangPlan {
 	if shardSize <= 0 {
 		shardSize = defaultShardSize
@@ -276,16 +390,23 @@ func PlanGangs(points []Point, shardSize, width int) []GangPlan {
 			hi = n
 		}
 		for _, unit := range planUnits(points, lo, hi, width) {
-			wl := points[unit[0]].Workload
-			plan, ok := byWorkload[wl]
+			p := points[unit[0]]
+			plan, ok := byWorkload[p.Workload]
 			if !ok {
-				plan = &GangPlan{Workload: wl, Gangs: make(map[int]int)}
-				byWorkload[wl] = plan
-				order = append(order, wl)
+				plan = &GangPlan{Workload: p.Workload, Gangs: make(map[int]int), Replays: make(map[int]int)}
+				byWorkload[p.Workload] = plan
+				order = append(order, p.Workload)
 			}
-			plan.Gangs[len(unit)]++
 			plan.Points += len(unit)
-			plan.Passes++
+			if width != 1 && replays(p) {
+				if len(plan.Replays) == 0 {
+					plan.Passes++ // the kept walk
+				}
+				plan.Replays[len(unit)]++
+			} else {
+				plan.Gangs[len(unit)]++
+				plan.Passes++
+			}
 			var state int64
 			for _, i := range unit {
 				state += points[i].StateBytes()

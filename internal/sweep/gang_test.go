@@ -16,21 +16,23 @@ func planPoints() []Point {
 		{Workload: "perl", Family: "tagged", Scheme: "xor", History: "path-indjmp", Entries: 256, Ways: 4, HistBits: 9, TagBits: 32},
 		{Workload: "gcc", Family: "tagless", Scheme: "gshare", History: "pattern", Entries: 64, HistBits: 9},
 		{Workload: "perl", Family: "tagged", Scheme: "xor", History: "pattern", Entries: 512, Ways: 4, HistBits: 9, TagBits: 32},
+		{Workload: "perl", Family: "btb", Scheme: "2bit", Entries: 512, Ways: 2},
 	}
 }
 
-// TestPlanUnits pins the grouping rule: btb points run direct in place,
-// fusable points group by (workload, history scheme) in first-seen order
-// across families, and widths chunk the groups.
+// TestPlanUnits pins the grouping rule: points group by (workload,
+// history scheme) in first-seen order across families — a workload's btb
+// points, which have no history, into btb gangs — and widths chunk the
+// groups.
 func TestPlanUnits(t *testing.T) {
 	pts := planPoints()
 
 	units := planUnits(pts, 0, len(pts), 0)
 	want := [][]int{
-		{2},          // btb: direct, in place
 		{0, 1, 3, 6}, // perl+pattern: tagless and tagged fuse together
+		{2, 7},       // perl btb: one gang across geometry and strategy
 		{4},          // perl+path-indjmp
-		{5},          // gcc+pattern: its own trace pass
+		{5},          // gcc+pattern: its own unit
 	}
 	if len(units) != len(want) {
 		t.Fatalf("auto width planned %d units %v, want %d", len(units), units, len(want))
@@ -58,7 +60,7 @@ func TestPlanUnits(t *testing.T) {
 	for _, u := range planUnits(pts, 0, len(pts), 3) {
 		sizes = append(sizes, len(u))
 	}
-	wantSizes := []int{1, 3, 1, 1, 1}
+	wantSizes := []int{3, 1, 2, 1, 1}
 	if len(sizes) != len(wantSizes) {
 		t.Fatalf("width 3 unit sizes %v, want %v", sizes, wantSizes)
 	}
@@ -78,8 +80,8 @@ func TestPlanUnits(t *testing.T) {
 	}
 }
 
-// TestPlanGangs pins the -expand summary: passes, points and per-width
-// gang counts per workload.
+// TestPlanGangs pins the -expand summary: walks, points, btb gangs and
+// target-cache units replaying the kept walk, per workload.
 func TestPlanGangs(t *testing.T) {
 	pts := planPoints()
 	plans := PlanGangs(pts, 32, 0)
@@ -87,17 +89,27 @@ func TestPlanGangs(t *testing.T) {
 		t.Fatalf("plans = %+v, want perl then gcc", plans)
 	}
 	perl := plans[0]
-	if perl.Points != 6 || perl.Passes != 3 {
-		t.Errorf("perl plan: %d points in %d passes, want 6 in 3", perl.Points, perl.Passes)
+	if perl.Points != 7 || perl.Passes != 2 {
+		t.Errorf("perl plan: %d points in %d passes, want 7 in 2 (one kept walk, one btb gang)", perl.Points, perl.Passes)
 	}
-	if perl.Gangs[4] != 1 || perl.Gangs[1] != 2 {
-		t.Errorf("perl gang widths = %v, want one 4-gang and two singles", perl.Gangs)
+	if len(perl.Gangs) != 1 || perl.Gangs[2] != 1 {
+		t.Errorf("perl walks = %v, want one 2-point btb gang", perl.Gangs)
+	}
+	if len(perl.Replays) != 2 || perl.Replays[4] != 1 || perl.Replays[1] != 1 {
+		t.Errorf("perl replays = %v, want a 4-point and a 1-point unit", perl.Replays)
 	}
 	if perl.MaxStateBytes <= 0 {
 		t.Errorf("perl MaxStateBytes = %d, want > 0", perl.MaxStateBytes)
 	}
-	if g := plans[1]; g.Points != 1 || g.Passes != 1 {
-		t.Errorf("gcc plan: %d points in %d passes, want 1 in 1", g.Points, g.Passes)
+	if g := plans[1]; g.Points != 1 || g.Passes != 1 || g.Replays[1] != 1 {
+		t.Errorf("gcc plan: %d points in %d passes (replays %v), want 1 in 1 replaying the kept walk", g.Points, g.Passes, g.Replays)
+	}
+
+	// Width 1 walks the capture once per point.
+	for _, pl := range PlanGangs(pts, 32, 1) {
+		if pl.Passes != pl.Points || pl.Gangs[1] != pl.Points || len(pl.Replays) != 0 {
+			t.Errorf("width 1 %s plan = %+v, want one direct walk per point", pl.Workload, pl)
+		}
 	}
 }
 

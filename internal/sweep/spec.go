@@ -52,11 +52,16 @@ type Axis struct {
 // IsZero reports whether the axis was absent from the spec.
 func (a Axis) IsZero() bool { return a.Values == nil }
 
-// UnmarshalJSON accepts a number, an array of numbers, or a range string.
+// UnmarshalJSON accepts a number, an array of numbers, or a range string;
+// null is an absent axis, which is how MarshalJSON writes one.
 func (a *Axis) UnmarshalJSON(data []byte) error {
 	trimmed := strings.TrimSpace(string(data))
 	if trimmed == "" {
 		return fmt.Errorf("sweep: empty axis")
+	}
+	if trimmed == "null" {
+		a.Values = nil
+		return nil
 	}
 	switch trimmed[0] {
 	case '"':

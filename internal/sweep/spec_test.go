@@ -1,6 +1,9 @@
 package sweep
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -228,4 +231,43 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if a.Fingerprint(32) == b.Fingerprint(32) {
 		t.Error("budget does not affect the fingerprint")
 	}
+}
+
+// TestSpecMarshalRoundTrip pins that a marshalled spec parses back to the
+// same sweep: absent axes marshal as null, which must read as absent, so
+// a generated spec printed as JSON can be fed to tcsweep unchanged.
+func TestSpecMarshalRoundTrip(t *testing.T) {
+	smoke, err := os.ReadFile("../../sweep_smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{
+		"sweep_smoke.json": string(smoke), "ExampleSpec": ExampleSpec,
+		"diffSpec": diffSpec, "resumeSpec": resumeSpec,
+	} {
+		spec, err := ParseSpec([]byte(src))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := checkRoundTrip(spec); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// checkRoundTrip marshals spec, parses the bytes back and requires the
+// same fingerprint.
+func checkRoundTrip(spec *Spec) error {
+	data, err := json.Marshal(spec)
+	if err != nil {
+		return err
+	}
+	back, err := ParseSpec(data)
+	if err != nil {
+		return fmt.Errorf("marshalled spec does not parse back: %v\n%s", err, data)
+	}
+	if got, want := back.Fingerprint(0), spec.Fingerprint(0); got != want {
+		return fmt.Errorf("fingerprint changed across the round trip: %s -> %s\n%s", want, got, data)
+	}
+	return nil
 }

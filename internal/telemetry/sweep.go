@@ -24,9 +24,10 @@ type SweepInfo struct {
 	MemoCaptures, MemoHits int64
 	// GangWidth is the configured fusion width (0 = auto, 1 = off).
 	GangWidth int
-	// FusedGangs/FusedPoints count fused trace passes and the points
-	// simulated inside them; DirectPoints ran one pass each; GangFallbacks
-	// counts gangs the fused kernel refused and re-ran per point.
+	// FusedGangs counts the fused capture walks — kept front-end walks
+	// and btb-gang walks — and FusedPoints the points simulated from
+	// them; DirectPoints walked the capture once each; GangFallbacks
+	// counts units the fused kernel refused and re-ran per point.
 	FusedGangs, FusedPoints, DirectPoints, GangFallbacks int64
 	// Interrupted marks a sweep cancelled before completing; the manifest
 	// holds the shards that finished.
@@ -57,12 +58,14 @@ type SweepMetrics struct {
 	CaptureAmortization float64 `json:"capture_amortization,omitempty"`
 
 	// Gang fusion counters: how the run's points were scheduled onto
-	// trace passes. GangWidth is the configured width (0 = auto, 1 =
-	// fusion off). FusedGangs passes updated FusedPoints points in
-	// lockstep; DirectPoints took one pass each; GangFallbacks counts
-	// gangs the fused kernel refused to fuse (re-run per point — always 0
-	// unless a fallback condition appears). PassesAvoided is the headline:
-	// trace passes a per-point sweep would have made that fusion did not.
+	// capture walks. GangWidth is the configured width (0 = auto, 1 =
+	// fusion off). FusedGangs walks — one kept front-end walk per
+	// workload with target-cache points, which every target-cache unit
+	// replays, and one per btb gang — served FusedPoints points;
+	// DirectPoints took one walk each; GangFallbacks counts units the
+	// fused kernel refused (re-run per point — always 0 unless a fallback
+	// condition appears). PassesAvoided is the headline: capture walks a
+	// per-point sweep would have made that fusion did not.
 	GangWidth     int   `json:"gang_width,omitempty"`
 	FusedGangs    int64 `json:"fused_gangs,omitempty"`
 	FusedPoints   int64 `json:"fused_points,omitempty"`
