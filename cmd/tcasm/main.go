@@ -40,15 +40,9 @@ func main() {
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(*srcPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcasm:", err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	prog, err := isa.Assemble(string(src))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcasm:", err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	fmt.Printf("assembled %s: %d instructions, %d data words, entry %#x\n",
 		prog.Name, len(prog.Code), len(prog.Data), prog.AddrOf(prog.Entry))
 
@@ -56,6 +50,7 @@ func main() {
 	case *pipe > 0:
 		res, tl := cpu.RunTimeline(vm.NewLooping(prog), *n,
 			sim.NewEngine(sim.DefaultConfig()), cpu.DefaultConfig(), *pipe)
+		exitOn(res.Err)
 		fmt.Print(tl.String())
 		fmt.Printf("total: %d instructions in %d cycles (IPC %.2f, %d mispredicts)\n",
 			res.Instructions, res.Cycles, res.IPC(), res.Mispredicts)
@@ -64,10 +59,7 @@ func main() {
 	case *doRun:
 		m := vm.New(prog)
 		steps, err := m.Run(*n)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcasm:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		fmt.Printf("retired %d instructions (halted=%v)\n", steps, m.Halted())
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
 			if v := m.Reg(r); v != 0 {
@@ -76,29 +68,32 @@ func main() {
 		}
 	case *out != "":
 		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcasm:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		count, err := trace.WriteStore(f, trace.NewLimit(vm.NewLooping(prog), *n), trace.StoreOptions{})
 		if err == nil {
 			err = f.Close()
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcasm:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		fmt.Printf("wrote %d records to %s\n", count, *out)
 	case *predict:
 		factory := trace.FactoryFunc(func() trace.Source {
 			return trace.NewLimit(vm.NewLooping(prog), *n)
 		})
 		res := sim.RunAccuracy(factory, *n, sim.DefaultConfig())
+		exitOn(res.Err)
 		fmt.Printf("BTB baseline over %d instructions:\n", res.Instructions)
 		fmt.Printf("  conditional mispred:   %6.2f%%\n", 100*res.Conditional.MispredictRate())
 		fmt.Printf("  indirect jump mispred: %6.2f%%  (%d jumps)\n",
 			100*res.IndirectMispredictRate(), res.Indirect.Predictions)
 	default:
 		fmt.Println("nothing to do: pass -run, -dis, -predict or -o (see -help)")
+	}
+}
+
+// exitOn reports a non-nil err on stderr and exits 1.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tcasm:", err)
+		os.Exit(1)
 	}
 }

@@ -119,6 +119,56 @@ func TestTcasmRoundTrip(t *testing.T) {
 	}
 }
 
+// faultingAsm runs 300 jump-table iterations, then loads from address 3.
+const faultingAsm = `
+.name fault
+.base 0x1000
+.data
+jtab: .word &even, &odd
+.text
+start: li r1, 0
+       li r2, 300
+       li r9, jtab
+loop:  andi r3, r1, 1
+       slli r4, r3, 3
+       add  r4, r9, r4
+       ld   r5, 0(r4)
+       jr   r5, r3
+even:  addi r6, r6, 2
+       j next
+odd:   addi r6, r6, 3
+next:  addi r1, r1, 1
+       blt  r1, r2, loop
+       li   r8, 3
+       ld   r7, 0(r8)
+       halt
+`
+
+// TestTcasmFaultExits1: a program that faults makes every tcasm mode
+// that runs it exit 1 with the fault on stderr, and -predict and -pipe
+// print no rates or totals; a program that runs cleanly exits 0.
+func TestTcasmFaultExits1(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "fault.s")
+	if err := os.WriteFile(src, []byte(faultingAsm), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const fault = "tcasm: vm: fault: pc=14: bad load address 0x3"
+	for _, mode := range [][]string{
+		{"-predict", "-n", "100000"},
+		{"-pipe", "5"},
+		{"-run"},
+		{"-o", filepath.Join(dir, "fault.tcstore")},
+	} {
+		code, stdout, stderr := run(t, "tcasm", append([]string{"-s", src}, mode...)...)
+		if code != 1 || !strings.Contains(stderr, fault) || strings.Contains(stdout, "instructions:") || strings.Contains(stdout, "total:") {
+			t.Errorf("tcasm %v: exit %d, stdout %q, stderr %q; want exit 1, no rates or totals, %q on stderr",
+				mode, code, stdout, stderr, fault)
+		}
+	}
+	mustRun(t, "tcasm", "-s", filepath.Join("..", "..", "examples", "asm", "dispatch.s"), "-predict")
+}
+
 // TestDamagedStoreExits1: a store with overwritten group bytes, or a
 // truncated one, exits 1 with the error on stderr and prints no rates.
 func TestDamagedStoreExits1(t *testing.T) {

@@ -37,7 +37,7 @@ type Params struct {
 	// every setting.
 	Parallel int
 	// Segments is the number of concurrent segments a fused accuracy
-	// pass may split its capture into (sim.RunAccuracyGangSegmentedCtx):
+	// pass may split its capture into (sim.Options.Segments):
 	// 0 picks automatically — split only when idle workers outnumber
 	// queued passes — 1 disables splitting, N forces up to N. Results are
 	// byte-identical at every setting.

@@ -26,11 +26,11 @@ import (
 // into a cellGroup; run then fuses the runs of all the group's cells that
 // share a workload, a budget, a flush interval and a front end (BTB
 // config, RAS depth, direction-predictor config) into one gang pass
-// (sim.RunAccuracyGangSegmentedCtx), so K configurations cost one trace
-// pass instead of K. A timing run on the fast model is a gang member that
-// also records its per-branch mispredict bits, plus a pipeline pass of
-// its own (cpu.RunPipeline) that times the capture from those bits; on
-// the event model it is a pass of its own. run executes the gangs and
+// (sim.Run), so K configurations cost one trace pass instead of K. A
+// timing run on the fast model is a gang member that also records its
+// per-branch mispredict bits, plus a pipeline pass of its own
+// (cpu.RunPipeline) that times the capture from those bits; on the event
+// model it is a pass of its own. run executes the gangs and
 // the other passes on a bounded worker pool. Passes form in first-seen
 // order: cells in enqueue order, a cell's runs in run order, then its own
 // pass; pipeline passes follow all others, in run order, each waiting
@@ -377,9 +377,10 @@ func (g *cellGroup) fused(runs []*simRun, budget int64) {
 	}
 	w, flush := live[0].w, live[0].flush
 	perr := g.capture(cellID{}, func() {
-		res, ok := sim.RunAccuracyGangSegmentedCtx(g.p.Context(), w.ReplayPrefix(budget, g.p.shareBudget()), budget, flush, g.p.segs, pts)
-		if !ok {
-			abortCell(fmt.Errorf("bench: the simulator refused a fused pass of %d run(s) on %s", len(pts), w.Name))
+		opts := sim.Options{Budget: budget, FlushInterval: flush, Segments: g.p.segs}
+		res, err := sim.Run(g.p.Context(), w.ReplayPrefix(budget, g.p.shareBudget()), opts, pts)
+		if err != nil {
+			abortCell(fmt.Errorf("bench: a fused pass of %d run(s) on %s: %w", len(pts), w.Name, err))
 		}
 		for i, r := range live {
 			if r.machine != nil {

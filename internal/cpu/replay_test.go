@@ -77,9 +77,9 @@ func fused(t *testing.T, bs trace.BlockSource, budget int64, cols map[string]*te
 		pts[i] = sim.GangPoint{Config: cfgs[n], Mispredicts: &bits[i]}
 		pts[i].Config.Telemetry = cols[n]
 	}
-	accs, ok := sim.RunAccuracyGangCtx(ctx, bs, budget, pts)
-	if !ok {
-		t.Fatal("the gang refused to fuse")
+	accs, err := sim.Run(ctx, bs, sim.Options{Budget: budget}, pts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	misses, err := DCacheMisses(ctx, mc, bs, budget)
 	out := make(map[string]Result, len(gangOrder))

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -41,45 +42,73 @@ func (r AccuracyResult) IndirectMispredictRate() float64 {
 	return r.Indirect.MispredictRate()
 }
 
-// RunAccuracy drives up to budget instructions from factory through a fresh
-// engine built from cfg, counting per-class mispredictions.
-func RunAccuracy(factory trace.Factory, budget int64, cfg Config) AccuracyResult {
-	return RunAccuracyCtx(context.Background(), factory, budget, cfg)
+// Options are what an accuracy run simulates besides its members.
+type Options struct {
+	// Budget is the number of instructions to simulate, from the start of
+	// the trace.
+	Budget int64
+	// FlushInterval resets every structure each FlushInterval
+	// instructions, modelling context switches that wipe predictor state:
+	// the BTB re-warms after one encounter per jump, a history-indexed
+	// target cache after one per (jump, history) pair. 0 never flushes.
+	FlushInterval int64
+	// Segments is the most concurrent segments a pass over a decoded
+	// trace splits into (segment.go); 0 and 1 run one pass.
+	Segments int
 }
 
-// RunAccuracyCtx is RunAccuracy under a context: the loop polls ctx on
-// instruction-count boundaries and stops early with Err set to ctx.Err()
-// when cancelled, returning the partial counts accumulated so far.
+// Run simulates every member of pts over factory's first opts.Budget
+// instructions and returns one AccuracyResult per member, in order. A
+// member may be the BTB-only baseline (no target cache) and may carry a
+// telemetry collector.
 //
-// When factory is a memoized trace.Replay (or any other
-// trace.BlockSource), the run is a one-member gang on the batched
-// kernel with devirtualized predictor calls; results are
-// identical to the streaming loop in RunAccuracyWithFlushesCtx, which
-// remains the reference path for arbitrary sources.
-func RunAccuracyCtx(ctx context.Context, factory trace.Factory, budget int64, cfg Config) AccuracyResult {
-	return RunAccuracyWithFlushesCtx(ctx, factory, budget, 0, cfg)
-}
-
-// RunAccuracyWithFlushes is RunAccuracy with the entire front end reset
-// every flushInterval instructions, modelling context switches that wipe
-// predictor state. It measures how quickly each structure re-warms: the
-// BTB needs one encounter per jump, a history-indexed target cache one
-// encounter per (jump, history) pair, so frequent switches erode the
-// target cache's advantage first — a classic objection the experiment
-// quantifies. An interval of 0 never flushes.
-func RunAccuracyWithFlushes(factory trace.Factory, budget, flushInterval int64, cfg Config) AccuracyResult {
-	return RunAccuracyWithFlushesCtx(context.Background(), factory, budget, flushInterval, cfg)
-}
-
-// RunAccuracyWithFlushesCtx is RunAccuracyWithFlushes under a context; see
-// RunAccuracyCtx for the cancellation contract and the batched path.
-func RunAccuracyWithFlushesCtx(ctx context.Context, factory trace.Factory, budget, flushInterval int64, cfg Config) AccuracyResult {
-	if bs, ok := blocksFor(factory); ok {
-		return soloGang(cfg).run(ctx, span{bs: bs, end: budget, flushInterval: flushInterval})[0]
+// Over a decoded trace.BlockSource — a memoized capture or a trace-store
+// file — every member runs in one fused pass of the batched kernel
+// (gang.go), split into up to opts.Segments segments. Over any other
+// factory each member runs alone on the streaming reference loop, which
+// records no mispredict bits. Either way each member's result is
+// struct-identical to the one it gets alone.
+//
+// Run simulates nothing and returns an error naming the reason when pts
+// cannot share one pass: it is empty, its members differ in RAS depth or
+// direction predictor, or they differ in BTB while one of them carries a
+// target cache; or a member asks for mispredict bits over a factory that
+// is not decoded. Otherwise the error is nil, and each result's Err
+// reports an early stop: a corrupt trace (wrapping trace.ErrCorrupt) or
+// ctx's error, over the counters of the instructions processed before it.
+func Run(ctx context.Context, factory trace.Factory, opts Options, pts []GangPoint) ([]AccuracyResult, error) {
+	if err := fusable(pts); err != nil {
+		return nil, err
 	}
+	if bs, ok := factory.(trace.BlockSource); ok {
+		sp := span{bs: bs, end: opts.Budget, flushInterval: opts.FlushInterval}
+		return runSegmented(ctx, sp, opts.Segments, pts), nil
+	}
+	for i, pt := range pts {
+		if pt.Mispredicts != nil {
+			return nil, fmt.Errorf("sim: member %d asks for mispredict bits over a trace that is not decoded", i)
+		}
+	}
+	out := make([]AccuracyResult, len(pts))
+	for i, pt := range pts {
+		out[i] = runStreaming(ctx, factory, opts, pt.Config)
+	}
+	return out, nil
+}
+
+// RunAccuracy is Run of the one member cfg over budget instructions.
+func RunAccuracy(factory trace.Factory, budget int64, cfg Config) AccuracyResult {
+	// Run refuses no lone member that asks for no mispredict bits.
+	res, _ := Run(context.Background(), factory, Options{Budget: budget}, []GangPoint{{Config: cfg}})
+	return res[0]
+}
+
+// runStreaming is the streaming reference loop: cfg's Engine over the
+// records factory opens, polling ctx every ctxCheckMask+1 instructions.
+func runStreaming(ctx context.Context, factory trace.Factory, opts Options, cfg Config) AccuracyResult {
 	engine := NewEngine(cfg)
 	var res AccuracyResult
-	src := trace.NewLimit(factory.Open(), budget)
+	src := trace.NewLimit(factory.Open(), opts.Budget)
 	var r trace.Record
 	for src.Next(&r) {
 		res.Instructions++
@@ -89,7 +118,7 @@ func RunAccuracyWithFlushesCtx(ctx context.Context, factory trace.Factory, budge
 				return res
 			}
 		}
-		if flushInterval > 0 && res.Instructions%flushInterval == 0 {
+		if fi := opts.FlushInterval; fi > 0 && res.Instructions%fi == 0 {
 			engine.Reset()
 		}
 		if !r.Class.IsBranch() {

@@ -8,21 +8,16 @@ import (
 	"repro/internal/trace"
 )
 
-// RunCBT measures the case block table's indirect-jump target prediction
-// accuracy over a trace. The CBT is consulted for indirect jumps only; a
-// CBT miss counts as a misprediction (no BTB fallback), isolating the
-// mechanism itself as the paper's Section 2 discussion does.
-func RunCBT(factory trace.Factory, budget int64, cfg cbt.Config) stats.Counter {
-	c, _ := RunCBTCtx(context.Background(), factory, budget, cfg)
-	return c
-}
-
-// RunCBTCtx is RunCBT under a context. The returned error is non-nil when
+// RunCBTCtx measures the case block table's indirect-jump target
+// prediction accuracy over factory's first budget instructions. The CBT
+// is consulted for indirect jumps only; a CBT miss counts as a
+// misprediction (no BTB fallback), isolating the mechanism itself as the
+// paper's Section 2 discussion does. The returned error is non-nil when
 // the run stopped early on cancellation or a corrupt trace source; the
-// counter covers the records processed before the stop. Memoized replays
-// run on the batched path.
+// counter covers the records processed before the stop. A decoded
+// trace.BlockSource runs on the batched path.
 func RunCBTCtx(ctx context.Context, factory trace.Factory, budget int64, cfg cbt.Config) (stats.Counter, error) {
-	if bs, ok := blocksFor(factory); ok {
+	if bs, ok := factory.(trace.BlockSource); ok {
 		return runCBTBlocks(ctx, bs, budget, cfg)
 	}
 	table := cbt.New(cfg)

@@ -1,8 +1,9 @@
 // Package sim wires the prediction structures into a front-end engine and
-// provides the trace-driven accuracy driver (Section 4.1's methodology).
-// The cycle-level timing driver lives in internal/cpu and reuses the same
-// Engine so accuracy and timing experiments see identical predictor
-// behaviour.
+// measures them over traces by Section 4.1's methodology: Run drives any
+// number of front ends over one trace and counts each one's
+// mispredictions per branch class. The cycle-level timing driver lives in
+// internal/cpu and reuses the same Engine so accuracy and timing
+// experiments see identical predictor behaviour.
 package sim
 
 import (

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -20,19 +21,23 @@ func TestFlushesDegradePrediction(t *testing.T) {
 		},
 		func() history.Provider { return history.NewPatternProvider(9) },
 	)
-	never := RunAccuracyWithFlushes(w, budget, 0, cfg)
+	ctx := context.Background()
+	flushed := func(interval int64) AccuracyResult {
+		return runOne(t, ctx, w, Options{Budget: budget, FlushInterval: interval}, cfg)
+	}
+	never := flushed(0)
 	plain := RunAccuracy(w, budget, cfg)
 	if never.Indirect != plain.Indirect {
 		t.Fatalf("interval 0 must match plain run: %+v vs %+v",
 			never.Indirect, plain.Indirect)
 	}
-	often := RunAccuracyWithFlushes(w, budget, 2_000, cfg)
+	often := flushed(2_000)
 	if often.IndirectMispredictRate() <= never.IndirectMispredictRate() {
 		t.Errorf("frequent flushes should hurt: %.2f%% vs %.2f%%",
 			100*often.IndirectMispredictRate(), 100*never.IndirectMispredictRate())
 	}
 	// Monotonic-ish: flushing every 2k should be no better than every 50k.
-	mid := RunAccuracyWithFlushes(w, budget, 50_000, cfg)
+	mid := flushed(50_000)
 	if often.IndirectMispredictRate() < mid.IndirectMispredictRate() {
 		t.Errorf("more flushing should not help: 2k %.2f%% vs 50k %.2f%%",
 			100*often.IndirectMispredictRate(), 100*mid.IndirectMispredictRate())

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/bits"
 
 	"repro/internal/trace"
@@ -53,9 +55,10 @@ import (
 // the shared front end can also be kept and replayed by many gangs
 // (walk.go).
 //
-// Equivalence contract: for every member, the returned AccuracyResult is
-// struct-identical to sim.RunAccuracy over the same factory, budget and
-// config, and its telemetry collector ends up deep-equal to a solo run's.
+// Equivalence contract: for every member, the AccuracyResult Run returns
+// is struct-identical to the streaming reference loop's over the same
+// records and Options for that member alone, and its telemetry collector
+// ends up deep-equal to that run's.
 // TestGangMatchesSolo, TestGangTelemetryMatchesSolo, TestBTBGangMatchesEngine
 // and the sweep package's differential harness pin this at gang widths 1,
 // 4 and K across worker counts.
@@ -109,62 +112,33 @@ func (b BranchBits) each(f func(i int64)) {
 	}
 }
 
-// RunAccuracyGang is RunAccuracyGangCtx under context.Background.
+// RunAccuracyGang is Run over budget instructions, its error a false
+// second return. It stays only because benchmark/layers.go calls it.
 func RunAccuracyGang(factory trace.Factory, budget int64, pts []GangPoint) ([]AccuracyResult, bool) {
-	return RunAccuracyGangCtx(context.Background(), factory, budget, pts)
+	res, err := Run(context.Background(), factory, Options{Budget: budget}, pts)
+	return res, err == nil
 }
 
-// RunAccuracyGangCtx simulates every member of pts over a single pass of
-// factory's decoded block stream and returns one AccuracyResult per
-// member, in order, each struct-identical to what RunAccuracyCtx would
-// report for that member alone. A member may be the BTB-only baseline (no
-// target cache) and may carry a telemetry collector, which receives
-// exactly the events a solo run would give it.
-//
-// The second return is false — and no simulation runs — when the gang
-// cannot be fused: it is empty, the factory exposes no decoded
-// BlockSource, the members disagree on RAS depth or direction predictor,
-// or they disagree on the BTB while some member carries a target cache.
-// Callers fall back to per-point runs.
-func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64, pts []GangPoint) ([]AccuracyResult, bool) {
-	return RunAccuracyGangSegmentedCtx(ctx, factory, budget, 0, 1, pts)
-}
-
-// RunAccuracyGangSegmentedCtx is RunAccuracyGangCtx with the two options
-// of the solo drivers: every member's structures (and the shared front
-// end) reset every flushInterval instructions, 0 never, as in
-// RunAccuracyWithFlushes; and the capture split into up to `segments`
-// concurrently simulated segments, as in RunAccuracySegmentedCtx. Each
-// member's result is struct-identical to RunAccuracyWithFlushesCtx of
-// that member alone. It refuses exactly the gangs RunAccuracyGangCtx
-// refuses.
-func RunAccuracyGangSegmentedCtx(ctx context.Context, factory trace.Factory, budget, flushInterval int64, segments int, pts []GangPoint) ([]AccuracyResult, bool) {
+// fusable reports why pts cannot share one walk, or nil when every
+// member has the first's RAS depth and direction predictor, and either
+// every member has its BTB too or no member carries a target cache (a
+// BTB gang).
+func fusable(pts []GangPoint) error {
 	if len(pts) == 0 {
-		return nil, false
+		return errors.New("sim: a run needs a member")
 	}
-	bs, ok := blocksFor(factory)
-	if !ok {
-		return nil, false
-	}
-	if !fusable(pts) {
-		return nil, false
-	}
-	return runSegmented(ctx, span{bs: bs, end: budget, flushInterval: flushInterval}, segments, pts), true
-}
-
-// fusable reports whether pts can share one walk: every member has the
-// first's RAS depth and direction predictor, and either every member has
-// its BTB too or no member carries a target cache (a BTB gang).
-func fusable(pts []GangPoint) bool {
 	first := pts[0].Config
 	btbs, tcs := false, false
-	for _, pt := range pts {
+	for i, pt := range pts {
 		cfg := pt.Config
 		if cfg.RASDepth != first.RASDepth || cfg.Dir != first.Dir {
-			return false
+			return fmt.Errorf("sim: members 0 and %d differ in RAS depth or direction predictor", i)
 		}
 		btbs = btbs || cfg.BTB != first.BTB
 		tcs = tcs || cfg.NewTargetCache != nil
 	}
-	return !(btbs && tcs)
+	if btbs && tcs {
+		return errors.New("sim: members differ in BTB while one carries a target cache")
+	}
+	return nil
 }

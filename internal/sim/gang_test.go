@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,14 +77,8 @@ func TestGangMatchesSolo(t *testing.T) {
 	}
 	for _, width := range []int{1, 3, len(pts)} {
 		for lo := 0; lo < len(pts); lo += width {
-			hi := lo + width
-			if hi > len(pts) {
-				hi = len(pts)
-			}
-			got, ok := RunAccuracyGang(rep, budget, pts[lo:hi])
-			if !ok {
-				t.Fatalf("width %d members [%d,%d): gang refused to fuse", width, lo, hi)
-			}
+			hi := min(lo+width, len(pts))
+			got := runGang(t, context.Background(), rep, Options{Budget: budget}, pts[lo:hi])
 			for i, res := range got {
 				if res != solo[lo+i] {
 					t.Errorf("width %d member %d diverges from solo run\n  gang %+v\n  solo %+v",
@@ -131,9 +126,9 @@ func TestGangMispredictBits(t *testing.T) {
 	}
 	const budget = 60_000
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+	ctx := context.Background()
 	for _, flush := range []int64{0, 7_000} {
-		plain := gangPoints()
-		want, _ := RunAccuracyGangSegmentedCtx(context.Background(), rep, budget, flush, 1, plain)
+		want := runGang(t, ctx, rep, Options{Budget: budget, FlushInterval: flush}, gangPoints())
 		for _, segments := range []int{1, 4} {
 			pts := gangPoints()
 			bits := make([]BranchBits, len(pts))
@@ -143,10 +138,7 @@ func TestGangMispredictBits(t *testing.T) {
 				}
 			}
 			before := SegmentCounters().SegmentedRuns
-			got, ok := RunAccuracyGangSegmentedCtx(context.Background(), rep, budget, flush, segments, pts)
-			if !ok {
-				t.Fatal("gang refused to fuse")
-			}
+			got := runGang(t, ctx, rep, Options{Budget: budget, FlushInterval: flush, Segments: segments}, pts)
 			if split := SegmentCounters().SegmentedRuns > before; split != (segments > 1) {
 				t.Fatalf("%d segments: segmented %v", segments, split)
 			}
@@ -192,15 +184,10 @@ func TestGangSharedHistoryMatchesPrivate(t *testing.T) {
 	for i := range private {
 		private[i].HistShare = ""
 	}
-	want, ok := RunAccuracyGang(rep, budget, private)
-	if !ok {
-		t.Fatal("gang refused to fuse")
-	}
+	ctx, opts := context.Background(), Options{Budget: budget}
+	want := runGang(t, ctx, rep, opts, private)
 	for name, pts := range map[string][]GangPoint{"by depth": gangPoints(), "by scheme": schemeKeyed(gangPoints())} {
-		got, ok := RunAccuracyGang(rep, budget, pts)
-		if !ok {
-			t.Fatalf("%s: gang refused to fuse", name)
-		}
+		got := runGang(t, ctx, rep, opts, pts)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Errorf("%s: member %d: shared-history result diverges from private providers\n  shared  %+v\n  private %+v",
@@ -236,9 +223,11 @@ func btbGangPoints() []GangPoint {
 	return pts
 }
 
-// TestGangFallbackConditions enumerates every condition under which the
-// gang must refuse to fuse and hand the caller back to per-point runs,
-// and pins that a member without a target cache is not one of them.
+// TestGangFallbackConditions enumerates every condition under which Run
+// must refuse a gang, running nothing, and pins that a member without a
+// target cache and a factory with no decoded BlockSource are not among
+// them. Every case also pins RunAccuracyGang to Run: it refuses exactly
+// what Run refuses and otherwise reports Run's results.
 func TestGangFallbackConditions(t *testing.T) {
 	w, err := workload.ByName("perl")
 	if err != nil {
@@ -247,73 +236,71 @@ func TestGangFallbackConditions(t *testing.T) {
 	const budget = 10_000
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
 	base := gangPoints()
+	run := func(t *testing.T, factory trace.Factory, pts []GangPoint) ([]AccuracyResult, error) {
+		t.Helper()
+		res, err := Run(context.Background(), factory, Options{Budget: budget}, pts)
+		if old, ok := RunAccuracyGang(factory, budget, pts); ok != (err == nil) || !slices.Equal(old, res) {
+			t.Errorf("RunAccuracyGang (ok %v) disagrees with Run (err %v)", ok, err)
+		}
+		return res, err
+	}
+	// matchSolo runs pts over factory and requires every member to score
+	// exactly as its solo run over the capture.
+	matchSolo := func(t *testing.T, factory trace.Factory, pts []GangPoint) {
+		t.Helper()
+		got, err := run(t, factory, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pt := range pts {
+			if want := RunAccuracy(rep, budget, pt.Config); got[i] != want {
+				t.Errorf("member %d diverges from solo run\n  gang %+v\n  solo %+v", i, got[i], want)
+			}
+		}
+	}
+	refused := func(t *testing.T, factory trace.Factory, pts []GangPoint) {
+		t.Helper()
+		if _, err := run(t, factory, pts); err == nil {
+			t.Error("the gang ran")
+		}
+	}
 
-	t.Run("empty", func(t *testing.T) {
-		if _, ok := RunAccuracyGang(rep, budget, nil); ok {
-			t.Error("empty gang fused")
-		}
-	})
+	t.Run("empty", func(t *testing.T) { refused(t, rep, nil) })
 	t.Run("streaming-only-factory", func(t *testing.T) {
-		if _, ok := RunAccuracyGang(opaqueFactory{rep}, budget, base); ok {
-			t.Error("gang fused over a factory with no BlockSource")
-		}
+		// Each member runs alone on the streaming loop, which records
+		// no mispredict bits.
+		matchSolo(t, opaqueFactory{rep}, base)
+		pts := append([]GangPoint(nil), base...)
+		pts[1].Mispredicts = new(BranchBits)
+		refused(t, opaqueFactory{rep}, pts)
 	})
 	t.Run("btb-baseline-member", func(t *testing.T) {
 		// A BTB-only member leading the gang fuses, and every member,
 		// it included, scores exactly as its solo run.
-		pts := append([]GangPoint{{Config: DefaultConfig()}}, base...)
-		got, ok := RunAccuracyGang(rep, budget, pts)
-		if !ok {
-			t.Fatal("gang refused a member without a target cache")
-		}
-		for i, pt := range pts {
-			if want := RunAccuracy(rep, budget, pt.Config); got[i] != want {
-				t.Errorf("member %d diverges from solo run\n  gang %+v\n  solo %+v", i, got[i], want)
-			}
-		}
+		matchSolo(t, rep, append([]GangPoint{{Config: DefaultConfig()}}, base...))
 	})
 	t.Run("front-end-mismatch", func(t *testing.T) {
 		pts := append([]GangPoint(nil), base...)
-		cfg := pts[1].Config
-		cfg.RASDepth = 8
-		pts[1].Config = cfg
-		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
-			t.Error("gang fused members with different front ends")
-		}
+		pts[1].Config.RASDepth = 8
+		refused(t, rep, pts)
 	})
 	t.Run("btb-gang", func(t *testing.T) {
 		// Members differing only in their BTB fuse, and each scores
 		// exactly as its solo run.
-		pts := btbGangPoints()
-		got, ok := RunAccuracyGang(rep, budget, pts)
-		if !ok {
-			t.Fatal("gang refused members differing only in their BTB")
-		}
-		for i, pt := range pts {
-			if want := RunAccuracy(rep, budget, pt.Config); got[i] != want {
-				t.Errorf("member %d diverges from solo run\n  gang %+v\n  solo %+v", i, got[i], want)
-			}
-		}
+		matchSolo(t, rep, btbGangPoints())
 	})
 	t.Run("btb-gang-direction-mismatch", func(t *testing.T) {
 		pts := btbGangPoints()
 		pts[1].Config.Dir.HistoryBits = 8
-		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
-			t.Error("BTB gang fused members with different direction predictors")
-		}
+		refused(t, rep, pts)
 	})
 	t.Run("btb-gang-ras-mismatch", func(t *testing.T) {
 		pts := btbGangPoints()
 		pts[2].Config.RASDepth = 8
-		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
-			t.Error("BTB gang fused members with different RAS depths")
-		}
+		refused(t, rep, pts)
 	})
 	t.Run("btb-gang-with-target-cache", func(t *testing.T) {
-		pts := append(btbGangPoints(), base[0])
-		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
-			t.Error("gang fused a target cache with members of a different BTB")
-		}
+		refused(t, rep, append(btbGangPoints(), base[0]))
 	})
 }
 
@@ -340,16 +327,14 @@ func TestGangTelemetryMatchesSolo(t *testing.T) {
 				pts[i].Config.Telemetry = newCol()
 			}
 		}
-		got, ok := RunAccuracyGangSegmentedCtx(ctx, rep, budget, flush, 1, pts)
-		if !ok {
-			t.Fatalf("flush=%d: gang refused to fuse", flush)
-		}
+		opts := Options{Budget: budget, FlushInterval: flush}
+		got := runGang(t, ctx, rep, opts, pts)
 		for i, pt := range pts {
 			cfg := pt.Config
 			if cfg.Telemetry != nil {
 				cfg.Telemetry = newCol()
 			}
-			want := RunAccuracyWithFlushesCtx(ctx, rep, budget, flush, cfg)
+			want := runOne(t, ctx, rep, opts, cfg)
 			if got[i] != want {
 				t.Errorf("flush=%d member %d: result diverges from solo run\n  gang %+v\n  solo %+v", flush, i, got[i], want)
 			}
@@ -372,10 +357,7 @@ func TestGangErrorContract(t *testing.T) {
 	damaged := damagedStore(t, rep)
 	pts := gangPoints()
 	for _, budget := range []int64{1_000, rep.Len()} {
-		got, ok := RunAccuracyGang(damaged, budget, pts)
-		if !ok {
-			t.Fatalf("budget %d: gang refused to fuse", budget)
-		}
+		got := runGang(t, context.Background(), damaged, Options{Budget: budget}, pts)
 		for i, pt := range pts {
 			want := RunAccuracy(damaged, budget, pt.Config)
 			gotErr, wantErr := got[i].Err, want.Err
@@ -403,13 +385,10 @@ func TestGangCancellation(t *testing.T) {
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pts := gangPoints()
-	got, ok := RunAccuracyGangCtx(ctx, rep, budget, pts)
-	if !ok {
-		t.Fatal("gang refused to fuse")
-	}
+	pts, opts := gangPoints(), Options{Budget: budget}
+	got := runGang(t, ctx, rep, opts, pts)
 	for i, pt := range pts {
-		want := RunAccuracyCtx(ctx, rep, budget, pt.Config)
+		want := runOne(t, ctx, rep, opts, pt.Config)
 		if got[i].Err != context.Canceled || want.Err != context.Canceled {
 			t.Fatalf("member %d: expected context.Canceled, gang %v solo %v", i, got[i].Err, want.Err)
 		}
@@ -443,11 +422,10 @@ func BenchmarkGangVsSolo(b *testing.B) {
 			HistShare: "pattern#9",
 		})
 	}
+	ctx, opts := context.Background(), Options{Budget: budget}
 	b.Run("gang-8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := RunAccuracyGang(rep, budget, pts); !ok {
-				b.Fatal("gang refused to fuse")
-			}
+			runGang(b, ctx, rep, opts, pts)
 		}
 		b.ReportMetric(float64(int64(len(pts))*budget*int64(b.N))/b.Elapsed().Seconds()/1e6, "Mpointinstr/s")
 	})
@@ -475,9 +453,7 @@ func BenchmarkGangVsSolo(b *testing.B) {
 	}
 	b.Run("btb-gang-36", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := RunAccuracyGang(rep, budget, btbs); !ok {
-				b.Fatal("BTB gang refused to fuse")
-			}
+			runGang(b, ctx, rep, opts, btbs)
 		}
 		perMemberInstr(b)
 	})

@@ -19,8 +19,8 @@ import (
 // a solo run (a gang of one), a run with periodic flushes, a segment
 // worker's priming walk and its simulated span, a fused gang, and a
 // kept front-end walk (walk.go) — executes gangKernel below. It differs
-// from the streaming reference loop (RunAccuracyWithFlushesCtx over an
-// arbitrary source) in ways none of which is observable in the results:
+// from the streaming reference loop (Run over a factory that is not a
+// BlockSource) in ways none of which is observable in the results:
 //
 //   - Batched iteration. Records come from a trace.BlockSource's column
 //     batches — built once per capture process-wide — and non-branch
@@ -76,13 +76,6 @@ func (noTC) Predict(pc, hist uint64) (uint64, bool) { return 0, false }
 func (noTC) Update(pc, hist, target uint64)         {}
 func (noTC) CostBits() int                          { return 0 }
 func (noTC) Reset()                                 {}
-
-// blocksFor unwraps the batched representation behind a factory: a
-// memoized trace.Replay or the out-of-core trace.Store.
-func blocksFor(factory trace.Factory) (trace.BlockSource, bool) {
-	bs, ok := factory.(trace.BlockSource)
-	return bs, ok
-}
 
 // event is one record the member step reads. In a gang with target
 // caches: a branch whose prediction consulted them (its BTB entry holds an
@@ -288,9 +281,6 @@ func readMask(depth, regDepth int) uint64 {
 	}
 	return 1<<depth - 1
 }
-
-// soloGang is the one-member gang a solo run of cfg executes.
-func soloGang(cfg Config) *gang { return newGang([]GangPoint{{Config: cfg}}) }
 
 // span is one kernel walk over records [start, end) of a block stream.
 type span struct {

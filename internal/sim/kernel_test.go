@@ -13,12 +13,28 @@ import (
 	"repro/internal/workload"
 )
 
-// opaqueFactory hides a capture's concrete type from RunAccuracyCtx's
-// dispatch, forcing the streaming reference loop over the same records the
-// batched kernel consumes.
+// opaqueFactory hides a capture's concrete type from Run's dispatch,
+// forcing the streaming reference loop over the same records the batched
+// kernel consumes.
 type opaqueFactory struct{ rep trace.Factory }
 
 func (f opaqueFactory) Open() trace.Source { return f.rep.Open() }
+
+// runGang is Run, failing t when Run refuses pts.
+func runGang(t testing.TB, ctx context.Context, factory trace.Factory, opts Options, pts []GangPoint) []AccuracyResult {
+	t.Helper()
+	res, err := Run(ctx, factory, opts, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runOne is Run of the one member cfg.
+func runOne(t testing.TB, ctx context.Context, factory trace.Factory, opts Options, cfg Config) AccuracyResult {
+	t.Helper()
+	return runGang(t, ctx, factory, opts, []GangPoint{{Config: cfg}})[0]
+}
 
 // damagedStore opens an uncompressed TCSTORE1 image of rep in one-block
 // groups with 16 bytes overwritten three quarters of the way in: the
@@ -93,8 +109,9 @@ func TestKernelMatchesGenericLoop(t *testing.T) {
 	ctx := context.Background()
 	for name, cfg := range kernelConfigs() {
 		for _, flush := range []int64{0, 7_777} {
-			got := RunAccuracyWithFlushesCtx(ctx, rep, budget, flush, cfg)
-			want := RunAccuracyWithFlushesCtx(ctx, opaqueFactory{rep}, budget, flush, cfg)
+			opts := Options{Budget: budget, FlushInterval: flush}
+			got := runOne(t, ctx, rep, opts, cfg)
+			want := runOne(t, ctx, opaqueFactory{rep}, opts, cfg)
 			if got != want {
 				t.Errorf("%s flush=%d: kernel result diverges\n  kernel  %+v\n  generic %+v", name, flush, got, want)
 			}
@@ -116,11 +133,12 @@ func TestKernelTelemetryMatchesGenericLoop(t *testing.T) {
 	ctx := context.Background()
 	for name, cfg := range kernelConfigs() {
 		for _, flush := range []int64{0, 7_777} {
+			opts := Options{Budget: budget, FlushInterval: flush}
 			cfg.Telemetry = telemetry.NewCollector(telemetry.Config{Events: 64})
-			got := RunAccuracyWithFlushesCtx(ctx, rep, budget, flush, cfg)
+			got := runOne(t, ctx, rep, opts, cfg)
 			gotTel := cfg.Telemetry
 			cfg.Telemetry = telemetry.NewCollector(telemetry.Config{Events: 64})
-			want := RunAccuracyWithFlushesCtx(ctx, opaqueFactory{rep}, budget, flush, cfg)
+			want := runOne(t, ctx, opaqueFactory{rep}, opts, cfg)
 			if got != want {
 				t.Errorf("%s flush=%d: kernel result diverges\n  kernel  %+v\n  generic %+v", name, flush, got, want)
 			}
@@ -176,10 +194,9 @@ func TestKernelErrorContract(t *testing.T) {
 	rep := trace.Capture(trace.NewLimit(w.Open(), 20_000))
 	damaged := damagedStore(t, rep)
 	cfg := kernelConfigs()["tagless-pattern"]
-	ctx := context.Background()
 	for _, budget := range []int64{1_000, rep.Len()} {
-		got := RunAccuracyCtx(ctx, damaged, budget, cfg)
-		want := RunAccuracyCtx(ctx, opaqueFactory{damaged}, budget, cfg)
+		got := RunAccuracy(damaged, budget, cfg)
+		want := RunAccuracy(opaqueFactory{damaged}, budget, cfg)
 		gotErr, wantErr := got.Err, want.Err
 		got.Err, want.Err = nil, nil
 		if got != want {

@@ -25,7 +25,7 @@ type streamOnly struct{ f trace.Factory }
 
 func (s streamOnly) Open() trace.Source { return s.f.Open() }
 
-// plainAccuracyLoop is sim.RunAccuracyWithFlushesCtx's streaming loop with
+// plainAccuracyLoop is sim.Run's streaming loop with
 // every telemetry touchpoint deleted — the pre-instrumentation loop, kept
 // here as the throughput reference. If the two drift apart structurally,
 // update this copy.

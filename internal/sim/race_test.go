@@ -8,6 +8,7 @@ package sim_test
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -83,7 +84,12 @@ func TestConcurrentSegmentedReplay(t *testing.T) {
 			if i%2 == 1 {
 				src = store
 			}
-			results[i] = sim.RunAccuracySegmented(src, budget, 2+i%3, sim.DefaultConfig())
+			res, err := sim.Run(context.Background(), src, sim.Options{Budget: budget, Segments: 2 + i%3}, []sim.GangPoint{{Config: sim.DefaultConfig()}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i] = res[0]
 		}()
 	}
 	wg.Wait()

@@ -1,10 +1,11 @@
 package sim
 
 // Segment-parallel accuracy replay: one capture's block stream is split
-// into K segments simulated concurrently inside a single pass — a solo
-// run or a fused gang. Every predictor structure (BTB, RAS, direction
-// predictor, history register, target cache) is a deterministic function
-// of the branch stream consumed so far, so a worker that first *primes*
+// into K segments simulated concurrently inside a single pass of Run —
+// one member or a fused gang. Every predictor structure (BTB, RAS,
+// direction predictor, history register, target cache) is a
+// deterministic function of the branch stream consumed so far, so a
+// worker that first *primes*
 // its gang over the full prefix [0, seam) — performing exactly the state
 // mutations the counted walk would, flushes included, but accumulating
 // no results — and then simulates [seam, next) produces byte-identical
@@ -71,27 +72,6 @@ func SegmentCounters() SegmentStats {
 		SegmentsExecuted:   segmentsExecuted.Load(),
 		WarmupInstructions: warmupInstructions.Load(),
 	}
-}
-
-// RunAccuracySegmented is RunAccuracy with the capture split into up to
-// `segments` concurrently simulated segments.
-func RunAccuracySegmented(factory trace.Factory, budget int64, segments int, cfg Config) AccuracyResult {
-	return RunAccuracySegmentedCtx(context.Background(), factory, budget, segments, cfg)
-}
-
-// RunAccuracySegmentedCtx runs the accuracy model over factory's first
-// budget instructions using up to `segments` concurrent workers, joining
-// their results in order. The merged result is byte-identical to
-// RunAccuracyCtx over the same inputs. Runs that cannot be segmented
-// without observable differences run in one pass instead: telemetry
-// collection (events carry stream-order clocks), non-batched factories
-// (the streaming loop), and captures too small to split.
-func RunAccuracySegmentedCtx(ctx context.Context, factory trace.Factory, budget int64, segments int, cfg Config) AccuracyResult {
-	bs, ok := blocksFor(factory)
-	if !ok {
-		return RunAccuracyCtx(ctx, factory, budget, cfg)
-	}
-	return runSegmented(ctx, span{bs: bs, end: budget}, segments, []GangPoint{{Config: cfg}})[0]
 }
 
 // runSegmented simulates the gang pts over sp, split into up to

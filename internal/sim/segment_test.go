@@ -23,17 +23,17 @@ func TestSegmentedMatchesStreaming(t *testing.T) {
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
 	ctx := context.Background()
 	for name, cfg := range kernelConfigs() {
-		want := RunAccuracyCtx(ctx, rep, budget, cfg)
+		want := RunAccuracy(rep, budget, cfg)
 		for _, segments := range []int{1, 2, 3, 5, 8} {
-			got := RunAccuracySegmentedCtx(ctx, rep, budget, segments, cfg)
+			got := runOne(t, ctx, rep, Options{Budget: budget, Segments: segments}, cfg)
 			if got != want {
 				t.Errorf("%s segments=%d: result diverges\n  segmented %+v\n  streaming %+v", name, segments, got, want)
 			}
 		}
 		// A budget short of the capture, so the final seam is interior.
 		partial := int64(budget - 3*trace.BlockLen/2)
-		want = RunAccuracyCtx(ctx, rep, partial, cfg)
-		if got := RunAccuracySegmentedCtx(ctx, rep, partial, 4, cfg); got != want {
+		want = RunAccuracy(rep, partial, cfg)
+		if got := runOne(t, ctx, rep, Options{Budget: partial, Segments: 4}, cfg); got != want {
 			t.Errorf("%s partial budget: result diverges\n  segmented %+v\n  streaming %+v", name, got, want)
 		}
 	}
@@ -45,13 +45,10 @@ func TestSegmentedMatchesStreaming(t *testing.T) {
 	for _, flush := range []int64{0, 7_777} {
 		want := make([]AccuracyResult, len(pts))
 		for i, pt := range pts {
-			want[i] = RunAccuracyWithFlushesCtx(ctx, rep, budget, flush, pt.Config)
+			want[i] = runOne(t, ctx, rep, Options{Budget: budget, FlushInterval: flush}, pt.Config)
 		}
 		for _, segments := range []int{1, 2, 3, 5, 8} {
-			got, ok := RunAccuracyGangSegmentedCtx(ctx, rep, budget, flush, segments, pts)
-			if !ok {
-				t.Fatalf("flush=%d segments=%d: gang refused to fuse", flush, segments)
-			}
+			got := runGang(t, ctx, rep, Options{Budget: budget, FlushInterval: flush, Segments: segments}, pts)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Errorf("gang member %d flush=%d segments=%d: result diverges\n  segmented %+v\n  streaming %+v",
@@ -81,13 +78,12 @@ func TestSegmentedOverStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	cfg := kernelConfigs()["tagged-path"]
-	want := RunAccuracyCtx(ctx, rep, budget, cfg)
-	if got := RunAccuracyCtx(ctx, store, budget, cfg); got != want {
+	want := RunAccuracy(rep, budget, cfg)
+	if got := RunAccuracy(store, budget, cfg); got != want {
 		t.Fatalf("store plain run diverges\n  store  %+v\n  memory %+v", got, want)
 	}
-	if got := RunAccuracySegmentedCtx(ctx, store, budget, 4, cfg); got != want {
+	if got := runOne(t, context.Background(), store, Options{Budget: budget, Segments: 4}, cfg); got != want {
 		t.Fatalf("store segmented run diverges\n  store  %+v\n  memory %+v", got, want)
 	}
 	if groups := int64(store.NumBlocks() / 2); store.CacheStats().Misses <= groups {
@@ -120,11 +116,11 @@ func TestSegmentedCorruptTail(t *testing.T) {
 	cfg := kernelConfigs()["tagless-pattern"]
 	ctx := context.Background()
 
-	want := RunAccuracyCtx(ctx, damaged, budget, cfg)
+	want := RunAccuracy(damaged, budget, cfg)
 	if !errors.Is(want.Err, trace.ErrCorrupt) {
 		t.Fatalf("streaming run over damaged capture: err=%v", want.Err)
 	}
-	got := RunAccuracySegmentedCtx(ctx, damaged, budget, 3, cfg)
+	got := runOne(t, ctx, damaged, Options{Budget: budget, Segments: 3}, cfg)
 	if !errors.Is(got.Err, trace.ErrCorrupt) {
 		t.Fatalf("segmented run over damaged capture: err=%v", got.Err)
 	}
@@ -134,11 +130,11 @@ func TestSegmentedCorruptTail(t *testing.T) {
 	}
 
 	within := (clean / trace.BlockLen) * trace.BlockLen
-	want = RunAccuracyCtx(ctx, damaged, within, cfg)
+	want = RunAccuracy(damaged, within, cfg)
 	if want.Err != nil {
 		t.Fatalf("streaming run within clean prefix: err=%v", want.Err)
 	}
-	if got := RunAccuracySegmentedCtx(ctx, damaged, within, 3, cfg); got != want {
+	if got := runOne(t, ctx, damaged, Options{Budget: within, Segments: 3}, cfg); got != want {
 		t.Fatalf("clean-prefix run diverges\n  segmented %+v\n  streaming %+v", got, want)
 	}
 }
@@ -156,14 +152,14 @@ func TestSegmentedFallbacks(t *testing.T) {
 	before := SegmentCounters().SegmentedRuns
 
 	tiny := trace.Capture(trace.NewLimit(w.Open(), trace.BlockLen))
-	if got, want := RunAccuracySegmentedCtx(ctx, tiny, trace.BlockLen, 8, cfg), RunAccuracyCtx(ctx, tiny, trace.BlockLen, cfg); got != want {
+	if got, want := runOne(t, ctx, tiny, Options{Budget: trace.BlockLen, Segments: 8}, cfg), RunAccuracy(tiny, trace.BlockLen, cfg); got != want {
 		t.Fatalf("tiny capture diverges: %+v vs %+v", got, want)
 	}
 	rep := trace.Capture(trace.NewLimit(w.Open(), 8*trace.BlockLen))
-	if got, want := RunAccuracySegmentedCtx(ctx, rep, 8*trace.BlockLen, 1, cfg), RunAccuracyCtx(ctx, rep, 8*trace.BlockLen, cfg); got != want {
+	if got, want := runOne(t, ctx, rep, Options{Budget: 8 * trace.BlockLen, Segments: 1}, cfg), RunAccuracy(rep, 8*trace.BlockLen, cfg); got != want {
 		t.Fatalf("segments=1 diverges: %+v vs %+v", got, want)
 	}
-	if got, want := RunAccuracySegmentedCtx(ctx, opaqueFactory{rep}, 8*trace.BlockLen, 4, cfg), RunAccuracyCtx(ctx, rep, 8*trace.BlockLen, cfg); got != want {
+	if got, want := runOne(t, ctx, opaqueFactory{rep}, Options{Budget: 8 * trace.BlockLen, Segments: 4}, cfg), RunAccuracy(rep, 8*trace.BlockLen, cfg); got != want {
 		t.Fatalf("streaming factory diverges: %+v vs %+v", got, want)
 	}
 	if after := SegmentCounters().SegmentedRuns; after != before {
@@ -182,7 +178,7 @@ func TestSegmentedCancellation(t *testing.T) {
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := RunAccuracySegmentedCtx(ctx, rep, budget, 4, DefaultConfig())
+	res := runOne(t, ctx, rep, Options{Budget: budget, Segments: 4}, DefaultConfig())
 	if !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("cancelled run: err=%v", res.Err)
 	}
@@ -257,7 +253,7 @@ func BenchmarkPrimeVsSimulate(b *testing.B) {
 			sp := span{bs: rep, end: budget, prime: walk == "prime"}
 			b.Run(name+"/"+walk, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					soloGang(cfg).run(ctx, sp)
+					newGang([]GangPoint{{Config: cfg}}).run(ctx, sp)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(budget*int64(b.N)), "ns/instr")
 			})

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -18,8 +19,9 @@ import (
 // what the members read: the counters of the predictions that consulted
 // no target cache, and the events — every record whose prediction
 // consults, or whose resolution trains, a target cache (about 2% of a
-// capture's records) — each with its history registers' values. A gang
-// then runs only the kernel's member step over those events.
+// capture's records) — each with its history registers' values.
+// RunGang then runs a gang's members through only the kernel's member
+// step over those events: besides Run, the one way to run members.
 //
 // Each event costs ~40 bytes plus 8 per history register, stored in
 // exactly sized chunks, one per context-poll interval. Members with one
@@ -61,7 +63,7 @@ func WalkFrontEnd(ctx context.Context, factory trace.Factory, budget int64, pts 
 	if len(pts) == 0 {
 		return nil, errors.New("sim: a front-end walk needs a member")
 	}
-	bs, ok := blocksFor(factory)
+	bs, ok := factory.(trace.BlockSource)
 	if !ok {
 		return nil, errors.New("sim: a front-end walk needs a decoded block source")
 	}
@@ -109,20 +111,20 @@ func sameFrontEnd(a, b Config) bool {
 }
 
 // RunGang runs the members of pts over w's kept events and returns one
-// AccuracyResult per member, in order, each struct-identical to what
-// RunAccuracyCtx reports for that member alone over the walked capture and
-// budget. A member may be the BTB-only baseline and may carry a telemetry
+// AccuracyResult per member, in order, each struct-identical to what Run
+// reports for that member alone over the walked capture and budget. A
+// member may be the BTB-only baseline and may carry a telemetry
 // collector, which receives exactly the events a solo run would give it.
 //
-// The second return is false — and nothing runs — when w cannot serve the
-// gang: it is empty, a member's front end is not the walk's, a member
-// asks for mispredict bits, or a member's history is not one w walked
-// (its HistShare key names no register of w, or it is deeper than the
-// register). ctx is polled as the kernel polls it; a cancelled replay
+// It returns an error naming the reason, and runs nothing, when w cannot
+// serve the gang: it is empty, a member's front end is not the walk's, a
+// member asks for mispredict bits, or a member's history is not one w
+// walked (its HistShare key names no register of w, or it is deeper than
+// the register). ctx is polled as the kernel polls it; a cancelled replay
 // reports ctx's error in every result, over partial counters.
-func (w *Walk) RunGang(ctx context.Context, pts []GangPoint) ([]AccuracyResult, bool) {
+func (w *Walk) RunGang(ctx context.Context, pts []GangPoint) ([]AccuracyResult, error) {
 	if len(pts) == 0 {
-		return nil, false
+		return nil, errors.New("sim: a walk's replay needs a member")
 	}
 	g := &gang{
 		members:  make([]gangMember, len(pts)),
@@ -133,8 +135,11 @@ func (w *Walk) RunGang(ctx context.Context, pts []GangPoint) ([]AccuracyResult, 
 	}
 	for i, pt := range pts {
 		cfg := pt.Config
-		if !sameFrontEnd(cfg, w.front) || pt.Mispredicts != nil {
-			return nil, false
+		if !sameFrontEnd(cfg, w.front) {
+			return nil, fmt.Errorf("sim: member %d's front end is not the walk's", i)
+		}
+		if pt.Mispredicts != nil {
+			return nil, fmt.Errorf("sim: member %d asks for mispredict bits, which a walk's replay does not record", i)
 		}
 		m := &g.members[i]
 		m.tel = cfg.Telemetry
@@ -148,7 +153,7 @@ func (w *Walk) RunGang(ctx context.Context, pts []GangPoint) ([]AccuracyResult, 
 		idx, ok := w.regs[pt.HistShare]
 		depth := cfg.NewHistory().Len()
 		if !ok || depth > w.depths[idx] {
-			return nil, false
+			return nil, fmt.Errorf("sim: member %d's history (key %q, %d bits) is not one the walk kept", i, pt.HistShare, depth)
 		}
 		m.hist, m.mask = idx, readMask(depth, w.depths[idx])
 	}
@@ -159,7 +164,7 @@ func (w *Walk) RunGang(ctx context.Context, pts []GangPoint) ([]AccuracyResult, 
 			g.tcs[i] = noTC{}
 		}
 	}
-	return g.run(ctx, span{walk: w}), true
+	return g.run(ctx, span{walk: w}), nil
 }
 
 // replayWalk runs g's members over w's events, polling ctx before each

@@ -13,8 +13,9 @@ import (
 
 // engineRun is the reference a fused result must equal: the streaming
 // Engine loop over rep, the structures reset every flush instructions.
-func engineRun(rep *trace.Replay, budget, flush int64, cfg Config) AccuracyResult {
-	return RunAccuracyWithFlushesCtx(context.Background(), opaqueFactory{rep}, budget, flush, cfg)
+func engineRun(t testing.TB, rep *trace.Replay, budget, flush int64, cfg Config) AccuracyResult {
+	t.Helper()
+	return runOne(t, context.Background(), opaqueFactory{rep}, Options{Budget: budget, FlushInterval: flush}, cfg)
 }
 
 // TestBTBGangMatchesEngine pins the BTB gang — members differing only in
@@ -42,16 +43,13 @@ func TestBTBGangMatchesEngine(t *testing.T) {
 					pts[i].Config.Telemetry = newCol()
 				}
 			}
-			got, ok := RunAccuracyGangSegmentedCtx(context.Background(), rep, budget, flush, segments, pts)
-			if !ok {
-				t.Fatal("BTB gang refused to fuse")
-			}
+			got := runGang(t, context.Background(), rep, Options{Budget: budget, FlushInterval: flush, Segments: segments}, pts)
 			for i, pt := range pts {
 				cfg := pt.Config
 				if cfg.Telemetry != nil {
 					cfg.Telemetry = newCol()
 				}
-				if want := engineRun(rep, budget, flush, cfg); got[i] != want {
+				if want := engineRun(t, rep, budget, flush, cfg); got[i] != want {
 					t.Errorf("flush %d, %d segments, member %d: diverges from the engine\n  gang   %+v\n  engine %+v", flush, segments, i, got[i], want)
 				}
 				if !reflect.DeepEqual(pt.Config.Telemetry, cfg.Telemetry) {
@@ -118,16 +116,16 @@ func TestWalkMatchesEngine(t *testing.T) {
 				pts[i].Config.Telemetry = newCol()
 			}
 		}
-		got, ok := walk.RunGang(ctx, pts)
-		if !ok {
-			t.Fatalf("unit %d: the walk refused its members", ui)
+		got, err := walk.RunGang(ctx, pts)
+		if err != nil {
+			t.Fatalf("unit %d: %v", ui, err)
 		}
 		for i, pt := range pts {
 			cfg := pt.Config
 			if cfg.Telemetry != nil {
 				cfg.Telemetry = newCol()
 			}
-			if want := engineRun(rep, budget, 0, cfg); got[i] != want {
+			if want := engineRun(t, rep, budget, 0, cfg); got[i] != want {
 				t.Errorf("unit %d member %d: replay diverges from the engine\n  replay %+v\n  engine %+v", ui, i, got[i], want)
 			}
 			if !reflect.DeepEqual(pt.Config.Telemetry, cfg.Telemetry) {
@@ -166,19 +164,19 @@ func TestWalkRefusals(t *testing.T) {
 	for name, mutate := range refused {
 		p := walkPoints("pattern#9")
 		mutate(p)
-		if _, ok := walk.RunGang(ctx, p); ok {
+		if _, err := walk.RunGang(ctx, p); err == nil {
 			t.Errorf("%s: the walk served a gang it did not walk for", name)
 		}
 	}
-	if _, ok := walk.RunGang(ctx, nil); ok {
+	if _, err := walk.RunGang(ctx, nil); err == nil {
 		t.Error("the walk served an empty gang")
 	}
 
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	res, ok := walk.RunGang(cancelled, pts)
-	if !ok {
-		t.Fatal("the walk refused the members it walked for")
+	res, err := walk.RunGang(cancelled, pts)
+	if err != nil {
+		t.Fatalf("the walk refused the members it walked for: %v", err)
 	}
 	for _, res := range res {
 		if !errors.Is(res.Err, context.Canceled) {

@@ -195,7 +195,7 @@ func (m *manifestFile) save(path string) error {
 
 // runPoint simulates one point. The capture store hands every point of a
 // workload the same decoded trace (one VM capture per workload per
-// process), and RunAccuracyCtx's batched kernel consumes it block-wise.
+// process), and sim.Run's batched kernel consumes it block-wise.
 func runPoint(ctx context.Context, w *workload.Workload, p Point, budget int64) (Result, error) {
 	cfg, err := p.SimConfig()
 	if err != nil {
@@ -205,13 +205,22 @@ func runPoint(ctx context.Context, w *workload.Workload, p Point, budget int64) 
 	if err != nil {
 		return Result{}, err
 	}
-	res := sim.RunAccuracyCtx(ctx, w.Replay(budget), budget, cfg)
+	res, err := sim.Run(ctx, w.Replay(budget), sim.Options{Budget: budget}, []sim.GangPoint{{Config: cfg}})
+	if err != nil {
+		return Result{}, err
+	}
+	return newResult(p, bits, res[0])
+}
+
+// newResult is the Result of point p, of storageBits bits, that sim
+// reported as res, or res's early stop.
+func newResult(p Point, storageBits int, res sim.AccuracyResult) (Result, error) {
 	if res.Err != nil {
 		return Result{}, res.Err
 	}
 	return Result{
 		Point:        p,
-		StorageBits:  bits,
+		StorageBits:  storageBits,
 		Instructions: res.Instructions,
 		Branches:     res.Branches,
 		Indirect:     res.Indirect.Predictions,

@@ -14,9 +14,9 @@ import (
 // Gang planning: within each checkpoint shard, points are grouped by
 // (workload, history scheme) into units, in first-seen order, and every
 // unit runs fused. btb-family points (no history) form their workload's
-// btb gangs: sim.RunAccuracyGangCtx runs each as one capture walk with
-// one BTB per member, sharing the RAS and direction predictor, which no
-// btb axis changes. Every target-cache family rides the paper's baseline
+// btb gangs: sim.Run runs each as one capture walk with one BTB per
+// member, sharing the RAS and direction predictor, which no btb axis
+// changes. Every target-cache family rides the paper's baseline
 // front end, so a Run walks each workload's capture with that front end
 // once (sim.WalkFrontEnd), keeping the records the target caches read,
 // and every target-cache unit — singletons included — replays that walk
@@ -315,7 +315,7 @@ func runUnit(ctx context.Context, w *workload.Workload, points []Point, idxs []i
 		gang[gi] = sim.GangPoint{Config: cfg, HistShare: histShareKey(p)}
 	}
 	var res []sim.AccuracyResult
-	ok := false
+	var refused error
 	if replay {
 		walk, walked, err := walks.get(ctx, w)
 		if err != nil {
@@ -324,31 +324,20 @@ func runUnit(ctx context.Context, w *workload.Workload, points []Point, idxs []i
 		if walked {
 			c.fusedGangs++
 		}
-		res, ok = walk.RunGang(ctx, gang)
+		res, refused = walk.RunGang(ctx, gang)
 		walks.release(w.Name, len(idxs))
-	} else if res, ok = sim.RunAccuracyGangCtx(ctx, w.Replay(budget), budget, gang); ok {
+	} else if res, refused = sim.Run(ctx, w.Replay(budget), sim.Options{Budget: budget}, gang); refused == nil {
 		c.fusedGangs++
 	}
-	if !ok {
+	if refused != nil {
 		c.fallbacks++
 		return runDirect()
 	}
 	out := make([]Result, len(idxs))
 	for gi, i := range idxs {
-		p := points[i]
-		if res[gi].Err != nil {
-			return nil, p.Key(), res[gi].Err
-		}
-		out[gi] = Result{
-			Point:        p,
-			StorageBits:  bits[gi],
-			Instructions: res[gi].Instructions,
-			Branches:     res[gi].Branches,
-			Indirect:     res[gi].Indirect.Predictions,
-			IndirectMiss: res[gi].Indirect.Mispredicts,
-			Overall:      res[gi].Overall.Predictions,
-			OverallMiss:  res[gi].Overall.Mispredicts,
-			TCCovered:    res[gi].TCCovered,
+		var err error
+		if out[gi], err = newResult(points[i], bits[gi], res[gi]); err != nil {
+			return nil, points[i].Key(), err
 		}
 	}
 	c.fusedPoints += int64(len(idxs))

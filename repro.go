@@ -190,15 +190,6 @@ func RunTimingEvent(source TraceFactory, budget int64, cfg FrontEndConfig, machi
 	return cpu.NewEvent(machine, sim.NewEngine(cfg)).Run(source.Open(), budget)
 }
 
-// WindowedResult reports per-window misprediction rates (warm-up and
-// steady-state variance diagnostics).
-type WindowedResult = sim.WindowedResult
-
-// RunAccuracyWindows is RunAccuracy with windowed accounting.
-func RunAccuracyWindows(source TraceFactory, budget int64, windows int, cfg FrontEndConfig) WindowedResult {
-	return sim.RunAccuracyWindows(source, budget, windows, cfg)
-}
-
 // Timeline captures per-instruction pipeline timing for diagrams.
 type Timeline = cpu.Timeline
 
