@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -64,38 +65,86 @@ func mixedGang() map[string]sim.Config {
 	}
 }
 
-// fused times every member of mixedGang on mc the way the experiment
+// timingGroup is a pipeline group as large as the experiment suite's:
+// mixedGang, then Table 7's 21 tagged caches (256 entries, 1-64 ways,
+// every indexing scheme, pattern history), several of which mispredict
+// exactly alike. It returns the members' names in gang order and their
+// configurations.
+func timingGroup() ([]string, map[string]sim.Config) {
+	order, cfgs := append([]string(nil), gangOrder...), mixedGang()
+	for _, ways := range []int{1, 2, 4, 8, 16, 32, 64} {
+		for _, scheme := range []core.TaggedScheme{core.SchemeAddress, core.SchemeHistoryConcat, core.SchemeHistoryXor} {
+			n := fmt.Sprintf("tagged-%dway-scheme%d", ways, scheme)
+			order = append(order, n)
+			cfgs[n] = sim.DefaultConfig().WithTargetCache(func() core.TargetCache {
+				return core.NewTagged(core.TaggedConfig{Entries: 256, Ways: ways, Scheme: scheme, HistBits: 9})
+			}, func() history.Provider { return history.NewPatternProvider(9) })
+		}
+	}
+	return order, cfgs
+}
+
+// errStopped is the early stop of the fused path's stopped member.
+var errStopped = errors.New("predictor pass stopped early")
+
+// cutMembers are the two extra passes fused adds to the group, each
+// reading the bits of the member it names, over records
+// [0, records(budget)): one cut short, one that also reports a stop.
+var cutMembers = []struct {
+	name, of string
+	records  func(budget int64) int64
+	err      error
+}{
+	{"short", "tagless-pattern", func(b int64) int64 { return b*2/3 + 17 }, nil},
+	{"stopped", "tagged-path", func(b int64) int64 { return b/2 + 5 }, errStopped},
+}
+
+// fused times every member of timingGroup on mc the way the experiment
 // suite does: one gang pass records each member's mispredict bits, then
-// one pipeline pass per member reads them and the capture's miss bits.
-// cols holds the members' collectors (a missing entry collects nothing).
+// one pipeline call reads them and the capture's miss bits, for the
+// members and for cutMembers. cols holds the members' collectors (a
+// missing entry collects nothing).
 func fused(t *testing.T, bs trace.BlockSource, budget int64, cols map[string]*telemetry.Collector, mc Config) map[string]Result {
 	t.Helper()
-	ctx, cfgs := context.Background(), mixedGang()
-	pts := make([]sim.GangPoint, len(gangOrder))
-	bits := make([]sim.BranchBits, len(gangOrder))
-	for i, n := range gangOrder {
-		pts[i] = sim.GangPoint{Config: cfgs[n], Mispredicts: &bits[i]}
+	ctx := context.Background()
+	order, cfgs := timingGroup()
+	pts := make([]sim.GangPoint, len(order))
+	passes := make([]Pass, len(order), len(order)+len(cutMembers))
+	at := make(map[string]int, len(order))
+	for i, n := range order {
+		pts[i] = sim.GangPoint{Config: cfgs[n], Mispredicts: &passes[i].Mispredicts}
 		pts[i].Config.Telemetry = cols[n]
+		at[n] = i
 	}
 	accs, err := sim.Run(ctx, bs, sim.Options{Budget: budget}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, acc := range accs {
+		passes[i].Instructions, passes[i].Err, passes[i].Tel = acc.Instructions, acc.Err, cols[order[i]]
+	}
+	for _, c := range cutMembers {
+		of := passes[at[c.of]]
+		passes = append(passes, Pass{Instructions: min(of.Instructions, c.records(budget)), Err: c.err, Mispredicts: of.Mispredicts})
+	}
 	misses, err := DCacheMisses(ctx, mc, bs, budget)
-	out := make(map[string]Result, len(gangOrder))
-	for i, n := range gangOrder {
-		acc := accs[i]
+	res := RunPipeline(ctx, mc, bs, misses, passes)
+	out := make(map[string]Result, len(passes))
+	for i, n := range order {
+		acc, r := accs[i], res[i]
 		if err != nil && acc.Err == nil {
 			t.Fatalf("%s: miss bits: %v", n, err)
 		}
-		res := RunPipeline(ctx, mc, bs, misses, Pass{Instructions: acc.Instructions, Err: acc.Err, Mispredicts: bits[i], Tel: cols[n]})
 		// The pipeline counts what the predictor pass counted.
-		if res.Branches != acc.Branches || res.Mispredicts != acc.Overall.Mispredicts ||
-			res.IndirectCount != acc.Indirect.Predictions || res.IndirectMispredicts != acc.Indirect.Mispredicts ||
-			res.CondMispredicts != acc.Conditional.Mispredicts || res.ReturnMispredicts != acc.Returns.Mispredicts {
-			t.Errorf("%s: pipeline counters %+v disagree with the gang's %+v", n, res, acc)
+		if r.Branches != acc.Branches || r.Mispredicts != acc.Overall.Mispredicts ||
+			r.IndirectCount != acc.Indirect.Predictions || r.IndirectMispredicts != acc.Indirect.Mispredicts ||
+			r.CondMispredicts != acc.Conditional.Mispredicts || r.ReturnMispredicts != acc.Returns.Mispredicts {
+			t.Errorf("%s: pipeline counters %+v disagree with the gang's %+v", n, r, acc)
 		}
-		out[n] = res
+		out[n] = r
+	}
+	for i, c := range cutMembers {
+		out[c.name] = res[len(order)+i]
 	}
 	return out
 }
@@ -112,14 +161,15 @@ func report(col *telemetry.Collector) []telemetry.CellReport {
 // streaming reference loop (RunCtx over a Cursor, asking sim.Engine as it
 // goes): RunReplayCtx (the machine's engine fills the mispredict bits)
 // and the fused path the experiment suite runs (one gang pass fills every
-// member's bits, then a pipeline pass per member). Every member of a
-// mixed gang — BTB-only, tagless pattern, tagged path, ITTAGE — gets an
-// identical Result, field for field, on every machine shape, and a
-// collecting member's restamped collector reports exactly what the
-// streaming run's does.
+// member's bits, then one pipeline call times them all). Every member of
+// a 25-member group — BTB-only, tagless pattern, tagged path, ITTAGE and
+// Table 7's tagged caches, so lanes fork and merge — gets an identical
+// Result, field for field, on every machine shape, as do a pass cut short
+// and a pass that stopped early with an error; and a collecting member's
+// restamped collector reports exactly what the streaming run's does.
 func TestRunReplayMatchesCursor(t *testing.T) {
 	const budget = 60_000
-	cfgs := mixedGang()
+	order, cfgs := timingGroup()
 	tcfg := telemetry.Config{Events: 4}
 	ctx := context.Background()
 	for _, wn := range []string{"go", "perl"} {
@@ -136,6 +186,8 @@ func TestRunReplayMatchesCursor(t *testing.T) {
 					New(mc, sim.NewEngine(cfgs[n])).RunCtx(ctx, rep.Open(), budget); replay != want {
 					t.Errorf("%s/%s/%s: RunReplayCtx diverges\n  replay %+v\n  cursor %+v", wn, mn, n, replay, want)
 				}
+			}
+			for _, n := range order {
 				cfg := cfgs[n]
 				if cols[n] != nil {
 					cfg.Telemetry = telemetry.NewCollector(tcfg)
@@ -152,6 +204,13 @@ func TestRunReplayMatchesCursor(t *testing.T) {
 				}
 				if g, w := report(cols[n]), report(cfg.Telemetry); !reflect.DeepEqual(g, w) {
 					t.Errorf("%s/%s/%s: restamped collector differs from the streaming run's\n  fused  %+v\n  cursor %+v", wn, mn, n, g, w)
+				}
+			}
+			for _, c := range cutMembers {
+				want := New(mc, sim.NewEngine(cfgs[c.of])).RunCtx(ctx, rep.Open(), c.records(budget))
+				want.Err = c.err
+				if got[c.name] != want {
+					t.Errorf("%s/%s/%s: fused timing diverges\n  fused  %+v\n  cursor %+v", wn, mn, c.name, got[c.name], want)
 				}
 			}
 		}
