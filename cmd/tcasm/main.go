@@ -15,9 +15,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cpu"
+	"repro/internal/fsutil"
 	"repro/internal/isa"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -67,13 +69,12 @@ func main() {
 			}
 		}
 	case *out != "":
-		f, err := os.Create(*out)
-		exitOn(err)
-		count, err := trace.WriteStore(f, trace.NewLimit(vm.NewLooping(prog), *n), trace.StoreOptions{})
-		if err == nil {
-			err = f.Close()
-		}
-		exitOn(err)
+		// A program that faults leaves no file, nor a changed one, at *out.
+		var count int64
+		exitOn(fsutil.WriteFileAtomic(*out, func(w io.Writer) (err error) {
+			count, err = trace.WriteStore(w, trace.NewLimit(vm.NewLooping(prog), *n), trace.StoreOptions{})
+			return err
+		}))
 		fmt.Printf("wrote %d records to %s\n", count, *out)
 	case *predict:
 		factory := trace.FactoryFunc(func() trace.Source {

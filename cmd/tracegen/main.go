@@ -13,8 +13,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/fsutil"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -50,16 +52,12 @@ func main() {
 			}
 		}
 	case *out != "":
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		count, err := trace.WriteStore(f, src, trace.StoreOptions{Compress: *comp})
-		if err == nil {
-			err = f.Close()
-		}
-		if err != nil {
+		// A failed run leaves no file, nor a changed one, at *out.
+		var count int64
+		if err := fsutil.WriteFileAtomic(*out, func(w io.Writer) (err error) {
+			count, err = trace.WriteStore(w, src, trace.StoreOptions{Compress: *comp})
+			return err
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
 		}

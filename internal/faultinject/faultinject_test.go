@@ -153,6 +153,48 @@ func TestCorruptReplayIsIsolated(t *testing.T) {
 	assertHealthyRowsIntact(t, healthy, out1, "perl")
 }
 
+// TestCorruptTimingReplayIsIsolated damages perl's capture under a timing
+// experiment, so the error travels from a fused gang through the fused
+// pipeline pass: every failure names perl and wraps trace.ErrCorrupt, the
+// output is the same at 1 and 8 workers, and gcc's table is untouched.
+func TestCorruptTimingReplayIsIsolated(t *testing.T) {
+	exps := experiments(t, "table7")
+	_, healthy := runSuite(t, exps, 1)
+
+	plan := &Plan{CorruptReplays: map[string]Corruption{"perl": {Offset: 1024, Length: 16}}}
+	restore := plan.Install()
+	defer restore()
+
+	res, out1 := runSuite(t, exps, 1)
+	_, out8 := runSuite(t, exps, 8)
+
+	if out1 != out8 {
+		t.Error("faulty output differs between 1 and 8 workers")
+	}
+	if len(res.Failures) == 0 {
+		t.Fatal("corrupt replay produced no failures")
+	}
+	for _, ce := range res.Failures {
+		if ce.Workload != "perl" {
+			t.Errorf("failure %v names workload %q, want perl only", ce, ce.Workload)
+		}
+		if !errors.Is(ce.Err, trace.ErrCorrupt) {
+			t.Errorf("failure %v does not wrap trace.ErrCorrupt", ce)
+		}
+	}
+	// gcc's table is the last; the failure footer's notes follow its rows.
+	gcc := func(out string) string {
+		i := strings.Index(out, "Table 7 (gcc)")
+		if i < 0 {
+			t.Fatalf("no gcc table in\n%s", out)
+		}
+		return strings.Join(filterLines(out[i:], "ERR"), "\n")
+	}
+	if h, f := gcc(healthy), gcc(out1); h != f {
+		t.Errorf("gcc's table changed under perl's fault:\n  healthy:\n%s\n  faulty:\n%s", h, f)
+	}
+}
+
 func TestTruncatedReplayIsIsolated(t *testing.T) {
 	exps := experiments(t, "table2")
 	_, healthy := runSuite(t, exps, 1)
