@@ -18,7 +18,9 @@
 // sim's fused gang kernel — records each branch's mispredict bit, and
 // RunPipeline times the records from those bits and a data-cache miss bit
 // per record, so the timing experiments see exactly the predictor
-// behaviour the accuracy experiments measure.
+// behaviour the accuracy experiments measure. One RunPipeline call times
+// a whole group of predictor passes on one machine: members whose
+// pipeline states agree up to a time shift share one simulated lane.
 package cpu
 
 import (
@@ -181,7 +183,10 @@ type fuRing struct {
 
 // fuRingLen is the functional-unit ring's length, a power of two: the
 // span of issue cycles that can be in flight at once.
-const fuRingLen = 8192
+const (
+	fuRingBits = 13
+	fuRingLen  = 1 << fuRingBits
+)
 
 func newFURing(size int) *fuRing {
 	return &fuRing{cycle: make([]int64, size), count: make([]int, size)}
