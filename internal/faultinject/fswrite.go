@@ -103,6 +103,8 @@ func (f *faultFS) CreateTemp(dir, pattern string) (fsutil.File, error) {
 	return &faultFile{plan: f.plan, inner: file}, nil
 }
 
+func (f *faultFS) Stat(path string) (fs.FileInfo, error) { return f.inner.Stat(path) }
+
 func (f *faultFS) Rename(oldpath, newpath string) error {
 	if n := f.plan.tick("rename", newpath); f.plan.fire("rename", newpath, n, f.plan.RenameErrAt) {
 		return &fs.PathError{Op: "rename", Path: newpath, Err: syscall.EIO}
@@ -137,5 +139,6 @@ func (f *faultFile) Write(b []byte) (int, error) {
 	return f.inner.Write(b)
 }
 
-func (f *faultFile) Close() error { return f.inner.Close() }
-func (f *faultFile) Name() string { return f.inner.Name() }
+func (f *faultFile) Close() error                 { return f.inner.Close() }
+func (f *faultFile) Name() string                 { return f.inner.Name() }
+func (f *faultFile) Chmod(mode fs.FileMode) error { return f.inner.Chmod(mode) }

@@ -27,6 +27,46 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 	assertOnlyEntry(t, dir, "out.txt")
 }
 
+// TestWriteFileAtomicMode: a new file gets the mode os.Create gives one,
+// and a file written over keeps its own.
+func TestWriteFileAtomicMode(t *testing.T) {
+	dir := t.TempDir()
+	ref, err := os.Create(filepath.Join(dir, "ref"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	fresh, existing := filepath.Join(dir, "new"), filepath.Join(dir, "old")
+	if err := os.WriteFile(existing, []byte("old"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(existing, 0o604); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{fresh, existing} {
+		if err := WriteFileAtomic(path, func(w io.Writer) error {
+			_, err := io.WriteString(w, "new")
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for path, want := range map[string]os.FileMode{fresh: perm(t, ref.Name()), existing: 0o604} {
+		if got := perm(t, path); got != want {
+			t.Errorf("%s: mode %v, want %v", filepath.Base(path), got, want)
+		}
+	}
+}
+
+func perm(t *testing.T, path string) os.FileMode {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Mode().Perm()
+}
+
 // TestWriteFileAtomicFailureKeepsOld: a failing writer leaves the
 // previous contents in place and no temp file behind.
 func TestWriteFileAtomicFailureKeepsOld(t *testing.T) {
