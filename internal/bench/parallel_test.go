@@ -2,8 +2,11 @@ package bench
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
+	"repro/internal/cpu"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -48,6 +51,41 @@ func TestParallelMatchesSerial(t *testing.T) {
 					t.Errorf("%s: table %d JSON differs at -parallel 8", e.ID, i)
 				}
 			}
+		}
+	}
+}
+
+// TestPlanChunksPipelineGroups: an experiment with fewer pipeline groups
+// than workers splits each group into ceil(workers/groups) chunks of
+// consecutive timing runs, so every worker still times a fused chunk.
+func TestPlanChunksPipelineGroups(t *testing.T) {
+	w, err := workload.ByName("perl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &groupCell{}
+	for range 7 {
+		c.timing(w, sim.DefaultConfig(), cpu.DefaultConfig())
+	}
+	for _, tc := range []struct {
+		workers int
+		sizes   []int
+	}{
+		{1, []int{7}},
+		{2, []int{3, 4}},
+		{4, []int{1, 2, 2, 2}},
+		{8, []int{1, 1, 1, 1, 1, 1, 1}},
+	} {
+		var sizes []int
+		var order []*simRun
+		for _, ps := range plan([]*groupCell{c}, Params{Parallel: tc.workers}) {
+			if ps.gang != nil {
+				sizes, order = append(sizes, len(ps.runs)), append(order, ps.runs...)
+			}
+		}
+		if !slices.Equal(sizes, tc.sizes) || !slices.Equal(order, c.runs) {
+			t.Errorf("%d workers: pipeline passes of %v runs (in run order: %v), want %v",
+				tc.workers, sizes, slices.Equal(order, c.runs), tc.sizes)
 		}
 	}
 }
