@@ -71,12 +71,15 @@ func mustRun(t *testing.T, cmd string, args ...string) string {
 	return stdout
 }
 
-// TestTracegenRoundTrip: a tracegen file replayed by tcpredict reports
-// exactly what sim.RunAccuracy reports over the same in-memory capture.
+// TestTracegenRoundTrip: a tracegen file, raw or compressed, replayed by
+// tcpredict reports exactly what sim.RunAccuracy reports over the same
+// in-memory capture.
 func TestTracegenRoundTrip(t *testing.T) {
 	const n = 200_000
-	path := filepath.Join(t.TempDir(), "perl.tcstore")
-	mustRun(t, "tracegen", "-w", "perl", "-n", fmt.Sprint(n), "-o", path)
+	dir := t.TempDir()
+	raw, compressed := filepath.Join(dir, "perl.tcstore"), filepath.Join(dir, "perl-compressed.tcstore")
+	mustRun(t, "tracegen", "-w", "perl", "-n", fmt.Sprint(n), "-o", raw)
+	mustRun(t, "tracegen", "-w", "perl", "-n", fmt.Sprint(n), "-o", compressed, "-compress")
 
 	w, err := workload.ByName("perl")
 	if err != nil {
@@ -102,10 +105,12 @@ func TestTracegenRoundTrip(t *testing.T) {
 		if res.Instructions != n || res.Err != nil {
 			t.Fatalf("%s reference run: %d instructions, err %v", tc.predictor, res.Instructions, res.Err)
 		}
-		var want bytes.Buffer
-		report(&want, path, tc.predictor, res)
-		if got := mustRun(t, "tcpredict", "-trace", path, "-predictor", tc.predictor); got != want.String() {
-			t.Errorf("tcpredict -predictor %s:\n%s\nwant:\n%s", tc.predictor, got, want.String())
+		for _, path := range []string{raw, compressed} {
+			var want bytes.Buffer
+			report(&want, path, tc.predictor, res)
+			if got := mustRun(t, "tcpredict", "-trace", path, "-predictor", tc.predictor); got != want.String() {
+				t.Errorf("tcpredict -trace %s -predictor %s:\n%s\nwant:\n%s", path, tc.predictor, got, want.String())
+			}
 		}
 	}
 }
@@ -232,27 +237,30 @@ func TestTcasmFaultExits1(t *testing.T) {
 	mustRun(t, "tcasm", "-s", filepath.Join("..", "..", "examples", "asm", "dispatch.s"), "-predict")
 }
 
-// TestDamagedStoreExits1: a store with overwritten group bytes, or a
-// truncated one, exits 1 with the error on stderr and prints no rates.
+// TestDamagedStoreExits1: a raw or compressed store with overwritten
+// group bytes, or a truncated one, exits 1 with the error on stderr and
+// prints no rates.
 func TestDamagedStoreExits1(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "perl.tcstore")
-	mustRun(t, "tracegen", "-w", "perl", "-n", "200000", "-o", path)
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupt := append([]byte(nil), img...)
-	copy(corrupt[len(corrupt)/2:], bytes.Repeat([]byte{0xFF}, 16))
-	for name, b := range map[string][]byte{"corrupt": corrupt, "truncated": img[:len(img)/2]} {
-		damaged := filepath.Join(dir, name+".tcstore")
-		if err := os.WriteFile(damaged, b, 0o644); err != nil {
+	for _, flags := range [][]string{nil, {"-compress"}} {
+		path := filepath.Join(dir, "perl.tcstore")
+		mustRun(t, "tracegen", append([]string{"-w", "perl", "-n", "200000", "-o", path}, flags...)...)
+		img, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		code, stdout, stderr := run(t, "tcpredict", "-trace", damaged)
-		if code != 1 || stdout != "" || !strings.Contains(stderr, trace.ErrCorrupt.Error()) {
-			t.Errorf("%s store: exit %d, stdout %q, stderr %q; want exit 1, no stdout, an ErrCorrupt on stderr",
-				name, code, stdout, stderr)
+		corrupt := append([]byte(nil), img...)
+		copy(corrupt[len(corrupt)/2:], bytes.Repeat([]byte{0xFF}, 16))
+		for name, b := range map[string][]byte{"corrupt": corrupt, "truncated": img[:len(img)/2]} {
+			damaged := filepath.Join(dir, name+".tcstore")
+			if err := os.WriteFile(damaged, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			code, stdout, stderr := run(t, "tcpredict", "-trace", damaged)
+			if code != 1 || stdout != "" || !strings.Contains(stderr, trace.ErrCorrupt.Error()) {
+				t.Errorf("tracegen %v, %s store: exit %d, stdout %q, stderr %q; want exit 1, no stdout, an ErrCorrupt on stderr",
+					flags, name, code, stdout, stderr)
+			}
 		}
 	}
 }

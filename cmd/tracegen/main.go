@@ -26,7 +26,7 @@ func main() {
 		wname = flag.String("w", "perl", "workload name")
 		n     = flag.Int64("n", 1_000_000, "number of instructions")
 		out   = flag.String("o", "", "output trace-store file (TCSTORE1)")
-		comp  = flag.Bool("compress", false, "flate-compress the output file's block groups")
+		comp  = flag.Bool("compress", false, "store each block group as the fields its predictors miss, flate-compressed")
 		doSt  = flag.Bool("stats", false, "print trace statistics")
 		dump  = flag.Bool("dump", false, "dump records as text to stdout")
 	)

@@ -62,7 +62,7 @@ type Params struct {
 	// for the run-level exit digest.
 	fails *failureLog
 	// segs is the segment count resolved by the cell scheduler for the
-	// current cell group (cellSegments applied to the number of passes).
+	// current cell group (planSegments).
 	segs int
 }
 

@@ -297,6 +297,22 @@ func plan(cells []*groupCell, p Params) []*pass {
 	return append(passes, pipes...)
 }
 
+// planSegments resolves intra-pass segmentation for a plan: with fewer
+// passes that can start at once (gangs, cells, event-model runs) than
+// workers, fused passes split their captures so the idle workers help the
+// critical path. Pipeline passes do not count: they only wait for their
+// gangs. Resolving per plan (not per pass) makes the count depend only on
+// the queue, never on scheduling order.
+func (p Params) planSegments(passes []*pass) int {
+	startable := 0
+	for _, ps := range passes {
+		if ps.gang == nil {
+			startable++
+		}
+	}
+	return p.cellSegments(startable)
+}
+
 // run executes all enqueued cells, at most g.workers passes at a time,
 // and clears the queue. It returns only when every pass has finished;
 // failures are appended to g.errs in enqueue order.
@@ -305,12 +321,7 @@ func (g *cellGroup) run() {
 	g.cells = nil
 	cellsExecuted.Add(int64(len(cells)))
 	passes := plan(cells, g.p)
-	// Resolve intra-pass segmentation for this batch: with fewer passes
-	// than workers, fused passes split their captures so the idle workers
-	// help the critical path. Resolution happens here (not per pass) so
-	// the count depends only on the queue length, never on scheduling
-	// order.
-	g.p.segs = g.p.cellSegments(len(passes))
+	g.p.segs = g.p.planSegments(passes)
 	pool.Run(g.workers, len(passes), func(i int) { g.exec(passes[i]) })
 	for _, c := range cells {
 		p := g.p.forCell(c.id)

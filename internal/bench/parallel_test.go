@@ -90,6 +90,39 @@ func TestPlanChunksPipelineGroups(t *testing.T) {
 	}
 }
 
+// TestPlanSegmentsCountsStartablePasses: a timing plan of two gangs
+// resolves its segments from the two gangs alone; the pipeline passes
+// that wait on them do not count.
+func TestPlanSegmentsCountsStartablePasses(t *testing.T) {
+	var cells []*groupCell
+	for _, name := range []string{"perl", "gcc"} {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &groupCell{}
+		c.timing(w, sim.DefaultConfig(), cpu.DefaultConfig())
+		c.timing(w, sim.DefaultConfig(), cpu.DefaultConfig())
+		cells = append(cells, c)
+	}
+	for _, tc := range []struct{ workers, segs int }{{1, 1}, {2, 1}, {4, 2}, {8, 4}} {
+		p := Params{Parallel: tc.workers}
+		passes := plan(cells, p)
+		gangs := 0
+		for _, ps := range passes {
+			if ps.gang == nil {
+				gangs++
+			}
+		}
+		if gangs != 2 {
+			t.Fatalf("%d workers: plan holds %d gangs, want 2", tc.workers, gangs)
+		}
+		if got := p.planSegments(passes); got != tc.segs {
+			t.Errorf("%d workers: %d passes (2 gangs) resolve %d segments, want %d", tc.workers, len(passes), got, tc.segs)
+		}
+	}
+}
+
 // TestTraceCapturedOncePerKey pins the memoization guarantee: across an
 // experiment's parallel cells the VM runs at most once per (workload,
 // budget) key, and a repeat run at the same budgets captures nothing new.

@@ -222,9 +222,14 @@ func assertSameStream(t *testing.T, cRecs, bRecs []trace.Record, cErr, bErr erro
 	}
 }
 
-// compressedImage stores the first 40,000 records of workload name as a
-// flate-compressed TCSTORE1 image with one block per group, so the image
-// spans ten groups of a few kilobytes each.
+// imageRecords is the capture length compressedImage stores: thirty
+// one-block groups, so every offset damageCases names lies inside the
+// image.
+const imageRecords = 120_000
+
+// compressedImage stores the first imageRecords records of workload name
+// as a compressed TCSTORE1 image with one block per group, so the image
+// spans thirty groups of one to two kilobytes each.
 func compressedImage(tb testing.TB, name string) []byte {
 	tb.Helper()
 	w, err := workload.ByName(name)
@@ -232,7 +237,7 @@ func compressedImage(tb testing.TB, name string) []byte {
 		tb.Fatal(err)
 	}
 	var img bytes.Buffer
-	if _, err := trace.WriteStore(&img, trace.NewLimit(w.Open(), 40_000), trace.StoreOptions{
+	if _, err := trace.WriteStore(&img, trace.NewLimit(w.Open(), imageRecords), trace.StoreOptions{
 		Compress:     true,
 		GroupRecords: trace.BlockLen,
 	}); err != nil {
@@ -243,8 +248,7 @@ func compressedImage(tb testing.TB, name string) []byte {
 
 // damageCases lists, per workload, the byte offsets at which its image is
 // cut and bit-flipped: inside the magic, the first group's payload, and
-// two points in the group data, in the third group and in the fifth or
-// sixth of the ten, so a clean prefix of two or more groups reads first.
+// two points in the group data past a clean prefix of several groups.
 var damageCases = []struct {
 	workload    string
 	cuts, flips []int
@@ -259,13 +263,18 @@ var damageCases = []struct {
 func TestBatchCursorMatchesCursor(t *testing.T) {
 	for _, c := range damageCases {
 		img := compressedImage(t, c.workload)
-		for _, v := range damagedVariants(img, c.cuts, c.flips) {
+		variants := damagedVariants(img, c.cuts, c.flips)
+		if want := 1 + len(c.cuts) + len(c.flips) + 2; len(variants) != want {
+			t.Fatalf("%s: %d damage variants of a %d-byte image, want %d: an offset lies past its end",
+				c.workload, len(variants), len(img), want)
+		}
+		for _, v := range variants {
 			t.Run(c.workload+"/"+v.name, func(t *testing.T) {
 				cRecs, bRecs, cErr, bErr := bothDecoders(v.img, v.cut)
 				assertSameStream(t, cRecs, bRecs, cErr, bErr)
 				switch {
-				case v.name == "intact" && (cErr != nil || len(cRecs) != 40_000):
-					t.Fatalf("intact image read %d records, err %v; want 40000, nil", len(cRecs), cErr)
+				case v.name == "intact" && (cErr != nil || len(cRecs) != imageRecords):
+					t.Fatalf("intact image read %d records, err %v; want %d, nil", len(cRecs), cErr, imageRecords)
 				case v.name != "intact" && cErr == nil:
 					t.Fatalf("damage went undetected: %d records read cleanly", len(cRecs))
 				}

@@ -1,12 +1,12 @@
 package trace
 
 // Out-of-core columnar trace store: the TCSTORE1 on-disk format holds a
-// capture as compressed (or raw) structure-of-arrays block groups in the
-// exact Block column layout, so budgets far beyond RAM replay in flat
-// memory. It is the repository's one trace file format. A Store reads
-// groups lazily through an io.ReaderAt and decodes them into ordinary
-// Block batches; the simulation kernels iterate it through the same
-// BlockSource interface an in-memory Replay implements.
+// capture as block groups, raw in the exact Block column layout or
+// predictively coded and compressed (predict.go), so budgets far beyond
+// RAM replay in flat memory. It is the repository's one trace file
+// format. A Store reads groups lazily through an io.ReaderAt and decodes
+// them into ordinary Block batches; the simulation kernels iterate it
+// through the same BlockSource interface an in-memory Replay implements.
 //
 // Every pass over a capture reads it front to back, and a spilled capture
 // is rescanned by many passes. A Store therefore keeps the leading groups
@@ -29,10 +29,22 @@ package trace
 //	                           uint32 blockLen | uint32 groupRecs |
 //	                           uint32 CRC32(index) | 8 bytes "TCSTEND1"
 //
-// A group payload is, before optional compression:
+// A raw group payload (flags 0) is the Block columns:
 //
 //	uint32 recs | PC[recs]×8 | Target[recs]×8 | Addr[recs]×8 |
 //	Meta[recs] | Dst[recs] | Src1[recs] | Src2[recs]
+//
+// A compressed group payload (flag storeFlagPredict) is a header and one
+// flate stream:
+//
+//	uint32 recs | uint32 len(PC misses) | uint32 len(static misses) |
+//	uint32 len(target misses) | uint32 len(address misses) |
+//	flate(flags[recs] | PC misses | static misses | target misses |
+//	      address misses)
+//
+// where each record's flag byte says which of its fields the predictors
+// in predict.go miss, and the four streams hold those fields in record
+// order.
 //
 // Every byte of the file is covered by a check: group payloads and the
 // index carry CRC32s, and the footer fields are cross-validated against
@@ -62,8 +74,12 @@ const (
 	// storeIndexEntryLen is one index entry: offset, encoded length,
 	// record count.
 	storeIndexEntryLen = 8 + 4 + 4
-	// storeFlagFlate marks flate-compressed group payloads.
-	storeFlagFlate = 1 << 0
+	// storeFlagRetiredFlate marked group payloads that were flate over
+	// the raw columns, an encoding no longer read.
+	storeFlagRetiredFlate = 1 << 0
+	// storeFlagPredict marks predictively coded, flate-compressed group
+	// payloads.
+	storeFlagPredict = 1 << 1
 	// storeGroupRecords is the default records per group: 16 blocks,
 	// ~1.8 MB of raw columns — large enough to amortise a read syscall,
 	// small enough that a store's budget holds tens of groups.
@@ -78,8 +94,10 @@ const storeBytesPerRecord = 3*8 + 4
 
 // StoreOptions configure WriteStore.
 type StoreOptions struct {
-	// Compress flate-compresses every group payload. Decoding costs more
-	// per cache miss; the file is typically 2-4× smaller.
+	// Compress stores every group as the fields its predictors miss,
+	// then flate-compresses it (predict.go). The workloads' 3M-record
+	// captures take 0.04-0.20 bytes per record, 140-680× smaller than
+	// raw groups' 28.
 	Compress bool
 	// GroupRecords is the records per block group; 0 means the default
 	// (16 blocks). It must be a positive multiple of BlockLen.
@@ -97,17 +115,17 @@ func WriteStore(w io.Writer, src Source, opts StoreOptions) (int64, error) {
 	if groupRecs <= 0 || groupRecs%BlockLen != 0 {
 		return 0, fmt.Errorf("trace: store group size %d is not a positive multiple of %d", groupRecs, BlockLen)
 	}
-	sw := &storeWriter{
-		w:         w,
-		groupRecs: groupRecs,
-		compress:  opts.Compress,
-		pc:        make([]uint64, 0, groupRecs),
-		target:    make([]uint64, 0, groupRecs),
-		addr:      make([]uint64, 0, groupRecs),
-		meta:      make([]uint8, 0, groupRecs),
-		dst:       make([]uint8, 0, groupRecs),
-		src1:      make([]uint8, 0, groupRecs),
-		src2:      make([]uint8, 0, groupRecs),
+	sw := &storeWriter{w: w, groupRecs: groupRecs}
+	if opts.Compress {
+		sw.pred = new(predEncoder)
+	} else {
+		sw.pc = make([]uint64, 0, groupRecs)
+		sw.target = make([]uint64, 0, groupRecs)
+		sw.addr = make([]uint64, 0, groupRecs)
+		sw.meta = make([]uint8, 0, groupRecs)
+		sw.dst = make([]uint8, 0, groupRecs)
+		sw.src1 = make([]uint8, 0, groupRecs)
+		sw.src2 = make([]uint8, 0, groupRecs)
 	}
 	if err := sw.writeRaw([]byte(storeMagic)); err != nil {
 		return 0, err
@@ -138,12 +156,14 @@ type storeWriter struct {
 	off       int64
 	n         int64
 	groupRecs int
-	compress  bool
+	recs      int // records in the pending group
 	index     []storeGroupMeta
 
+	// pred codes compressed groups; the columns hold raw ones.
+	pred                  *predEncoder
 	pc, target, addr      []uint64
 	meta, dst, src1, src2 []uint8
-	payload, encoded      []byte
+	payload               []byte
 	flateW                *flate.Writer
 }
 
@@ -154,19 +174,24 @@ func (sw *storeWriter) writeRaw(b []byte) error {
 }
 
 func (sw *storeWriter) add(r *Record) error {
-	sw.pc = append(sw.pc, r.PC)
-	sw.target = append(sw.target, r.Target)
-	sw.addr = append(sw.addr, r.Addr)
-	mb := uint8(r.Class) | uint8(r.Op)<<MetaOpShift
-	if r.Taken {
-		mb |= MetaTaken
+	if sw.pred != nil {
+		sw.pred.add(r)
+	} else {
+		sw.pc = append(sw.pc, r.PC)
+		sw.target = append(sw.target, r.Target)
+		sw.addr = append(sw.addr, r.Addr)
+		mb := uint8(r.Class) | uint8(r.Op)<<MetaOpShift
+		if r.Taken {
+			mb |= MetaTaken
+		}
+		sw.meta = append(sw.meta, mb)
+		sw.dst = append(sw.dst, r.Dst)
+		sw.src1 = append(sw.src1, r.Src1)
+		sw.src2 = append(sw.src2, r.Src2)
 	}
-	sw.meta = append(sw.meta, mb)
-	sw.dst = append(sw.dst, r.Dst)
-	sw.src1 = append(sw.src1, r.Src1)
-	sw.src2 = append(sw.src2, r.Src2)
 	sw.n++
-	if len(sw.meta) == sw.groupRecs {
+	sw.recs++
+	if sw.recs == sw.groupRecs {
 		return sw.flushGroup()
 	}
 	return nil
@@ -174,62 +199,57 @@ func (sw *storeWriter) add(r *Record) error {
 
 // flushGroup encodes the pending records as one group and writes it.
 func (sw *storeWriter) flushGroup() error {
-	recs := len(sw.meta)
-	if recs == 0 {
+	if sw.recs == 0 {
 		return nil
 	}
-	raw := sw.payload[:0]
-	raw = binary.LittleEndian.AppendUint32(raw, uint32(recs))
-	for _, v := range sw.pc {
-		raw = binary.LittleEndian.AppendUint64(raw, v)
-	}
-	for _, v := range sw.target {
-		raw = binary.LittleEndian.AppendUint64(raw, v)
-	}
-	for _, v := range sw.addr {
-		raw = binary.LittleEndian.AppendUint64(raw, v)
-	}
-	raw = append(raw, sw.meta...)
-	raw = append(raw, sw.dst...)
-	raw = append(raw, sw.src1...)
-	raw = append(raw, sw.src2...)
-	sw.payload = raw
-
-	enc := raw
-	if sw.compress {
-		var buf bytes.Buffer
-		buf.Grow(len(raw) / 2)
+	var enc []byte
+	if sw.pred != nil {
+		buf := bytes.NewBuffer(sw.pred.header(sw.payload[:0]))
 		if sw.flateW == nil {
-			zw, err := flate.NewWriter(&buf, flate.BestSpeed)
+			zw, err := flate.NewWriter(buf, flate.BestSpeed)
 			if err != nil {
 				return err
 			}
 			sw.flateW = zw
 		} else {
-			sw.flateW.Reset(&buf)
+			sw.flateW.Reset(buf)
 		}
-		if _, err := sw.flateW.Write(raw); err != nil {
+		if err := sw.pred.writeBody(sw.flateW); err != nil {
 			return err
 		}
 		if err := sw.flateW.Close(); err != nil {
 			return err
 		}
-		sw.encoded = buf.Bytes()
-		enc = sw.encoded
+		enc = buf.Bytes()
+		sw.pred.reset()
+	} else {
+		enc = binary.LittleEndian.AppendUint32(sw.payload[:0], uint32(sw.recs))
+		for _, v := range sw.pc {
+			enc = binary.LittleEndian.AppendUint64(enc, v)
+		}
+		for _, v := range sw.target {
+			enc = binary.LittleEndian.AppendUint64(enc, v)
+		}
+		for _, v := range sw.addr {
+			enc = binary.LittleEndian.AppendUint64(enc, v)
+		}
+		enc = append(enc, sw.meta...)
+		enc = append(enc, sw.dst...)
+		enc = append(enc, sw.src1...)
+		enc = append(enc, sw.src2...)
+		sw.pc, sw.target, sw.addr = sw.pc[:0], sw.target[:0], sw.addr[:0]
+		sw.meta, sw.dst, sw.src1, sw.src2 = sw.meta[:0], sw.dst[:0], sw.src1[:0], sw.src2[:0]
 	}
+	sw.payload = enc
 
-	sw.index = append(sw.index, storeGroupMeta{off: sw.off, encLen: uint32(len(enc)), recs: uint32(recs)})
+	sw.index = append(sw.index, storeGroupMeta{off: sw.off, encLen: uint32(len(enc)), recs: uint32(sw.recs)})
+	sw.recs = 0
 	if err := sw.writeRaw(enc); err != nil {
 		return err
 	}
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(enc))
-	if err := sw.writeRaw(crc[:]); err != nil {
-		return err
-	}
-	sw.pc, sw.target, sw.addr = sw.pc[:0], sw.target[:0], sw.addr[:0]
-	sw.meta, sw.dst, sw.src1, sw.src2 = sw.meta[:0], sw.dst[:0], sw.src1[:0], sw.src2[:0]
-	return nil
+	return sw.writeRaw(crc[:])
 }
 
 func (sw *storeWriter) finish() error {
@@ -247,8 +267,8 @@ func (sw *storeWriter) finish() error {
 		return err
 	}
 	var flags uint32
-	if sw.compress {
-		flags |= storeFlagFlate
+	if sw.pred != nil {
+		flags |= storeFlagPredict
 	}
 	foot := make([]byte, 0, storeFooterLen)
 	foot = binary.LittleEndian.AppendUint64(foot, uint64(indexOff))
@@ -337,7 +357,10 @@ func OpenStore(r io.ReaderAt, size int64, budget int64) (*Store, error) {
 	if blockLen != BlockLen {
 		return nil, corruptf("store block length %d, want %d", blockLen, BlockLen)
 	}
-	if flags&^uint32(storeFlagFlate) != 0 {
+	if flags&storeFlagRetiredFlate != 0 {
+		return nil, corruptf("store flags %#x: groups in the retired flate-column encoding; write the file again", flags)
+	}
+	if flags&^uint32(storeFlagPredict) != 0 {
 		return nil, corruptf("unknown store flags %#x", flags)
 	}
 	if groupRecs <= 0 || groupRecs%BlockLen != 0 {
@@ -357,7 +380,7 @@ func OpenStore(r io.ReaderAt, size int64, budget int64) (*Store, error) {
 	s := &Store{
 		r:          r,
 		size:       size,
-		compress:   flags&storeFlagFlate != 0,
+		compress:   flags&storeFlagPredict != 0,
 		blocksPerG: int(groupRecs / BlockLen),
 		resident:   int(min(budget/(groupRecs*storeBytesPerRecord), groupCount)),
 		slots:      make([]*groupDecode, groupCount),
@@ -433,7 +456,8 @@ func (s *Store) NumBlocks() int { return s.nblocks }
 // SizeBytes returns the on-disk file size.
 func (s *Store) SizeBytes() int64 { return s.size }
 
-// Compressed reports whether group payloads are flate-compressed.
+// Compressed reports whether group payloads are predictively coded and
+// flate-compressed.
 func (s *Store) Compressed() bool { return s.compress }
 
 // BlockAt implements BlockSource, decoding the containing group on demand.
@@ -513,12 +537,13 @@ func (s *Store) drop(gi int, d *groupDecode) {
 }
 
 // decodeBufs is the input side of one group decode: the encoded bytes,
-// the inflated payload and the flate reader. Every column is copied out of
-// it, so decodes recycle it through decodeBufPool.
+// the inflated body, the flate reader and the predictor table. Every
+// field is copied out of it, so decodes recycle it through decodeBufPool.
 type decodeBufs struct {
-	enc, raw []byte
-	br       bytes.Reader
-	zr       io.ReadCloser
+	enc, body []byte
+	br        bytes.Reader
+	zr        io.ReadCloser
+	tab       predTable
 }
 
 var decodeBufPool = sync.Pool{New: func() any { return new(decodeBufs) }}
@@ -544,58 +569,103 @@ func (s *Store) decodeGroup(gi int) ([]Block, error) {
 		return nil, corruptf("store group %d checksum %#x, want %#x", gi, crc, wantCRC)
 	}
 	recs := int(g.recs)
-	rawLen := 4 + recs*storeBytesPerRecord
-	raw := enc
-	if s.compress {
-		// One spare byte shows whether the stream inflates past rawLen.
-		sc.raw = slices.Grow(sc.raw[:0], rawLen+1)[:rawLen+1]
-		raw = sc.raw
-		sc.br.Reset(enc)
-		if sc.zr == nil {
-			sc.zr = flate.NewReader(&sc.br)
-		} else {
-			// Reset only reinitialises the decompressor; it cannot fail.
-			_ = sc.zr.(flate.Resetter).Reset(&sc.br, nil)
+	if !s.compress {
+		if rawLen := 4 + recs*storeBytesPerRecord; len(enc) != rawLen {
+			return nil, corruptf("store group %d payload %d bytes, want %d", gi, len(enc), rawLen)
 		}
-		if _, err := io.ReadFull(sc.zr, raw[:rawLen]); err != nil {
-			return nil, corruptf("store group %d inflate: %v", gi, err)
+		if got := int(binary.LittleEndian.Uint32(enc)); got != recs {
+			return nil, corruptf("store group %d payload claims %d records, index %d", gi, got, recs)
 		}
-		// The payload must end exactly where the column layout says.
-		if n, _ := sc.zr.Read(raw[rawLen:]); n != 0 {
-			return nil, corruptf("store group %d inflates past %d bytes", gi, rawLen)
+		blocks := groupBlocks(recs)
+		if err := decodeRaw(gi, enc[4:], blocks); err != nil {
+			return nil, err
 		}
-		raw = raw[:rawLen]
-	}
-	if len(raw) != rawLen {
-		return nil, corruptf("store group %d payload %d bytes, want %d", gi, len(raw), rawLen)
-	}
-	if got := int(binary.LittleEndian.Uint32(raw)); got != recs {
-		return nil, corruptf("store group %d payload claims %d records, index %d", gi, got, recs)
+		return blocks, nil
 	}
 
-	// Carve all column storage from two exact-size slabs rather than the
-	// shared columnArena: the arena over-provisions to its fixed slab size,
-	// and a held group pins whatever slab its blocks were carved from —
-	// exact slabs keep a held group's footprint at its decoded size.
-	nblocks := (recs + BlockLen - 1) / BlockLen
-	blocks := make([]Block, 0, nblocks)
+	if len(enc) < predHeaderLen {
+		return nil, corruptf("store group %d payload %d bytes, shorter than its header", gi, len(enc))
+	}
+	if got := int(binary.LittleEndian.Uint32(enc)); got != recs {
+		return nil, corruptf("store group %d payload claims %d records, index %d", gi, got, recs)
+	}
+	var lens [predStreams]int
+	bodyLen := recs
+	for k := range lens {
+		lens[k] = int(binary.LittleEndian.Uint32(enc[4+4*k:]))
+		if lens[k] > recs*predStreamMax[k] {
+			return nil, corruptf("store group %d missed-field stream %d claims %d bytes, at most %d for %d records", gi, k, lens[k], recs*predStreamMax[k], recs)
+		}
+		bodyLen += lens[k]
+	}
+	body, err := sc.inflate(gi, enc[predHeaderLen:], bodyLen)
+	if err != nil {
+		return nil, err
+	}
+	blocks := groupBlocks(recs)
+	if err := decodePredicted(gi, &sc.tab, body, lens, blocks); err != nil {
+		return nil, err
+	}
+	return blocks, nil
+}
+
+// inflate reads the flate stream in enc, which must hold exactly n bytes,
+// into sc.body. The buffer grows only as inflated bytes arrive, so a header
+// that claims more than its stream holds allocates no more than the
+// stream delivers.
+func (sc *decodeBufs) inflate(gi int, enc []byte, n int) ([]byte, error) {
+	sc.br.Reset(enc)
+	if sc.zr == nil {
+		sc.zr = flate.NewReader(&sc.br)
+	} else {
+		// Reset only reinitialises the decompressor; it cannot fail.
+		_ = sc.zr.(flate.Resetter).Reset(&sc.br, nil)
+	}
+	body := sc.body[:0]
+	var err error
+	for len(body) < n && err == nil {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n-len(body), max(len(body), 64<<10)))
+		}
+		var k int
+		k, err = sc.zr.Read(body[len(body):min(cap(body), n)])
+		body = body[:len(body)+k]
+	}
+	sc.body = body
+	if len(body) < n {
+		return nil, corruptf("store group %d inflates to %d bytes, want %d: %v", gi, len(body), n, err)
+	}
+	if err == nil {
+		// The stream must end where the header says.
+		var spare [1]byte
+		var k int
+		if k, err = sc.zr.Read(spare[:]); k != 0 {
+			return nil, corruptf("store group %d inflates past %d bytes", gi, n)
+		}
+	}
+	if err != io.EOF {
+		return nil, corruptf("store group %d inflate: %v", gi, err)
+	}
+	if sc.br.Len() != 0 {
+		return nil, corruptf("store group %d: %d bytes after its flate stream", gi, sc.br.Len())
+	}
+	return body, nil
+}
+
+// groupBlocks returns the blocks of a group of recs records. All column
+// storage is carved from two exact-size slabs rather than the shared
+// columnArena: the arena over-provisions to its fixed slab size, and a
+// held group pins whatever slab its blocks were carved from — exact slabs
+// keep a held group's footprint at its decoded size.
+func groupBlocks(recs int) []Block {
+	blocks := make([]Block, 0, (recs+BlockLen-1)/BlockLen)
 	slab64 := make([]uint64, 3*recs)
 	slab8 := make([]uint8, 4*recs)
-	pcCol := raw[4:]
-	tgtCol := pcCol[recs*8:]
-	addrCol := tgtCol[recs*8:]
-	metaCol := addrCol[recs*8 : recs*8+recs]
-	dstCol := addrCol[recs*8+recs:]
-	src1Col := dstCol[recs:]
-	src2Col := src1Col[recs:]
 	for done := 0; done < recs; {
-		n := BlockLen
-		if rem := recs - done; rem < n {
-			n = rem
-		}
+		n := min(BlockLen, recs-done)
 		u64, u8 := slab64, slab8
 		slab64, slab8 = u64[3*n:], u8[4*n:]
-		blk := Block{
+		blocks = append(blocks, Block{
 			PC:     u64[0*n : 1*n : 1*n],
 			Target: u64[1*n : 2*n : 2*n],
 			Addr:   u64[2*n : 3*n : 3*n],
@@ -603,7 +673,26 @@ func (s *Store) decodeGroup(gi int) ([]Block, error) {
 			Dst:    u8[1*n : 2*n : 2*n],
 			Src1:   u8[2*n : 3*n : 3*n],
 			Src2:   u8[3*n : 4*n : 4*n],
-		}
+		})
+		done += n
+	}
+	return blocks
+}
+
+// decodeRaw copies group gi's raw columns (the payload after its record
+// count) into blocks, checking every Meta byte.
+func decodeRaw(gi int, cols []byte, blocks []Block) error {
+	recs := len(cols) / storeBytesPerRecord
+	pcCol := cols
+	tgtCol := pcCol[recs*8:]
+	addrCol := tgtCol[recs*8:]
+	metaCol := addrCol[recs*8 : recs*8+recs]
+	dstCol := addrCol[recs*8+recs:]
+	src1Col := dstCol[recs:]
+	src2Col := src1Col[recs:]
+	done := 0
+	for _, blk := range blocks {
+		n := blk.Len()
 		for j := 0; j < n; j++ {
 			blk.PC[j] = binary.LittleEndian.Uint64(pcCol[(done+j)*8:])
 			blk.Target[j] = binary.LittleEndian.Uint64(tgtCol[(done+j)*8:])
@@ -613,16 +702,14 @@ func (s *Store) decodeGroup(gi int) ([]Block, error) {
 		copy(blk.Dst, dstCol[done:done+n])
 		copy(blk.Src1, src1Col[done:done+n])
 		copy(blk.Src2, src2Col[done:done+n])
-		for j := 0; j < n; j++ {
-			mb := blk.Meta[j]
+		for j, mb := range blk.Meta {
 			if int(mb&MetaClassMask) >= numClasses || int(mb>>MetaOpShift&MetaOpMask) >= NumOpClasses {
-				return nil, corruptf("store group %d record %d: invalid meta byte %#x", gi, done+j, mb)
+				return corruptf("store group %d record %d: invalid meta byte %#x", gi, done+j, mb)
 			}
 		}
-		blocks = append(blocks, blk)
 		done += n
 	}
-	return blocks, nil
+	return nil
 }
 
 // Open implements Factory, returning a streaming cursor over the store.

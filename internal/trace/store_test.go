@@ -591,7 +591,7 @@ func sumStats(s *Stats) *struct {
 }
 
 // BenchmarkStoreRescan measures the traffic a spilled capture sees from
-// its cells, gangs and pipeline passes: each iteration opens a flate store
+// its cells, gangs and pipeline passes: each iteration opens a compressed store
 // whose decoded groups take ~1.3× the store's budget, and every reader
 // reads all its blocks four times over. ns/record and B/record count each
 // record once per reader and pass.

@@ -59,7 +59,8 @@ type SpillConfig struct {
 	// Threshold is the smallest budget (in instructions) that spills;
 	// 0 disables spilling.
 	Threshold int64
-	// Compress flate-compresses the spilled files.
+	// Compress writes the spilled files' groups predictively coded and
+	// flate-compressed (trace.StoreOptions.Compress).
 	Compress bool
 }
 
