@@ -30,15 +30,17 @@ fault:
 # Short mutation pass over every decoder/parser fuzz target (the seed
 # corpus alone is already replayed by plain `go test`). `go test -fuzz`
 # accepts one target at a time, hence the loops. Raise FUZZTIME for a real
-# fuzzing session.
+# fuzzing session. Minimizing a new input stops after 100 runs of the
+# target: by default it runs for up to 60 s, and while the trace targets
+# minimize their 10-300 KB store images no new inputs run.
 FUZZTIME ?= 2s
 fuzz:
 	for t in FuzzStore FuzzCursor FuzzBlocks; do \
-		$(GO) test -run '^$$' -fuzz "^$${t}$$" -fuzztime $(FUZZTIME) ./internal/trace || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$${t}$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/trace || exit 1; \
 	done
-	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/benchfmt
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/benchfmt
 	for t in FuzzParseSpec FuzzParseAxis; do \
-		$(GO) test -run '^$$' -fuzz "^$${t}$$" -fuzztime $(FUZZTIME) ./internal/sweep || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$${t}$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/sweep || exit 1; \
 	done
 
 test-short:

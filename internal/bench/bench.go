@@ -3,6 +3,13 @@
 // sweeps beyond the paper. Each experiment runs the relevant simulations
 // and renders plain-text tables with the same rows/series the paper
 // reports.
+//
+// An experiment enqueues its simulations as cells (cells.go), whose
+// accuracy and timing runs over a workload's memoized capture fuse into
+// one gang pass per workload and front end. A timing run is a gang member
+// that records its mispredict bits, then a member of a pipeline pass on
+// the fast model, or an event pass of its own on the event model; only
+// wrongpath's wrong-path runs drive a live VM.
 package bench
 
 import (
@@ -90,9 +97,11 @@ func (p Params) shareBudget() int64 {
 }
 
 // cellSegments resolves Segments for a queue of `cells` passes.
-// Automatic mode splits only when workers would otherwise idle (fewer
-// passes than workers), giving each pass roughly the spare workers, capped
-// at 8 — beyond that, priming overhead outweighs the extra overlap.
+// Automatic mode splits only when cores would otherwise idle (fewer
+// passes than workers, counting no more workers than GOMAXPROCS: a
+// segment past the cores only adds priming work), giving each pass
+// roughly the spare cores, capped at 8 — beyond that, priming overhead
+// outweighs the extra overlap.
 func (p Params) cellSegments(cells int) int {
 	if p.Segments == 1 {
 		return 1
@@ -100,7 +109,7 @@ func (p Params) cellSegments(cells int) int {
 	if p.Segments > 1 {
 		return p.Segments
 	}
-	w := p.workers()
+	w := min(p.workers(), runtime.GOMAXPROCS(0))
 	if cells <= 0 || w <= cells {
 		return 1
 	}

@@ -27,18 +27,20 @@ import (
 // share a workload, a budget, a flush interval and a front end (BTB
 // config, RAS depth, direction-predictor config) into one gang pass
 // (sim.Run), so K configurations cost one trace pass instead of K. A
-// timing run on the fast model is a gang member that also records its
-// per-branch mispredict bits; the gang's timing runs on one machine then
-// share one pipeline pass (cpu.RunPipeline) that times the capture from
-// those bits, its members sharing simulated lanes while their pipelines
-// agree up to a time shift (when there would be fewer pipeline passes
-// than workers, each splits into chunks of consecutive runs, so every
-// worker times one). On the event model a timing run is a pass of its
-// own. run executes the gangs and the other passes on a bounded worker
-// pool. Passes form in first-seen order: cells in enqueue order,
-// a cell's runs in run order, then its own pass; pipeline passes follow
-// all others, in first-seen order, each waiting for its gang. A group of
-// one run is a solo run. The experiment renders
+// timing run is a gang member that also records its per-branch
+// mispredict bits. On the fast model the gang's timing runs on one
+// machine then share one pipeline pass (cpu.RunPipeline) that times the
+// capture from those bits, its members sharing simulated lanes while
+// their pipelines agree up to a time shift (when there would be fewer
+// pipeline passes than workers, each splits into chunks of consecutive
+// runs, so every worker times one). On the event model each timing run
+// gets an event pass of its own (cpu.RunEvent), which times the capture
+// from its bits on the event-driven model. run executes the gangs and
+// the other passes on a bounded worker pool. Passes form in first-seen
+// order: cells in enqueue order, a cell's runs in run order, then its own
+// pass; pipeline passes, then event passes, follow all others, in
+// first-seen order, each waiting for its gang. A group of one run is a
+// solo run. The experiment renders
 // its tables from the results in enqueue order; because rendering is
 // serial and positional and every gang member gets exactly its solo
 // result, the output is byte-identical at any worker count, including 1.
@@ -52,13 +54,13 @@ import (
 //     fails alone, and its passes run without it. A kernel error (corrupt
 //     replay, cancellation) or a panic inside a fused pass fails every
 //     cell with a run in that pass. A timing run's kernel error surfaces
-//     from its pipeline pass, which fails the same way: a panic or a miss
-//     pass error fails every timing run of the pass, and a kernel error
-//     stops every member still running, so it too fails every timing run
-//     of the pass, as a gang's does. A cell with runs in several passes
-//     reports the first failure in its own order — admission, its runs in
-//     run order, its own pass — so failure footers do not depend on
-//     scheduling.
+//     from its pipeline or event pass. A pipeline pass fails the same way
+//     as a gang: a panic or a miss pass error fails every timing run of
+//     the pass, and a kernel error stops every member still running, so
+//     it too fails every timing run of the pass. A cell with runs in
+//     several passes reports the first failure in its own order —
+//     admission, its runs in run order, its own pass — so failure footers
+//     do not depend on scheduling.
 //   - Every run gets a telemetry collector of its own, merged once the
 //     group has run under its cell's key, cells in enqueue order and a
 //     cell's runs in run order up to its first failed run: the merges the
@@ -181,11 +183,11 @@ func (c *groupCell) accuracy(w *workload.Workload, flush int64, cfg sim.Config) 
 
 // timing enqueues one timing run of cfg on machine mc over w's memoized
 // capture for cell c. It is the only way an experiment runs a timing
-// model over a capture: on the event model when the group's Params ask
-// for it, a pass of its own; on the fast model, a member of the gang run
-// fuses for the group's timing runs sharing w and cfg's front end, and of
-// the pipeline pass of that gang's timing runs on mc. The result is valid
-// once the group has run, if c is ok.
+// model over a capture: a member of the gang run fuses for the group's
+// timing runs sharing w and cfg's front end, then, on the event model
+// when the group's Params ask for it, an event pass of its own, and on
+// the fast model, a member of the pipeline pass of that gang's timing
+// runs on mc. The result is valid once the group has run, if c is ok.
 func (c *groupCell) timing(w *workload.Workload, cfg sim.Config, mc cpu.Config) *cpu.Result {
 	r := &simRun{cell: c, w: w, cfg: cfg, machine: &mc}
 	c.runs = append(c.runs, r)
@@ -218,15 +220,15 @@ type passKey struct {
 }
 
 // pass is one work item on the pool: a cell's own pass, a fused gang over
-// runs, the pipeline pass of a gang's timing runs on one machine (after
-// gang has run), or one timing run's event-model run.
+// runs, or, once gang has run, the pipeline pass of the gang's timing
+// runs on one machine or the event pass of one of its timing runs.
 type pass struct {
 	cell   *groupCell
 	runs   []*simRun     // a gang's runs, or a pipeline pass's timing runs
 	budget int64         // a gang's budget
 	done   chan struct{} // a gang's: closed once it has run
-	timed  *simRun       // an event-model run
-	gang   *pass         // a pipeline pass's gang
+	timed  *simRun       // an event pass's timing run
+	gang   *pass         // a pipeline or event pass's gang
 }
 
 // pipeKey identifies the timing runs one pipeline pass times: one gang's
@@ -237,19 +239,16 @@ type pipeKey struct {
 }
 
 // plan groups the cells' work into passes, in first-seen order, with the
-// pipeline passes last: a worker that waits on a gang then waits on one
-// another worker has already taken, because the pool hands out passes in
-// order. A pipeline pass times one gang's timing runs on one machine.
+// pipeline passes, then the event passes, last: a worker that waits on a
+// gang then waits on one another worker has already taken, because the
+// pool hands out passes in order. A pipeline pass times one gang's fast
+// timing runs on one machine, an event pass one event-model timing run.
 func plan(cells []*groupCell, p Params) []*pass {
-	var passes, pipes []*pass
+	var passes, pipes, events []*pass
 	fused := make(map[passKey]*pass)
 	piped := make(map[pipeKey]*pass)
 	for _, c := range cells {
 		for _, r := range c.runs {
-			if r.machine != nil && p.EventModel {
-				passes = append(passes, &pass{timed: r})
-				continue
-			}
 			budget := p.AccuracyBudget
 			if r.machine != nil {
 				budget = p.TimingBudget
@@ -263,6 +262,10 @@ func plan(cells []*groupCell, p Params) []*pass {
 			}
 			ps.runs = append(ps.runs, r)
 			if r.machine == nil {
+				continue
+			}
+			if p.EventModel {
+				events = append(events, &pass{gang: ps, timed: r})
 				continue
 			}
 			pk := pipeKey{ps, *r.machine}
@@ -294,13 +297,13 @@ func plan(cells []*groupCell, p Params) []*pass {
 		}
 		pipes = chunks
 	}
-	return append(passes, pipes...)
+	return append(append(passes, pipes...), events...)
 }
 
 // planSegments resolves intra-pass segmentation for a plan: with fewer
-// passes that can start at once (gangs, cells, event-model runs) than
-// workers, fused passes split their captures so the idle workers help the
-// critical path. Pipeline passes do not count: they only wait for their
+// passes that can start at once (gangs and cells) than workers, fused
+// passes split their captures so the idle workers help the critical path.
+// Pipeline and event passes do not count: they only wait for their
 // gangs. Resolving per plan (not per pass) makes the count depend only on
 // the queue, never on scheduling order.
 func (p Params) planSegments(passes []*pass) int {
@@ -373,10 +376,10 @@ func (g *cellGroup) exec(ps *pass) {
 		if g.admit(ps.cell) {
 			ps.cell.fnErr = g.capture(ps.cell.id, func() { ps.cell.fn(g.p.forCell(ps.cell.id)) })
 		}
-	case ps.gang != nil:
-		g.pipeline(ps.runs)
 	case ps.timed != nil:
 		g.event(ps.timed)
+	case ps.gang != nil:
+		g.pipeline(ps.runs)
 	default:
 		defer close(ps.done)
 		g.fused(ps.runs, ps.budget)
@@ -491,19 +494,23 @@ func (g *cellGroup) pipeline(runs []*simRun) {
 	}
 }
 
-// event runs a timing run on the event-driven model, as a pass of its
-// own over the memoized capture.
+// event times an event-model timing run, if its gang left its predictor
+// pass, on the event-driven model over the memoized capture, then drops
+// its mispredict bits. Any failure fails the run's cell.
 func (g *cellGroup) event(r *simRun) {
-	if !g.admit(r.cell) {
+	ps := r.pass
+	r.pass = nil
+	if ps == nil || r.err != nil {
 		return
 	}
-	r.col = g.p.startCollector()
-	budget := g.p.TimingBudget
+	ctx, budget, mc := g.p.Context(), g.p.TimingBudget, *r.machine
+	bs := r.w.ReplayPrefix(budget, g.p.shareBudget())
 	r.err = g.capture(r.cell.id, func() {
-		cfg := r.cfg
-		cfg.Telemetry = r.col
-		rep := r.w.ReplayPrefix(budget, g.p.shareBudget())
-		r.timed = cpu.NewEvent(*r.machine, sim.NewEngine(cfg)).RunCtx(g.p.Context(), rep.Open(), budget)
+		misses, err := dcacheMisses(ctx, r.w.Name, bs, budget, mc)
+		if err != nil {
+			abortCell(err)
+		}
+		r.timed = cpu.RunEvent(ctx, mc, bs, misses, *ps)
 		instructionsSim.Add(r.timed.Instructions)
 		if r.timed.Err != nil {
 			abortCell(r.timed.Err)
@@ -511,8 +518,8 @@ func (g *cellGroup) event(r *simRun) {
 	})
 }
 
-// missMemo holds the data-cache miss bits of each capture a fast timing
-// run reads, per cache geometry. They are a pure function of the
+// missMemo holds the data-cache miss bits of each capture a timing run
+// reads, per cache geometry. They are a pure function of the
 // capture's loads and stores, so every member and machine of every timing
 // experiment with that cache shares one computation. An entry is keyed by
 // workload and budget and remembers the capture it was computed over, so

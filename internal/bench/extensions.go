@@ -140,44 +140,48 @@ var followupsExperiment = registerExperiment(&Experiment{
 // the target cache's execution-time reduction — survives that added
 // fidelity.
 //
-// These cells deliberately bypass the trace memo: wrong-path fetch needs a
-// live VM (checkpoint/rollback through cpu.WrongPathFetcher), which a
-// replay cursor cannot provide. Each cell opens its own VM instance, so
-// the cells stay independent and race-free.
+// The clean columns are event-model timing runs over the trace memo. The
+// wrong-path cells deliberately bypass it: wrong-path fetch needs a live
+// VM (checkpoint/rollback through cpu.WrongPathFetcher), which a replay
+// cursor cannot provide. Each such cell opens its own VM instance, so the
+// cells stay independent and race-free.
 var wrongPathExperiment = registerExperiment(&Experiment{
 	ID:    "wrongpath",
 	Title: "Ablation: wrong-path fetch modeling (event-driven model)",
 	Run: func(p Params) []*stats.Table {
 		tcCfg := tcConfig(taglessGshare(512), pattern(9))
 		ws := workload.PerlGcc()
-		type wpCell struct{ baseClean, tcClean, baseWP, tcWP *slot[cpu.Result] }
+		type wpCell struct{ baseClean, tcClean, baseWP, tcWP *slot[*cpu.Result] }
+		// Every column runs on the event model, whichever model the other
+		// timing experiments run.
+		p.EventModel = true
 		g := newCellGroup(p)
 		cells := make([]wpCell, len(ws))
+		clean, wp := cpu.DefaultConfig(), cpu.DefaultConfig()
+		wp.ModelWrongPath = true
 		for i, w := range ws {
-			run := func(p Params, cfg sim.Config, wrongPath bool) cpu.Result {
+			wrongPath := func(p Params, cfg sim.Config) *cpu.Result {
 				col := p.startCollector()
 				defer p.mergeCollector(col)
 				cfg.Telemetry = col
-				mc := cpu.DefaultConfig()
-				mc.ModelWrongPath = wrongPath
-				res := cpu.NewEvent(mc, sim.NewEngine(cfg)).RunCtx(p.Context(), w.Open(), p.TimingBudget)
+				res := cpu.NewEvent(wp, sim.NewEngine(cfg)).RunCtx(p.Context(), w.Open(), p.TimingBudget)
 				instructionsSim.Add(res.Instructions)
 				if res.Err != nil {
 					abortCell(res.Err)
 				}
-				return res
+				return &res
 			}
 			cells[i] = wpCell{
-				baseClean: cell(g, cid(w, "btb"), func(p Params) cpu.Result { return run(p, sim.DefaultConfig(), false) }),
-				tcClean:   cell(g, cid(w, "tc"), func(p Params) cpu.Result { return run(p, tcCfg, false) }),
-				baseWP:    cell(g, cid(w, "btb-wrongpath"), func(p Params) cpu.Result { return run(p, sim.DefaultConfig(), true) }),
-				tcWP:      cell(g, cid(w, "tc-wrongpath"), func(p Params) cpu.Result { return run(p, tcCfg, true) }),
+				baseClean: timingCell(g, cid(w, "btb"), w, sim.DefaultConfig(), clean),
+				tcClean:   timingCell(g, cid(w, "tc"), w, tcCfg, clean),
+				baseWP:    cell(g, cid(w, "btb-wrongpath"), func(p Params) *cpu.Result { return wrongPath(p, sim.DefaultConfig()) }),
+				tcWP:      cell(g, cid(w, "tc-wrongpath"), func(p Params) *cpu.Result { return wrongPath(p, tcCfg) }),
 			}
 		}
 		g.run()
 		// Each column needs two cells; an ERR in either blanks just that
 		// column.
-		redCol := func(a, b *slot[cpu.Result]) string {
+		redCol := func(a, b *slot[*cpu.Result]) string {
 			if !a.ok() || !b.ok() {
 				return "ERR"
 			}

@@ -23,13 +23,19 @@ var update = flag.Bool("update", false, "rewrite golden files with the current o
 // families beside a BTB-only member (followups), and several runs merged
 // under one telemetry key (verify's claim cells); and the timing
 // experiments with path-history members (table5) and five machine shapes
-// (sensitivity).
-var goldenExperiments = []string{"table1", "table4", "table5", "figures12-13", "budget", "context-switch", "followups", "sensitivity", "verify"}
+// (sensitivity); and the event model, with and without wrong-path fetch
+// (wrongpath).
+var goldenExperiments = []string{"table1", "table4", "table5", "figures12-13", "budget", "context-switch", "followups", "sensitivity", "verify", "wrongpath"}
+
+// goldenEventExperiments are rendered after goldenExperiments with
+// Params.EventModel set: timing tables on the event-driven model.
+var goldenEventExperiments = []string{"table7"}
 
 // renderGolden runs the golden experiment slice with telemetry enabled at
 // the given worker count and returns the full text artifact: the rendered
-// experiment tables followed by the per-site telemetry report — exactly
-// the byte stream `tcsim -exp ... -sites` prints.
+// experiment tables, the event-model slice's under a header line, then
+// the per-site telemetry report of both — the byte stream `tcsim -exp ...
+// -sites` prints.
 func renderGolden(t *testing.T, parallel int) string {
 	t.Helper()
 	rec := telemetry.NewRecorder(telemetry.Config{Events: 4})
@@ -39,26 +45,34 @@ func renderGolden(t *testing.T, parallel int) string {
 		Parallel:       parallel,
 		Telemetry:      rec,
 	}
-	var exps []*Experiment
-	for _, id := range goldenExperiments {
-		e, err := ByID(id)
+	var out bytes.Buffer
+	for _, event := range []bool{false, true} {
+		ids := goldenExperiments
+		if event {
+			ids = goldenEventExperiments
+			out.WriteString("== event model ==\n\n")
+		}
+		var exps []*Experiment
+		for _, id := range ids {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exps = append(exps, e)
+		}
+		p.EventModel = event
+		res, err := RunSuite(context.Background(), SuiteOptions{
+			Experiments: exps,
+			Params:      p,
+			Format:      "text",
+			Out:         &out,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exps = append(exps, e)
-	}
-	var out bytes.Buffer
-	res, err := RunSuite(context.Background(), SuiteOptions{
-		Experiments: exps,
-		Params:      p,
-		Format:      "text",
-		Out:         &out,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) > 0 {
-		t.Fatalf("golden run had %d cell failure(s): %v", len(res.Failures), res.Failures[0])
+		if len(res.Failures) > 0 {
+			t.Fatalf("golden run had %d cell failure(s): %v", len(res.Failures), res.Failures[0])
+		}
 	}
 	out.WriteString("== telemetry: per-site indirect-jump report ==\n\n")
 	// Run-level metrics (wall time, occupancy) are deliberately absent

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -92,7 +93,8 @@ func TestPlanChunksPipelineGroups(t *testing.T) {
 
 // TestPlanSegmentsCountsStartablePasses: a timing plan of two gangs
 // resolves its segments from the two gangs alone; the pipeline passes
-// that wait on them do not count.
+// that wait on them do not count. Workers past GOMAXPROCS do not count
+// either: a segment no idle core runs only adds priming work.
 func TestPlanSegmentsCountsStartablePasses(t *testing.T) {
 	var cells []*groupCell
 	for _, name := range []string{"perl", "gcc"} {
@@ -105,7 +107,9 @@ func TestPlanSegmentsCountsStartablePasses(t *testing.T) {
 		c.timing(w, sim.DefaultConfig(), cpu.DefaultConfig())
 		cells = append(cells, c)
 	}
-	for _, tc := range []struct{ workers, segs int }{{1, 1}, {2, 1}, {4, 2}, {8, 4}} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ workers, procs, segs int }{{1, 8, 1}, {2, 8, 1}, {4, 8, 2}, {8, 8, 4}, {8, 4, 2}, {8, 2, 1}} {
+		runtime.GOMAXPROCS(tc.procs)
 		p := Params{Parallel: tc.workers}
 		passes := plan(cells, p)
 		gangs := 0
@@ -118,7 +122,7 @@ func TestPlanSegmentsCountsStartablePasses(t *testing.T) {
 			t.Fatalf("%d workers: plan holds %d gangs, want 2", tc.workers, gangs)
 		}
 		if got := p.planSegments(passes); got != tc.segs {
-			t.Errorf("%d workers: %d passes (2 gangs) resolve %d segments, want %d", tc.workers, len(passes), got, tc.segs)
+			t.Errorf("%d workers, GOMAXPROCS %d: %d passes (2 gangs) resolve %d segments, want %d", tc.workers, tc.procs, len(passes), got, tc.segs)
 		}
 	}
 }

@@ -21,6 +21,15 @@
 // behaviour the accuracy experiments measure. One RunPipeline call times
 // a whole group of predictor passes on one machine: members whose
 // pipeline states agree up to a time shift share one simulated lane.
+//
+// EventMachine (event.go) is the cycle-by-cycle validation model: one
+// cycle loop with two front ends. RunCtx fetches from a trace source,
+// asking its sim.Engine and data cache as it goes, and can fetch real
+// wrong-path instructions from a live VM. A clean run over a capture —
+// no wrong-path fetch — factors like the fast model's: RunEvent times it
+// from a predictor pass's mispredict bits and the same miss bits, so the
+// experiment suite makes each such run a gang member plus an event pass
+// of its own.
 package cpu
 
 import (

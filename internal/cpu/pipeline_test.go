@@ -14,8 +14,9 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPipelineRefusesForeignMissBits pins that the pipeline fails closed
-// on miss bits computed for another cache or too few records.
+// TestPipelineRefusesForeignMissBits pins that the pipeline and the event
+// pass fail closed on miss bits computed for another cache or too few
+// records.
 func TestPipelineRefusesForeignMissBits(t *testing.T) {
 	w, err := workload.ByName("go")
 	if err != nil {
@@ -36,6 +37,9 @@ func TestPipelineRefusesForeignMissBits(t *testing.T) {
 	for name, ms := range map[string]*Misses{"foreign geometry": foreign, "too few records": short, "none": nil} {
 		if res := RunPipeline(ctx, DefaultConfig(), rep, ms, []Pass{{Instructions: rep.Len()}})[0]; res.Err == nil || res.Instructions != 0 {
 			t.Errorf("%s: pipeline ran (%+v), want a refusal", name, res)
+		}
+		if res := RunEvent(ctx, DefaultConfig(), rep, ms, Pass{Instructions: rep.Len()}); res.Err == nil || res.Instructions != 0 {
+			t.Errorf("%s: event pass ran (%+v), want a refusal", name, res)
 		}
 	}
 }
@@ -84,6 +88,10 @@ func TestInvalidMachineFailsFast(t *testing.T) {
 		"pipeline": func(ctx context.Context, mc Config) Result {
 			misses, _ := DCacheMisses(ctx, DefaultConfig(), rep, budget)
 			return RunPipeline(ctx, mc, rep, misses, []Pass{{Instructions: budget}})[0]
+		},
+		"event-columnar": func(ctx context.Context, mc Config) Result {
+			misses, _ := DCacheMisses(ctx, DefaultConfig(), rep, budget)
+			return RunEvent(ctx, mc, rep, misses, Pass{Instructions: budget})
 		},
 	}
 	for fn, mutate := range bad {
