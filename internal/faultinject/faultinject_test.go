@@ -39,12 +39,16 @@ func experiments(t *testing.T, ids ...string) []*bench.Experiment {
 	return out
 }
 
-func runSuite(t *testing.T, exps []*bench.Experiment, parallel int) (*bench.SuiteResult, string) {
+func runSuite(t *testing.T, exps []*bench.Experiment, parallel int, mods ...func(*bench.Params)) (*bench.SuiteResult, string) {
 	t.Helper()
+	p := testParams(parallel)
+	for _, mod := range mods {
+		mod(&p)
+	}
 	var buf bytes.Buffer
 	res, err := bench.RunSuite(context.Background(), bench.SuiteOptions{
 		Experiments: exps,
-		Params:      testParams(parallel),
+		Params:      p,
 		Format:      "text",
 		Out:         &buf,
 	})
@@ -154,44 +158,49 @@ func TestCorruptReplayIsIsolated(t *testing.T) {
 }
 
 // TestCorruptTimingReplayIsIsolated damages perl's capture under a timing
-// experiment, so the error travels from a fused gang through the fused
-// pipeline pass: every failure names perl and wraps trace.ErrCorrupt, the
-// output is the same at 1 and 8 workers, and gcc's table is untouched.
+// experiment, on each timing model, so the error travels from a fused
+// gang through the fused pipeline pass or the event passes: every failure
+// names perl and wraps trace.ErrCorrupt, the output is the same at 1 and
+// 8 workers, and gcc's table is untouched.
 func TestCorruptTimingReplayIsIsolated(t *testing.T) {
-	exps := experiments(t, "table7")
-	_, healthy := runSuite(t, exps, 1)
+	for _, event := range []bool{false, true} {
+		model := func(p *bench.Params) { p.EventModel = event }
+		exps := experiments(t, "table7")
+		_, healthy := runSuite(t, exps, 1, model)
 
-	plan := &Plan{CorruptReplays: map[string]Corruption{"perl": {Offset: 1024, Length: 16}}}
-	restore := plan.Install()
-	defer restore()
+		plan := &Plan{CorruptReplays: map[string]Corruption{"perl": {Offset: 1024, Length: 16}}}
+		res, out1, out8 := func() (*bench.SuiteResult, string, string) {
+			defer plan.Install()()
+			res, out1 := runSuite(t, exps, 1, model)
+			_, out8 := runSuite(t, exps, 8, model)
+			return res, out1, out8
+		}()
 
-	res, out1 := runSuite(t, exps, 1)
-	_, out8 := runSuite(t, exps, 8)
-
-	if out1 != out8 {
-		t.Error("faulty output differs between 1 and 8 workers")
-	}
-	if len(res.Failures) == 0 {
-		t.Fatal("corrupt replay produced no failures")
-	}
-	for _, ce := range res.Failures {
-		if ce.Workload != "perl" {
-			t.Errorf("failure %v names workload %q, want perl only", ce, ce.Workload)
+		if out1 != out8 {
+			t.Errorf("event model %v: faulty output differs between 1 and 8 workers", event)
 		}
-		if !errors.Is(ce.Err, trace.ErrCorrupt) {
-			t.Errorf("failure %v does not wrap trace.ErrCorrupt", ce)
+		if len(res.Failures) == 0 {
+			t.Fatalf("event model %v: corrupt replay produced no failures", event)
 		}
-	}
-	// gcc's table is the last; the failure footer's notes follow its rows.
-	gcc := func(out string) string {
-		i := strings.Index(out, "Table 7 (gcc)")
-		if i < 0 {
-			t.Fatalf("no gcc table in\n%s", out)
+		for _, ce := range res.Failures {
+			if ce.Workload != "perl" {
+				t.Errorf("event model %v: failure %v names workload %q, want perl only", event, ce, ce.Workload)
+			}
+			if !errors.Is(ce.Err, trace.ErrCorrupt) {
+				t.Errorf("event model %v: failure %v does not wrap trace.ErrCorrupt", event, ce)
+			}
 		}
-		return strings.Join(filterLines(out[i:], "ERR"), "\n")
-	}
-	if h, f := gcc(healthy), gcc(out1); h != f {
-		t.Errorf("gcc's table changed under perl's fault:\n  healthy:\n%s\n  faulty:\n%s", h, f)
+		// gcc's table is the last; the failure footer's notes follow its rows.
+		gcc := func(out string) string {
+			i := strings.Index(out, "Table 7 (gcc)")
+			if i < 0 {
+				t.Fatalf("no gcc table in\n%s", out)
+			}
+			return strings.Join(filterLines(out[i:], "ERR"), "\n")
+		}
+		if h, f := gcc(healthy), gcc(out1); h != f {
+			t.Errorf("event model %v: gcc's table changed under perl's fault:\n  healthy:\n%s\n  faulty:\n%s", event, h, f)
+		}
 	}
 }
 
