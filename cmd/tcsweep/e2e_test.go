@@ -12,6 +12,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -187,5 +188,37 @@ func TestCommitNeedsBenchfmt(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.want) {
 			t.Errorf("tcsweep %v: err = %v, want exit 2 with %q; output:\n%s", tc.args, err, tc.want, out)
 		}
+	}
+}
+
+// TestTelemetryCountsSharedBTBs pins -telemetry's btb_shared_points on
+// the smoke grid at auto width: of its 72 btb points, the 40 whose BTB
+// holds every taken PC of its capture, and is not the first such member
+// of its btb gang and update strategy, simulate no BTB of their own. The
+// run stays as fused as before: every point from a fused walk, no
+// fallbacks.
+func TestTelemetryCountsSharedBTBs(t *testing.T) {
+	bin := buildBinary(t)
+	telemetryPath := filepath.Join(t.TempDir(), "telemetry.json")
+	cmd := exec.Command(bin, "-spec", "../../sweep_smoke.json", "-workers", "2", "-quiet", "-telemetry", telemetryPath)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("tcsweep: %v\n%s", err, out)
+	}
+	data, err := os.ReadFile(telemetryPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Points          int   `json:"points"`
+		FusedPoints     int   `json:"fused_points"`
+		GangFallbacks   int   `json:"gang_fallbacks"`
+		BTBSharedPoints int64 `json:"btb_shared_points"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.BTBSharedPoints != 40 || m.FusedPoints != m.Points || m.GangFallbacks != 0 {
+		t.Errorf("btb_shared_points %d (want 40), fused_points %d of %d, gang_fallbacks %d\n%s",
+			m.BTBSharedPoints, m.FusedPoints, m.Points, m.GangFallbacks, data)
 	}
 }

@@ -43,6 +43,7 @@ import (
 
 	"repro/internal/benchfmt"
 	"repro/internal/fsutil"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -175,11 +176,12 @@ func run() int {
 		outcome *sweep.Outcome
 		wall    time.Duration
 		walls   []time.Duration
+		shared  int64 // the last rep's btb points that ran on another's BTB
 	)
 	for rep := 1 - *warmup; rep <= *count; rep++ {
-		start := time.Now()
+		start, before := time.Now(), sim.SharedBTBs()
 		outcome, err = sweep.Run(ctx, spec, opts)
-		wall = time.Since(start)
+		wall, shared = time.Since(start), sim.SharedBTBs()-before
 		if err != nil {
 			if ctx.Err() != nil && *resume != "" {
 				fmt.Fprintf(os.Stderr, "tcsweep: %v\ntcsweep: rerun with -resume %s to finish\n", err, *resume)
@@ -245,6 +247,7 @@ func run() int {
 			FusedPoints:    outcome.FusedPoints,
 			DirectPoints:   outcome.DirectPoints,
 			GangFallbacks:  outcome.GangFallbacks,
+			SharedBTBs:     shared,
 		})
 		if err := fsutil.WriteFileAtomic(*telemOut, func(w io.Writer) error {
 			enc := json.NewEncoder(w)

@@ -7,6 +7,7 @@ package btb
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/trace"
@@ -68,6 +69,39 @@ func (c Config) CostBits() int {
 		per += 2
 	}
 	return c.Sets * c.Ways * per
+}
+
+// Holds reports whether a BTB of this geometry holds all of pcs at once:
+// no set gets more of their distinct word addresses than it has ways.
+// PCs split into sets as the BTB indexes them (the cache's IndexOf of
+// pc>>2, whose set is the word modulo Sets). A BTB allocates entries only
+// for taken branches, so one that holds the PCs of every taken branch it
+// sees never evicts, and behaves exactly like an unbounded one. An
+// impossible geometry holds nothing.
+func (c Config) Holds(pcs []uint64) bool {
+	if c.Sets <= 0 || c.Ways <= 0 {
+		return false
+	}
+	words := make([]uint64, len(pcs))
+	for i, pc := range pcs {
+		words[i] = pc >> 2
+	}
+	slices.Sort(words)
+	words = slices.Compact(words) // PCs of one word share its entry
+	for i := range words {
+		words[i] %= uint64(c.Sets)
+	}
+	slices.Sort(words)
+	run := 0
+	for i, set := range words {
+		if run++; i > 0 && set != words[i-1] {
+			run = 1
+		}
+		if run > c.Ways {
+			return false
+		}
+	}
+	return true
 }
 
 // Entry is the payload stored per BTB entry: the predicted (taken) target,

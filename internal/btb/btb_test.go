@@ -1,6 +1,7 @@
 package btb
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/trace"
@@ -140,5 +141,47 @@ func TestBTBReset(t *testing.T) {
 func TestStrategyString(t *testing.T) {
 	if StrategyDefault.String() != "default" || StrategyTwoBit.String() != "2-bit" {
 		t.Fatal("strategy names wrong")
+	}
+}
+
+// TestHoldsMatchesBTB pins Config.Holds against a real BTB over random
+// PC sets and geometries, power-of-two set counts or not: it reports
+// true exactly when inserting each PC once as a taken branch leaves every
+// PC present. PCs are drawn from a small range at any alignment, so sets
+// overflow and some PCs share a word (and so an entry).
+func TestHoldsMatchesBTB(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	held := map[bool]int{}
+	for trial := 0; trial < 2000; trial++ {
+		cfg := Config{Sets: 1 + rng.IntN(12), Ways: 1 + rng.IntN(6), Strategy: Strategy(rng.IntN(2))}
+		if rng.IntN(2) == 0 {
+			cfg.Sets = 1 << rng.IntN(6)
+		}
+		pcs := make([]uint64, rng.IntN(3*cfg.Sets*cfg.Ways+2))
+		for i := range pcs {
+			pcs[i] = 0x4000 + rng.Uint64N(uint64(16*cfg.Sets*cfg.Ways))
+		}
+		b := New(cfg)
+		for _, pc := range pcs {
+			r := taken(pc, pc+64, trace.ClassUncondDirect)
+			b.Update(&r)
+		}
+		present := true
+		for _, pc := range pcs {
+			if _, ok := b.Lookup(pc); !ok {
+				present = false
+			}
+		}
+		got := cfg.Holds(pcs)
+		if got != present {
+			t.Fatalf("%+v over %d PCs %x: Holds = %v, but every PC present = %v", cfg, len(pcs), pcs, got, present)
+		}
+		held[got]++
+	}
+	if held[true] < 100 || held[false] < 100 {
+		t.Errorf("trials held %d and evicted %d times; want both common", held[true], held[false])
+	}
+	if (Config{Sets: 0, Ways: 4}).Holds(nil) || (Config{Sets: 4, Ways: 0}).Holds(nil) {
+		t.Error("an impossible geometry holds")
 	}
 }

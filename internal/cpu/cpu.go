@@ -271,7 +271,7 @@ func (m *Machine) RunCtx(ctx context.Context, src trace.Source, budget int64) Re
 		fetchedThis  int   // instructions fetched in fetchCycle
 		lastRetire   int64 // retire cycle of the previous instruction
 		retiredThis  int   // instructions retired in lastRetire
-		regReady     [64]int64
+		regReady     [regSlots]int64
 		windowRetire = make([]int64, cfg.Window) // ring: retire cycle per slot
 		fus          = newFURing(fuRingLen)
 		idx          int64

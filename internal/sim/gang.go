@@ -35,7 +35,10 @@ import (
 //     direction prediction and training run once. A BTB gang — BTB-only
 //     members of different geometries or update strategies, as the
 //     sweep's btb family — gives each member its own BTB, which predicts
-//     from the shared direction predictor's and RAS's verdicts;
+//     from the shared direction predictor's and RAS's verdicts; except
+//     that members whose BTB never evicts over the span (it holds every
+//     taken branch's PC) predict alike per update strategy, so they run
+//     on one BTB per strategy (memberBTBs);
 //   - per-key history registers: members naming the same HistShare key
 //     read one register, the deepest of theirs, each member its own low
 //     bits of it — exact because a pattern or path history's n-bit value
@@ -43,7 +46,8 @@ import (
 //     register is computed and trained once.
 //
 // Per member there remains only the target cache itself (a BTB-only
-// member has none and reads the BTB's target) and its optional telemetry
+// member has none and reads the BTB's target; in a BTB gang, the
+// member's BTB, unless it runs on another's) and its optional telemetry
 // collector — flat tables allocated per member, with the member
 // bookkeeping (history index, divergence counters) laid out contiguously
 // in one slice — touched only on records whose prediction or update

@@ -210,10 +210,13 @@ func schemeKeyed(pts []GangPoint) []GangPoint {
 }
 
 // btbGangPoints are BTB-only members over the paper's RAS and direction
-// predictor that differ in BTB geometry and update strategy.
+// predictor that differ in BTB geometry and update strategy. On the
+// first 60k records of gcc the first four geometries evict and the last
+// three hold every taken PC; on shorter or smaller captures more of them
+// hold.
 func btbGangPoints() []GangPoint {
 	var pts []GangPoint
-	for _, geo := range []struct{ sets, ways int }{{256, 4}, {64, 2}, {512, 1}, {128, 8}} {
+	for _, geo := range []struct{ sets, ways int }{{256, 4}, {64, 2}, {512, 1}, {128, 8}, {4096, 4}, {1024, 8}, {2048, 2}} {
 		for _, strat := range []btb.Strategy{btb.StrategyDefault, btb.StrategyTwoBit} {
 			cfg := DefaultConfig()
 			cfg.BTB = btb.Config{Sets: geo.sets, Ways: geo.ways, Strategy: strat}
@@ -347,7 +350,9 @@ func TestGangTelemetryMatchesSolo(t *testing.T) {
 
 // TestGangErrorContract pins the fused kernel's corrupt-store behaviour
 // against solo runs: same partial counters per member, and the same
-// ErrCorrupt surfaced only when the budget reaches the damaged group.
+// ErrCorrupt surfaced only when the budget reaches the damaged group —
+// for a gang with target caches and for a BTB gang, whose scan for taken
+// PCs meets the damage first.
 func TestGangErrorContract(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -355,27 +360,29 @@ func TestGangErrorContract(t *testing.T) {
 	}
 	rep := trace.Capture(trace.NewLimit(w.Open(), 20_000))
 	damaged := damagedStore(t, rep)
-	pts := gangPoints()
-	for _, budget := range []int64{1_000, rep.Len()} {
-		got := runGang(t, context.Background(), damaged, Options{Budget: budget}, pts)
-		for i, pt := range pts {
-			want := RunAccuracy(damaged, budget, pt.Config)
-			gotErr, wantErr := got[i].Err, want.Err
-			got[i].Err, want.Err = nil, nil
-			if got[i] != want {
-				t.Errorf("budget %d member %d: counters diverge\n  gang %+v\n  solo %+v", budget, i, got[i], want)
-			}
-			switch {
-			case gotErr == nil && wantErr == nil:
-			case gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error():
-				t.Errorf("budget %d member %d: error mismatch: gang %v, solo %v", budget, i, gotErr, wantErr)
+	for gi, pts := range [][]GangPoint{gangPoints(), btbGangPoints()} {
+		for _, budget := range []int64{1_000, rep.Len()} {
+			got := runGang(t, context.Background(), damaged, Options{Budget: budget}, pts)
+			for i, pt := range pts {
+				want := RunAccuracy(damaged, budget, pt.Config)
+				gotErr, wantErr := got[i].Err, want.Err
+				got[i].Err, want.Err = nil, nil
+				if got[i] != want {
+					t.Errorf("gang %d budget %d member %d: counters diverge\n  gang %+v\n  solo %+v", gi, budget, i, got[i], want)
+				}
+				switch {
+				case gotErr == nil && wantErr == nil:
+				case gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error():
+					t.Errorf("gang %d budget %d member %d: error mismatch: gang %v, solo %v", gi, budget, i, gotErr, wantErr)
+				}
 			}
 		}
 	}
 }
 
 // TestGangCancellation pins partial results under a cancelled context:
-// every member stops at the same poll boundary a solo run stops at.
+// every member stops at the same poll boundary a solo run stops at, in a
+// gang with target caches and in a BTB gang.
 func TestGangCancellation(t *testing.T) {
 	w, err := workload.ByName("perl")
 	if err != nil {
@@ -385,16 +392,18 @@ func TestGangCancellation(t *testing.T) {
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pts, opts := gangPoints(), Options{Budget: budget}
-	got := runGang(t, ctx, rep, opts, pts)
-	for i, pt := range pts {
-		want := runOne(t, ctx, rep, opts, pt.Config)
-		if got[i].Err != context.Canceled || want.Err != context.Canceled {
-			t.Fatalf("member %d: expected context.Canceled, gang %v solo %v", i, got[i].Err, want.Err)
-		}
-		got[i].Err, want.Err = nil, nil
-		if got[i] != want {
-			t.Errorf("member %d: cancelled partial counters diverge\n  gang %+v\n  solo %+v", i, got[i], want)
+	opts := Options{Budget: budget}
+	for gi, pts := range [][]GangPoint{gangPoints(), btbGangPoints()} {
+		got := runGang(t, ctx, rep, opts, pts)
+		for i, pt := range pts {
+			want := runOne(t, ctx, rep, opts, pt.Config)
+			if got[i].Err != context.Canceled || want.Err != context.Canceled {
+				t.Fatalf("gang %d member %d: expected context.Canceled, gang %v solo %v", gi, i, got[i].Err, want.Err)
+			}
+			got[i].Err, want.Err = nil, nil
+			if got[i] != want {
+				t.Errorf("gang %d member %d: cancelled partial counters diverge\n  gang %+v\n  solo %+v", gi, i, got[i], want)
+			}
 		}
 	}
 }

@@ -43,7 +43,8 @@ import (
 //     A kept walk (walk.go) instead keeps every event, and its replays
 //     run the member step over them. A BTB gang has a walk and a member
 //     loop of its own (btbGangKernel, runBTBMembers), which share the
-//     BTB's prediction (btbPredict) with the walk.
+//     BTB's prediction (btbPredict) with the walk; its members whose BTB
+//     never evicts run on one BTB per update strategy (memberBTBs).
 //
 // The inlined sequence must mirror Engine.Predict/Engine.Resolve exactly;
 // TestKernelMatchesGenericLoop, TestGangMatchesSolo and the bench golden
@@ -149,8 +150,12 @@ type gangMember struct {
 	// mask keeps the low bits of a shared register a shallower member
 	// reads; all ones when the member's depth is the register's.
 	mask uint64
-	btb  *btb.BTB             // the member's own BTB in a BTB gang; nil otherwise
-	tel  *telemetry.Collector // nil when the member collects no telemetry
+	btb  *btb.BTB // the member's own BTB in a BTB gang; nil otherwise
+	// on is, in a BTB gang, the member whose BTB this one runs on: it
+	// simulates no BTB and reports that member's counters and bits
+	// (memberBTBs). nil when the member runs its own.
+	on  *gangMember
+	tel *telemetry.Collector // nil when the member collects no telemetry
 
 	outcomes
 	tcCovered int64
@@ -198,12 +203,12 @@ type gang struct {
 }
 
 // newGang instantiates pts over the first member's front end, or, when
-// the members' BTBs differ, over its RAS and direction predictor with one
-// BTB per member; the caller guarantees every member shares the RAS and
-// direction predictor, and that a BTB gang carries no target cache. A
-// member without a target cache (the BTB-only baseline) runs with noTC
-// and no history.
-func newGang(pts []GangPoint) *gang {
+// the members' BTBs differ, over its RAS and direction predictor with the
+// members' BTBs (memberBTBs), for the walks over sp that follow; the
+// caller guarantees every member shares the RAS and direction predictor,
+// and that a BTB gang carries no target cache. A member without a target
+// cache (the BTB-only baseline) runs with noTC and no history.
+func newGang(ctx context.Context, sp span, pts []GangPoint) *gang {
 	g := newFrontEnd(pts[0].Config)
 	g.members = make([]gangMember, len(pts))
 	g.tcs = make([]core.TargetCache, len(pts))
@@ -212,14 +217,14 @@ func newGang(pts []GangPoint) *gang {
 			g.btb = nil
 		}
 	}
+	if g.btb == nil {
+		g.memberBTBs(ctx, sp, pts)
+	}
 	regs := make(map[string]int32, len(pts))
 	depths := make([]int, len(pts))
 	for i, pt := range pts {
 		cfg := pt.Config
 		m := &g.members[i]
-		if g.btb == nil {
-			m.btb = btb.New(cfg.BTB)
-		}
 		m.tel = cfg.Telemetry
 		g.telemetry = g.telemetry || m.tel != nil
 		g.bits = g.bits || pt.Mispredicts != nil
@@ -241,6 +246,75 @@ func newGang(pts []GangPoint) *gang {
 		m.mask = readMask(depths[i], g.providers[m.hist].Len())
 	}
 	return g
+}
+
+// memberBTBs gives each member of a BTB gang a BTB to run on. A BTB
+// that holds the PCs of every taken branch of records [0, sp.end)
+// (btb.Config.Holds) never evicts, so it hits on a branch iff the branch
+// was taken since the last flush, and the entry's target, class and
+// 2-bit counter follow only that branch's own records: every holding
+// member of one update strategy predicts every branch alike. The first
+// holding member of each strategy gets a BTB; each later one runs on it,
+// unless it carries a collector, whose events it must report itself.
+// Every other member gets its own. The scan covers the primed prefix of
+// a segment too; when it cannot finish (a read error, or ctx done, which
+// the walk then reports), every member gets its own BTB.
+func (g *gang) memberBTBs(ctx context.Context, sp span, pts []GangPoint) {
+	pcs, scanned := takenPCs(ctx, sp.bs, sp.end)
+	first := make(map[btb.Strategy]*gangMember)
+	for i, pt := range pts {
+		m, cfg := &g.members[i], pt.Config.BTB
+		if scanned && cfg.Holds(pcs) {
+			if on := first[cfg.Strategy]; on == nil {
+				first[cfg.Strategy] = m
+			} else if pt.Config.Telemetry == nil {
+				m.on = on
+				continue
+			}
+		}
+		m.btb = btb.New(cfg)
+	}
+}
+
+// takenPCs returns the distinct PCs of the taken branches among records
+// [0, end) of bs, the PCs a BTB allocates entries for. It polls ctx as
+// the walk does, and reports false when ctx is done or a block cannot be
+// read.
+func takenPCs(ctx context.Context, bs trace.BlockSource, end int64) ([]uint64, bool) {
+	effEnd := min(max(end, 0), bs.Len())
+	var pcs []uint64
+	seen := make(map[uint64]bool)
+	// last filters the records the map would find: a direct-mapped table
+	// of the PC last seen per slot. Each slot starts at a PC of another
+	// slot, which matches none of its own.
+	var last [256]uint64
+	for i := range last {
+		last[i] = uint64(i+1) << 2
+	}
+	for base := int64(0); base < effEnd; base += trace.BlockLen {
+		if base&ctxCheckMask == 0 && ctx.Err() != nil {
+			return nil, false
+		}
+		blk, err := bs.BlockAt(int(base / trace.BlockLen))
+		if err != nil {
+			return nil, false
+		}
+		m := min(len(blk.Meta), int(effEnd-base))
+		for i, mb := range blk.Meta[:m] {
+			if mb&trace.MetaTaken == 0 || trace.Class(mb&trace.MetaClassMask) == trace.ClassOther {
+				continue
+			}
+			pc := blk.PC[i]
+			if slot := &last[(pc>>2)%uint64(len(last))]; *slot != pc {
+				*slot = pc
+				if !seen[pc] {
+					seen[pc] = true
+					pcs = append(pcs, pc)
+				}
+			}
+		}
+	}
+	return pcs, true
 }
 
 // newFrontEnd is a gang of no members over cfg's front end.
@@ -635,8 +709,9 @@ func resolveFront(ras *btb.RAS, dir *dirpred.Predictor, r *trace.Record) {
 // only in their BTB: the walk trains the shared RAS and direction
 // predictor and emits every branch as an event carrying their verdicts
 // at its fetch, from which the member loop has each member's own BTB
-// predict and train. It is a loop of its own so that the walk every other
-// gang runs stays as lean.
+// predict and train (a member that runs on another's BTB has none). It
+// is a loop of its own so that the walk every other gang runs stays as
+// lean.
 func btbGangKernel(ctx context.Context, sp span, g *gang) []AccuracyResult {
 	var branches int64
 	bs, ras, dir := sp.bs, g.ras, g.dir
@@ -734,12 +809,16 @@ func (g *gang) reset() {
 // runBTBMembers is a BTB gang's member loop: each member's own BTB
 // predicts every event from the walk's verdicts, is counted, and trains,
 // one member over all the events before the next, keeping its BTB hot.
+// A member that runs on another's BTB is skipped; results fills it in.
 func runBTBMembers(g *gang, evs []event, count bool) {
 	bits := count && g.bits
 	consulted := g.consulted
 	var r trace.Record
 	for mi := range g.members {
 		m := &g.members[mi]
+		if m.on != nil {
+			continue
+		}
 		consulted = g.consulted
 		for ei := range evs {
 			ev := &evs[ei]
@@ -830,12 +909,17 @@ func memberStep[TC targetCache](g *gang, tcs []TC, ev *event, hv []uint64, count
 }
 
 // results assembles the per-member results: the shared skeleton plus
-// each member's divergence counters, every member reporting the same
-// instruction count and error a solo run stopped at this record would.
+// each member's divergence counters — in a BTB gang, a member that runs
+// on another's BTB takes that member's counters and mispredict bits —
+// every member reporting the same instruction count and error a solo run
+// stopped at this record would.
 func (g *gang) results() []AccuracyResult {
 	out := make([]AccuracyResult, len(g.members))
 	for mi := range g.members {
 		m := &g.members[mi]
+		if m.on != nil {
+			m.outcomes, m.bits = m.on.outcomes, m.on.bits
+		}
 		r := &out[mi]
 		r.Instructions, r.Branches, r.TCCovered, r.Err = g.insns, g.branches, m.tcCovered, g.err
 		g.res.add(r)

@@ -48,11 +48,13 @@ const primeCostRatio = 0.70
 // goroutine and priming overhead dwarfs the simulated span.
 const minSegmentSpan = 2 * trace.BlockLen
 
-// Package-wide segment counters for run-level telemetry.
+// Package-wide segment counters for run-level telemetry, and the count
+// of BTB-gang members that ran on another member's BTB.
 var (
 	segmentedRuns      atomic.Int64
 	segmentsExecuted   atomic.Int64
 	warmupInstructions atomic.Int64
+	sharedBTBs         atomic.Int64
 )
 
 // SegmentStats is a snapshot of the process-wide segmented-replay
@@ -74,6 +76,11 @@ func SegmentCounters() SegmentStats {
 	}
 }
 
+// SharedBTBs returns how many BTB-gang members, process-wide, ran on
+// another member's BTB instead of simulating their own: one per member
+// per pass.
+func SharedBTBs() int64 { return sharedBTBs.Load() }
+
 // runSegmented simulates the gang pts over sp, split into up to
 // `segments` concurrent segments when that is exact and worthwhile, and
 // in one pass otherwise. A segmented gang counts as one segmented run.
@@ -83,9 +90,10 @@ func runSegmented(ctx context.Context, sp span, segments int, pts []GangPoint) [
 		seams = planSegments(min(max(sp.end, 0), sp.bs.Len()), segments)
 	}
 	if len(seams) < 3 {
-		g := newGang(pts)
+		g := newGang(ctx, sp, pts)
 		results := [][]AccuracyResult{g.run(ctx, sp)}
 		deliverBits(pts, []*gang{g}, results)
+		countShared(g)
 		return results[0]
 	}
 
@@ -107,7 +115,20 @@ func runSegmented(ctx context.Context, sp span, segments int, pts []GangPoint) [
 	}
 	wg.Wait()
 	deliverBits(pts, gangs, results)
+	countShared(gangs[nseg-1])
 	return mergeSegments(results)
+}
+
+// countShared adds to the process-wide count the members of g, a pass's
+// only or last gang, that ran on another member's BTB. The last
+// segment's scan covers every earlier one's, so a member it shares ran on
+// another's BTB in every segment.
+func countShared(g *gang) {
+	for mi := range g.members {
+		if g.members[mi].on != nil {
+			sharedBTBs.Add(1)
+		}
+	}
 }
 
 // deliverBits hands every member that asked for mispredict bits its
@@ -229,7 +250,7 @@ func mergeSegments(results [][]AccuracyResult) []AccuracyResult {
 // primed gang holds exactly the state the streaming run has at the seam.
 // It returns the gang too, holding the segment's mispredict bits.
 func runSegment(ctx context.Context, sp span, pts []GangPoint) ([]AccuracyResult, *gang) {
-	g := newGang(pts)
+	g := newGang(ctx, sp, pts)
 	if sp.start > 0 {
 		prime := sp
 		prime.start, prime.end, prime.prime = 0, sp.start, true

@@ -253,7 +253,7 @@ func BenchmarkPrimeVsSimulate(b *testing.B) {
 			sp := span{bs: rep, end: budget, prime: walk == "prime"}
 			b.Run(name+"/"+walk, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					newGang([]GangPoint{{Config: cfg}}).run(ctx, sp)
+					newGang(ctx, sp, []GangPoint{{Config: cfg}}).run(ctx, sp)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(budget*int64(b.N)), "ns/instr")
 			})

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/btb"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -22,7 +23,10 @@ func engineRun(t testing.TB, rep *trace.Replay, budget, flush int64, cfg Config)
 // their BTB, sharing one RAS and direction predictor — against the
 // streaming Engine loop: for every member, with and without flushes, in
 // one pass and in segments, the same AccuracyResult, the same telemetry
-// and the same mispredict bits.
+// and the same mispredict bits. Both update strategies have members whose
+// BTB evicts and members whose BTB holds every taken PC, which run on one
+// BTB per strategy (TestBTBGangShares); in one pass, collectors keep
+// most of them on their own.
 func TestBTBGangMatchesEngine(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -62,6 +66,90 @@ func TestBTBGangMatchesEngine(t *testing.T) {
 					t.Errorf("flush %d, %d segments, member %d: mispredict bits differ from the engine's", flush, segments, i)
 				}
 			}
+		}
+	}
+}
+
+// TestBTBGangShares pins which members of a BTB gang simulate a BTB. Of
+// the members whose BTB holds every taken PC of the span, exactly one per
+// update strategy does, the first, and every later one runs on it, unless
+// it carries a collector; a member whose BTB evicts runs its own. A scan
+// that cannot finish shares nothing. SharedBTBs counts each shared member
+// once per pass, segmented or not.
+func TestBTBGangShares(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 60_000
+	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+	ctx := context.Background()
+	pcs, ok := takenPCs(ctx, rep, budget)
+	if !ok {
+		t.Fatal("the scan of a healthy capture failed")
+	}
+	sp := span{bs: rep, end: budget}
+	pts := btbGangPoints()
+	g := newGang(ctx, sp, pts)
+	first := map[btb.Strategy]*gangMember{}
+	held, evicting, simulated := map[btb.Strategy]int{}, map[btb.Strategy]int{}, map[btb.Strategy]int{}
+	shared := int64(0)
+	for i, pt := range pts {
+		m, cfg := &g.members[i], pt.Config.BTB
+		if (m.btb == nil) == (m.on == nil) {
+			t.Fatalf("member %d (%+v): own BTB %v, runs on another's %v; want exactly one", i, cfg, m.btb != nil, m.on != nil)
+		}
+		if !cfg.Holds(pcs) {
+			evicting[cfg.Strategy]++
+			if m.btb == nil {
+				t.Errorf("member %d (%+v) evicts but runs on another's BTB", i, cfg)
+			}
+			continue
+		}
+		held[cfg.Strategy]++
+		if first[cfg.Strategy] == nil {
+			first[cfg.Strategy] = m
+		}
+		if m.btb != nil {
+			simulated[cfg.Strategy]++
+		} else if shared++; m.on != first[cfg.Strategy] {
+			t.Errorf("member %d (%+v) runs on a BTB other than its strategy's first holding member's", i, cfg)
+		}
+	}
+	for _, strat := range []btb.Strategy{btb.StrategyDefault, btb.StrategyTwoBit} {
+		if held[strat] < 2 || evicting[strat] < 1 {
+			t.Fatalf("%v: %d holding and %d evicting members; want at least 2 and 1", strat, held[strat], evicting[strat])
+		}
+		if simulated[strat] != 1 {
+			t.Errorf("%v: %d of %d holding members simulate a BTB, want 1", strat, simulated[strat], held[strat])
+		}
+	}
+
+	last := len(pts) - 1
+	pts[last].Config.Telemetry = telemetry.NewCollector(telemetry.Config{})
+	if g := newGang(ctx, sp, pts); g.members[last].btb == nil {
+		t.Error("a holding member with a collector runs on another's BTB")
+	}
+	pts[last].Config.Telemetry = nil
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	damaged := damagedStore(t, rep)
+	for name, g := range map[string]*gang{
+		"cancelled":       newGang(cancelled, sp, pts),
+		"damaged capture": newGang(ctx, span{bs: damaged, end: budget}, pts),
+	} {
+		for i := range g.members {
+			if g.members[i].btb == nil {
+				t.Errorf("%s: member %d runs on another's BTB", name, i)
+			}
+		}
+	}
+
+	for _, segments := range []int{1, 4} {
+		before := SharedBTBs()
+		runGang(t, ctx, rep, Options{Budget: budget, Segments: segments}, pts)
+		if got := SharedBTBs() - before; got != shared {
+			t.Errorf("%d segments: SharedBTBs rose by %d, want %d", segments, got, shared)
 		}
 	}
 }

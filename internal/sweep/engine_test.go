@@ -17,16 +17,19 @@ import (
 
 // diffSpec is the differential-test grid: at least one point per
 // predictor family, two workloads, small budget. Each workload has
-// several btb points mixing geometry and update strategy, and at least
-// two points per history scheme at two depths, so every kind of fused
-// unit — btb gangs and target-cache gangs over pattern, global path and
-// per-address path history — forms and is checked.
+// several btb points mixing geometry and update strategy — 128×1 evicts
+// on both, and the larger geometries hold every taken PC of perl, so its
+// btb gangs run them on one BTB per strategy — and at least two points
+// per history scheme at two depths, so every kind of fused unit — btb
+// gangs and target-cache gangs over pattern, global path and per-address
+// path history — forms and is checked.
 const diffSpec = `{
 	"name": "differential",
 	"budget": 30000,
 	"workloads": ["perl", "gcc"],
 	"grids": [
 		{"family": "btb", "schemes": ["default", "2bit"], "entries": [512, 1024], "ways": [2, 4]},
+		{"family": "btb", "schemes": ["default", "2bit"], "entries": [128], "ways": [1]},
 		{"family": "tagless", "schemes": ["gag", "gshare"], "entries": [512], "hist_bits": [6, 9]},
 		{"family": "tagged", "schemes": ["xor"], "entries": [256, 512], "ways": [4], "hist_bits": [6, 9], "tag_bits": [32], "history": ["pattern", "path-indjmp", "path-peraddr"]},
 		{"family": "cascaded", "entries": [256], "ways": [4], "hist_bits": [9]},

@@ -16,14 +16,17 @@ import (
 // unit runs fused. btb-family points (no history) form their workload's
 // btb gangs: sim.Run runs each as one capture walk with one BTB per
 // member, sharing the RAS and direction predictor, which no btb axis
-// changes. Every target-cache family rides the paper's baseline
-// front end, so a Run walks each workload's capture with that front end
-// once (sim.WalkFrontEnd), keeping the records the target caches read,
-// and every target-cache unit — singletons included — replays that walk
-// (sim.Walk.RunGang) instead of walking the capture again. Units never
-// cross shard boundaries — the shard remains the checkpoint/resume unit
-// and manifests stay byte-identical at any width. Width 1 runs every
-// point direct: its own walk, no kept walk, the reference path.
+// changes — and one BTB per update strategy for all the members whose
+// BTB never evicts over the capture (it holds every taken branch's PC),
+// which predict alike. Every target-cache family rides the paper's
+// baseline front end, so a Run walks each workload's capture with that
+// front end once (sim.WalkFrontEnd), keeping the records the target
+// caches read, and every target-cache unit — singletons included —
+// replays that walk (sim.Walk.RunGang) instead of walking the capture
+// again. Units never cross shard boundaries — the shard remains the
+// checkpoint/resume unit and manifests stay byte-identical at any width.
+// Width 1 runs every point direct: its own walk, no kept walk, the
+// reference path.
 
 // TestPointHook, when non-nil, runs just before each point is simulated,
 // inside the per-unit recover scope. The fault-injection harness uses it

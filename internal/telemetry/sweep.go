@@ -29,6 +29,9 @@ type SweepInfo struct {
 	// them; DirectPoints walked the capture once each; GangFallbacks
 	// counts units the fused kernel refused and re-ran per point.
 	FusedGangs, FusedPoints, DirectPoints, GangFallbacks int64
+	// SharedBTBs counts the btb-gang members that ran on another
+	// member's BTB: their BTBs never evict, so they predict alike.
+	SharedBTBs int64
 	// Interrupted marks a sweep cancelled before completing; the manifest
 	// holds the shards that finished.
 	Interrupted bool
@@ -72,6 +75,10 @@ type SweepMetrics struct {
 	DirectPoints  int64 `json:"direct_points,omitempty"`
 	GangFallbacks int64 `json:"gang_fallbacks,omitempty"`
 	PassesAvoided int64 `json:"passes_avoided,omitempty"`
+	// SharedBTBs counts the btb points that simulated no BTB of their
+	// own: a btb gang runs one BTB per update strategy for all its
+	// members whose BTB never evicts over the capture.
+	SharedBTBs int64 `json:"btb_shared_points,omitempty"`
 
 	Interrupted bool `json:"interrupted,omitempty"`
 }
@@ -97,6 +104,7 @@ func NewSweepMetrics(info SweepInfo) SweepMetrics {
 		DirectPoints:   info.DirectPoints,
 		GangFallbacks:  info.GangFallbacks,
 		PassesAvoided:  info.FusedPoints - info.FusedGangs,
+		SharedBTBs:     info.SharedBTBs,
 		Interrupted:    info.Interrupted,
 	}
 	if info.MemoCaptures > 0 {

@@ -1,9 +1,13 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro"
+	"repro/internal/cpu"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestFacadeEndToEnd exercises the public API the way the README's
@@ -124,6 +128,41 @@ func TestFacadeRejectsBadMachines(t *testing.T) {
 			if res.Err == nil || res.Instructions != 0 {
 				t.Errorf("%s/%s: got %+v, want a validation error and nothing simulated", name, model, res)
 			}
+		}
+	}
+}
+
+// TestTimingTakesAnyRegisterByte pins that the streaming fast model times
+// records whose register bytes are 64 or more — a trace.Record may carry
+// any byte, though the VM's 32 registers never do — as the capture path
+// does: RunCtx and RunTiming over a hand-built trace report RunReplayCtx's
+// Result instead of panicking.
+func TestTimingTakesAnyRegisterByte(t *testing.T) {
+	recs := []trace.Record{
+		{PC: 0x100, Op: trace.OpLoad, Addr: 0x8000, Dst: 70},
+		{PC: 0x104, Op: trace.OpMul, Src1: 70, Dst: 200},
+		{PC: 0x108, Op: trace.OpInt, Src1: 200, Src2: 70, Dst: 255},
+		{PC: 0x10c, Op: trace.OpBranch, Class: trace.ClassCondDirect, Taken: true, Target: 0x100, Src1: 255},
+		{PC: 0x100, Op: trace.OpLoad, Addr: 0x8040, Src1: 255, Dst: 70},
+		{PC: 0x104, Op: trace.OpDiv, Src1: 70, Src2: 200, Dst: 70},
+	}
+	rep := trace.Capture(trace.NewSliceSource(recs))
+	budget := int64(len(recs))
+	ctx, machine := context.Background(), cpu.DefaultConfig()
+	want := cpu.New(machine, sim.NewEngine(sim.DefaultConfig())).RunReplayCtx(ctx, rep, budget)
+	if want.Err != nil || want.Instructions != budget {
+		t.Fatalf("RunReplayCtx: %+v", want)
+	}
+	for name, run := range map[string]func() repro.TimingResult{
+		"RunCtx": func() repro.TimingResult {
+			return cpu.New(machine, sim.NewEngine(sim.DefaultConfig())).RunCtx(ctx, rep.Open(), budget)
+		},
+		"RunTiming": func() repro.TimingResult {
+			return repro.RunTiming(rep, budget, repro.BaselineConfig(), repro.DefaultMachine())
+		},
+	} {
+		if got := run(); got != want {
+			t.Errorf("%s: %+v, want RunReplayCtx's %+v", name, got, want)
 		}
 	}
 }
