@@ -41,6 +41,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *n <= 0 {
+		fmt.Fprintf(os.Stderr, "tcasm: -n must be positive, got %d\n", *n)
+		os.Exit(2)
+	}
 	src, err := os.ReadFile(*srcPath)
 	exitOn(err)
 	prog, err := isa.Assemble(string(src))

@@ -126,6 +126,9 @@ func buildTC(kind string, entries, ways, histBits int) (func() core.TargetCache,
 func buildHistory(kind string, bits int) (func() history.Provider, error) {
 	switch kind {
 	case "pattern":
+		if bits < 1 || bits > 64 {
+			return nil, fmt.Errorf("tcpredict: invalid pattern history length %d (want 1..64)", bits)
+		}
 		return func() history.Provider { return history.NewPatternProvider(bits) }, nil
 	case "path":
 		cfg := history.PathConfig{

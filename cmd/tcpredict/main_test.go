@@ -273,3 +273,48 @@ func TestTracegenFormatFlagRetired(t *testing.T) {
 		t.Fatalf("tracegen -format v2: exit %d, want 2 with %q; stderr:\n%s", code, want, stderr)
 	}
 }
+
+// TestPatternHistOutOfRangeExits2: a pattern history length outside
+// 1..64 is a usage error under every target-cache predictor, reported in
+// one line before the trace is read, not a panic.
+func TestPatternHistOutOfRangeExits2(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "perl.tcstore")
+	mustRun(t, "tracegen", "-w", "perl", "-n", "1000", "-o", path)
+	for _, predictor := range []string{"tagless", "hybrid", "cascaded", "ittage"} {
+		for _, hist := range []string{"0", "70", "-3"} {
+			code, stdout, stderr := run(t, "tcpredict", "-trace", path, "-predictor", predictor, "-hist", hist)
+			if code != 2 || stdout != "" || strings.Contains(stderr, "goroutine") || !strings.Contains(stderr, "history length") {
+				t.Errorf("tcpredict -predictor %s -hist %s: exit %d, stdout %q, stderr %q; want exit 2, no stdout, one error line",
+					predictor, hist, code, stdout, stderr)
+			}
+		}
+	}
+}
+
+// TestNonPositiveBudgetExits2: tracegen and tcasm refuse a zero or
+// negative -n before any work, naming the flag, print nothing on stdout
+// and write no file.
+func TestNonPositiveBudgetExits2(t *testing.T) {
+	dir := t.TempDir()
+	asm := filepath.Join("..", "..", "examples", "asm", "dispatch.s")
+	out := filepath.Join(dir, "x.tcstore")
+	for _, tc := range []struct {
+		cmd  string
+		args []string
+	}{
+		{"tracegen", []string{"-w", "perl", "-n", "0", "-stats"}},
+		{"tracegen", []string{"-w", "perl", "-n", "-5", "-o", out}},
+		{"tcasm", []string{"-s", asm, "-run", "-n", "-1"}},
+		{"tcasm", []string{"-s", asm, "-o", out, "-n", "0"}},
+		{"tcasm", []string{"-s", asm, "-predict", "-n", "0"}},
+	} {
+		code, stdout, stderr := run(t, tc.cmd, tc.args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "-n must be positive") {
+			t.Errorf("%s %v: exit %d, stdout %q, stderr %q; want exit 2, no stdout, \"-n must be positive\" on stderr",
+				tc.cmd, tc.args, code, stdout, stderr)
+		}
+	}
+	if _, err := os.Stat(out); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a refused -n left %s behind (stat: %v)", out, err)
+	}
+}

@@ -157,6 +157,12 @@ func run() int {
 			return fail("tcsim: -count/-warmup cannot be combined with -telemetry or -sites")
 		}
 	}
+	// Experiments replayed from a manifest render their recorded tables
+	// but record no telemetry, so their cells would be missing from the
+	// report.
+	if *resume != "" && (*telemOut != "" || *sites) {
+		return fail("tcsim: -resume cannot be combined with -telemetry or -sites")
+	}
 
 	if *list {
 		for _, e := range bench.All() {

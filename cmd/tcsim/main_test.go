@@ -61,8 +61,9 @@ func exitCode(t *testing.T, args ...string) (int, string) {
 }
 
 // TestUsageErrorsExit2: the retired upload and benchjson flags are
-// unknown, and -commit without -benchfmt has nothing to tag. All fail
-// before any experiment runs.
+// unknown, -commit without -benchfmt has nothing to tag, and -resume
+// would replay experiments that record no telemetry for -sites or
+// -telemetry. All fail before any experiment runs.
 func TestUsageErrorsExit2(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -73,6 +74,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{[]string{"-exp", "table2", "-outbox", dir}, "flag provided but not defined: -outbox"},
 		{[]string{"-exp", "table2", "-benchjson", filepath.Join(dir, "b.json")}, "flag provided but not defined: -benchjson"},
 		{[]string{"-exp", "table2", "-commit", "abc"}, "-commit only makes sense with -benchfmt"},
+		{[]string{"-exp", "table4", "-resume", filepath.Join(dir, "m.json"), "-sites"}, "-resume cannot be combined with -telemetry or -sites"},
+		{[]string{"-exp", "table4", "-resume", filepath.Join(dir, "m.json"), "-telemetry", filepath.Join(dir, "t.json")}, "-resume cannot be combined with -telemetry or -sites"},
 	} {
 		code, out := exitCode(t, tc.args...)
 		if code != 2 || !strings.Contains(out, tc.want) {

@@ -6,7 +6,9 @@ package main
 //     be resumed, and the resumed run's report is byte-identical to an
 //     uninterrupted one;
 //   - SIGKILL (kill -9): same contract with no chance to drain — the
-//     atomic manifest protocol alone must carry the run.
+//     atomic manifest protocol alone must carry the run;
+//   - a finished run resumed again simulates nothing and reprints its
+//     report and CSV.
 //
 // CI runs these as the sweep smoke job (make sweep-smoke).
 
@@ -168,6 +170,57 @@ func TestE2EKillNineResume(t *testing.T) {
 	specPath := writeSpec(t, t.TempDir())
 	want := referenceRun(t, tcsweepBin, specPath)
 	interruptAndResume(t, tcsweepBin, specPath, syscall.SIGKILL, want)
+}
+
+// TestE2EResumeFinishedManifest: rerunning a finished sweep on its
+// manifest, at the same shard size, serves every shard from the manifest
+// and prints the same frontier report and CSV without simulating, so a
+// recorded sweep is re-rendered by resuming it.
+func TestE2EResumeFinishedManifest(t *testing.T) {
+	bin := buildBinary(t)
+	dir := t.TempDir()
+	specPath := writeSpec(t, dir)
+	manifest := filepath.Join(dir, "sweep.manifest")
+	var reports, csvs [2][]byte
+	for i := range reports {
+		csvPath := filepath.Join(dir, fmt.Sprintf("points-%d.csv", i))
+		telemetryPath := filepath.Join(dir, fmt.Sprintf("telemetry-%d.json", i))
+		out, err := exec.Command(bin, "-spec", specPath, "-resume", manifest, "-shard", "4",
+			"-workers", "2", "-quiet", "-csv", csvPath, "-telemetry", telemetryPath).Output()
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		reports[i] = out
+		if csvs[i], err = os.ReadFile(csvPath); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			continue
+		}
+		data, err := os.ReadFile(telemetryPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Shards        int   `json:"shards"`
+			ResumedShards int   `json:"resumed_shards"`
+			Instructions  int64 `json:"instructions_simulated"`
+			MemoCaptures  int64 `json:"memo_captures"`
+		}
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Shards == 0 || m.ResumedShards != m.Shards || m.Instructions != 0 || m.MemoCaptures != 0 {
+			t.Errorf("resumed finished run: %d of %d shards resumed, %d instructions simulated, %d captures; want all resumed, none simulated\n%s",
+				m.ResumedShards, m.Shards, m.Instructions, m.MemoCaptures, data)
+		}
+	}
+	if len(reports[0]) == 0 || !bytes.Equal(reports[0], reports[1]) {
+		t.Errorf("resumed report differs from the first run:\n--- resumed\n%s\n--- first\n%s", reports[1], reports[0])
+	}
+	if len(csvs[0]) == 0 || !bytes.Equal(csvs[0], csvs[1]) {
+		t.Errorf("resumed CSV differs from the first run:\n--- resumed\n%s\n--- first\n%s", csvs[1], csvs[0])
+	}
 }
 
 // TestCommitNeedsBenchfmt: -commit only tags -benchfmt output, so on its

@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	tcsweep -example > sweep.json
+//	tcsweep -spec examples/sweeps/frontier-demo.json
 //	tcsweep -spec sweep.json
 //	tcsweep -spec sweep.json -workers 8 -resume sweep.manifest
 //	tcsweep -spec sweep.json -csv all-points.csv -doc frontier.json
@@ -23,7 +23,9 @@
 // With -resume, completed shards are checkpointed atomically: an
 // interrupted run — Ctrl-C, SIGTERM, or kill -9 — restarts where it left
 // off, and the final report is byte-identical to an uninterrupted run at
-// any worker count. -expand prints the planned gang grouping alongside
+// any worker count. Rerunning a finished manifest (same spec and -shard)
+// simulates nothing and prints the recorded report again, with -csv and
+// -doc if asked. -expand prints the planned gang grouping alongside
 // the point list, so the memory footprint of a gang width is predictable
 // before simulating.
 package main
@@ -56,7 +58,6 @@ func main() {
 func run() int {
 	var (
 		specPath = flag.String("spec", "", "grid spec JSON file (\"-\" reads stdin)")
-		example  = flag.Bool("example", false, "print an example grid spec and exit")
 		expand   = flag.Bool("expand", false, "expand the spec, print its points, and exit without simulating")
 		workers  = flag.Int("workers", 0, "concurrent simulation workers (0 = one per CPU, 1 = serial)")
 		shard    = flag.Int("shard", 0, "points per checkpoint shard (default 32)")
@@ -80,12 +81,8 @@ func run() int {
 		return 2
 	}
 
-	if *example {
-		fmt.Print(sweep.ExampleSpec)
-		return 0
-	}
 	if *specPath == "" {
-		return fail("tcsweep: -spec is required (try -example for a template); workloads: %v", workload.Names())
+		return fail("tcsweep: -spec is required (examples/sweeps/ holds templates); workloads: %v", workload.Names())
 	}
 	if *workers < 0 {
 		return fail("tcsweep: -workers must be non-negative, got %d", *workers)

@@ -31,6 +31,10 @@ func main() {
 		dump  = flag.Bool("dump", false, "dump records as text to stdout")
 	)
 	flag.Parse()
+	if *n <= 0 {
+		fmt.Fprintf(os.Stderr, "tracegen: -n must be positive, got %d\n", *n)
+		os.Exit(2)
+	}
 
 	w, err := workload.ByName(*wname)
 	if err != nil {

@@ -12,7 +12,9 @@ import (
 // ParseSpec with its fingerprint unchanged; it never panics and never
 // silently accepts a spec that then fails its own Validate.
 func FuzzParseSpec(f *testing.F) {
-	f.Add([]byte(ExampleSpec))
+	for _, ex := range exampleSpecs(f) {
+		f.Add(ex.data)
+	}
 	f.Add([]byte(diffSpec))
 	f.Add([]byte(resumeSpec))
 	f.Add([]byte(`{"name":"x","budget":1,"workloads":["perl"],"grids":[{"family":"btb"}]}`))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/stats"
 )
@@ -204,20 +203,4 @@ func (d *Document) Encode() ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// ParseDocument decodes and sanity-checks a sweep/v1 document.
-func ParseDocument(data []byte) (*Document, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	var d Document
-	if err := dec.Decode(&d); err != nil {
-		return nil, fmt.Errorf("sweep: bad document: %w", err)
-	}
-	if d.Schema != DocumentSchema {
-		return nil, fmt.Errorf("sweep: document schema %q, want %q", d.Schema, DocumentSchema)
-	}
-	if d.Points != len(d.Rows) {
-		return nil, fmt.Errorf("sweep: document claims %d points but carries %d rows", d.Points, len(d.Rows))
-	}
-	return &d, nil
 }

@@ -389,19 +389,3 @@ func contains(list []string, v string) bool {
 	}
 	return false
 }
-
-// ExampleSpec is a small but representative spec, printed by
-// `tcsweep -example` and used as the fuzz seed corpus.
-const ExampleSpec = `{
-  "name": "frontier-demo",
-  "budget": 200000,
-  "workloads": ["perl", "gcc"],
-  "grids": [
-    {"family": "btb", "schemes": ["default", "2bit"], "entries": "1024..4096*2", "ways": [4, 8]},
-    {"family": "tagless", "schemes": ["gshare"], "entries": "128..1024*2", "hist_bits": "6..12+3"},
-    {"family": "tagged", "schemes": ["xor"], "entries": [256, 512], "ways": [1, 4], "hist_bits": [9, 16], "tag_bits": [8, 32]},
-    {"family": "cascaded", "entries": [256], "ways": [4], "hist_bits": [9], "history": ["pattern", "path-indjmp"]},
-    {"family": "ittage", "entries": [64, 128], "tables": [3, 5], "tag_bits": [9]}
-  ]
-}
-`

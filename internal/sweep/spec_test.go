@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,26 +51,66 @@ func TestParseAxisRejects(t *testing.T) {
 	}
 }
 
+// exampleSweeps holds the committed specs that tcsweep runs as they
+// stand: the five design-space tables and the frontier demo.
+const exampleSweeps = "../../examples/sweeps"
+
+// exampleSpec is one committed spec file.
+type exampleSpec struct {
+	name string
+	data []byte
+}
+
+// exampleSpecs reads every spec under exampleSweeps, in file-name order.
+func exampleSpecs(tb testing.TB) []exampleSpec {
+	tb.Helper()
+	paths, err := filepath.Glob(filepath.Join(exampleSweeps, "*.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(paths) == 0 {
+		tb.Fatalf("no specs under %s", exampleSweeps)
+	}
+	specs := make([]exampleSpec, len(paths))
+	for i, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		specs[i] = exampleSpec{filepath.Base(path), data}
+	}
+	return specs
+}
+
+// TestParseSpecExample: every committed example spec parses and expands
+// with no invalid combination, and the frontier demo covers every
+// family.
 func TestParseSpecExample(t *testing.T) {
-	spec, err := ParseSpec([]byte(ExampleSpec))
-	if err != nil {
-		t.Fatalf("ExampleSpec does not parse: %v", err)
-	}
-	ex, err := spec.Expand()
-	if err != nil {
-		t.Fatalf("ExampleSpec does not expand: %v", err)
-	}
-	if len(ex.Points) == 0 {
-		t.Fatal("ExampleSpec expands to no points")
-	}
-	// The expansion covers every family the example names.
-	families := map[string]bool{}
-	for _, p := range ex.Points {
-		families[p.Family] = true
-	}
-	for _, f := range []string{"btb", "tagless", "tagged", "cascaded", "ittage"} {
-		if !families[f] {
-			t.Errorf("ExampleSpec expansion has no %s points", f)
+	for _, ex := range exampleSpecs(t) {
+		spec, err := ParseSpec(ex.data)
+		if err != nil {
+			t.Errorf("%s does not parse: %v", ex.name, err)
+			continue
+		}
+		exp, err := spec.Expand()
+		if err != nil {
+			t.Errorf("%s does not expand: %v", ex.name, err)
+			continue
+		}
+		if exp.SkippedInvalid != 0 {
+			t.Errorf("%s: %d invalid combinations, want 0", ex.name, exp.SkippedInvalid)
+		}
+		if ex.name != "frontier-demo.json" {
+			continue
+		}
+		families := map[string]bool{}
+		for _, p := range exp.Points {
+			families[p.Family] = true
+		}
+		for _, f := range []string{"btb", "tagless", "tagged", "cascaded", "ittage"} {
+			if !families[f] {
+				t.Errorf("%s expansion has no %s points", ex.name, f)
+			}
 		}
 	}
 }
@@ -241,10 +282,13 @@ func TestSpecMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, src := range map[string]string{
-		"sweep_smoke.json": string(smoke), "ExampleSpec": ExampleSpec,
-		"diffSpec": diffSpec, "resumeSpec": resumeSpec,
-	} {
+	sources := map[string]string{
+		"sweep_smoke.json": string(smoke), "diffSpec": diffSpec, "resumeSpec": resumeSpec,
+	}
+	for _, ex := range exampleSpecs(t) {
+		sources[ex.name] = string(ex.data)
+	}
+	for name, src := range sources {
 		spec, err := ParseSpec([]byte(src))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
