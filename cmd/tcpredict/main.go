@@ -11,6 +11,11 @@
 //	tcpredict -trace perl.tcstore -predictor tagless
 //	tcpredict -trace perl.tcstore -predictor tagged -ways 8 -hist 16
 //	tcpredict -trace perl.tcstore -predictor ittage -history path
+//
+// -hist defaults to 9 bits, the paper's history length, except under
+// -predictor ittage, whose default is its longest table's history
+// (64 bits), so every table sees the history it indexes with; an
+// explicit -hist applies to every predictor.
 package main
 
 import (
@@ -31,7 +36,7 @@ func main() {
 		predictor = flag.String("predictor", "btb",
 			"predictor: btb | tagless | tagged | hybrid | cascaded | ittage")
 		histKind = flag.String("history", "pattern", "history: pattern | path")
-		histBits = flag.Int("hist", 9, "history length in bits")
+		histBits = flag.Int("hist", 9, "history length in bits (ittage: default 64, its longest table's)")
 		entries  = flag.Int("entries", 512, "target cache entries")
 		ways     = flag.Int("ways", 4, "tagged cache associativity")
 	)
@@ -39,6 +44,12 @@ func main() {
 	if *tracePath == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	histSet := false
+	flag.Visit(func(f *flag.Flag) { histSet = histSet || f.Name == "hist" })
+	if *predictor == "ittage" && !histSet {
+		lens := core.DefaultITTAGEConfig().HistLens
+		*histBits = lens[len(lens)-1]
 	}
 
 	cfg := sim.DefaultConfig()

@@ -291,6 +291,23 @@ func TestPatternHistOutOfRangeExits2(t *testing.T) {
 	}
 }
 
+// TestITTAGEDefaultHistory: without -hist, -predictor ittage reads the
+// 64-bit history its longest table indexes with, exactly as with
+// -hist 64, for pattern and path history; an explicit -hist still wins.
+func TestITTAGEDefaultHistory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gcc.tcstore")
+	mustRun(t, "tracegen", "-w", "gcc", "-n", "200000", "-o", path)
+	for _, kind := range []string{"pattern", "path"} {
+		def := mustRun(t, "tcpredict", "-trace", path, "-predictor", "ittage", "-history", kind)
+		if full := mustRun(t, "tcpredict", "-trace", path, "-predictor", "ittage", "-history", kind, "-hist", "64"); def != full {
+			t.Errorf("%s history: default ittage output differs from -hist 64:\n%s\nvs\n%s", kind, def, full)
+		}
+		if short := mustRun(t, "tcpredict", "-trace", path, "-predictor", "ittage", "-history", kind, "-hist", "9"); short == def {
+			t.Errorf("%s history: -hist 9 gives the default's output; the flag is ignored", kind)
+		}
+	}
+}
+
 // TestNonPositiveBudgetExits2: tracegen and tcasm refuse a zero or
 // negative -n before any work, naming the flag, print nothing on stdout
 // and write no file.

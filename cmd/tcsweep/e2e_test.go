@@ -275,3 +275,37 @@ func TestTelemetryCountsSharedBTBs(t *testing.T) {
 			m.BTBSharedPoints, m.FusedPoints, m.Points, m.GangFallbacks, data)
 	}
 }
+
+// TestTelemetryCountsSharedTargetCaches pins -telemetry's
+// tc_shared_points at one worker, where every class's first point runs
+// before the rest: of the smoke grid's 568 points, 239 tagless and
+// tagged points take another point's result, and of history.json's 48
+// gshare points, the 24 whose history is deeper than the 9-bit index
+// (12, 16 and 20 bits) take the 9-bit point's.
+func TestTelemetryCountsSharedTargetCaches(t *testing.T) {
+	bin := buildBinary(t)
+	for spec, want := range map[string]int64{
+		"../../sweep_smoke.json":             239,
+		"../../examples/sweeps/history.json": 24,
+	} {
+		telemetryPath := filepath.Join(t.TempDir(), "telemetry.json")
+		cmd := exec.Command(bin, "-spec", spec, "-workers", "1", "-quiet", "-telemetry", telemetryPath)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("tcsweep %s: %v\n%s", spec, err, out)
+		}
+		data, err := os.ReadFile(telemetryPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			TCSharedPoints int64 `json:"tc_shared_points"`
+			GangFallbacks  int   `json:"gang_fallbacks"`
+		}
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.TCSharedPoints != want || m.GangFallbacks != 0 {
+			t.Errorf("%s: tc_shared_points %d (want %d), gang_fallbacks %d\n%s", spec, m.TCSharedPoints, want, m.GangFallbacks, data)
+		}
+	}
+}

@@ -173,12 +173,15 @@ func run() int {
 		outcome *sweep.Outcome
 		wall    time.Duration
 		walls   []time.Duration
-		shared  int64 // the last rep's btb points that ran on another's BTB
+		// The last rep's btb points that ran on another's BTB, and its
+		// target-cache points that took another's result.
+		sharedBTBs, sharedTCs int64
 	)
 	for rep := 1 - *warmup; rep <= *count; rep++ {
-		start, before := time.Now(), sim.SharedBTBs()
+		start, btbs, tcs := time.Now(), sim.SharedBTBs(), sim.SharedTargetCaches()
 		outcome, err = sweep.Run(ctx, spec, opts)
-		wall, shared = time.Since(start), sim.SharedBTBs()-before
+		wall = time.Since(start)
+		sharedBTBs, sharedTCs = sim.SharedBTBs()-btbs, sim.SharedTargetCaches()-tcs
 		if err != nil {
 			if ctx.Err() != nil && *resume != "" {
 				fmt.Fprintf(os.Stderr, "tcsweep: %v\ntcsweep: rerun with -resume %s to finish\n", err, *resume)
@@ -227,24 +230,25 @@ func run() int {
 		}
 		replayCalls, captureCount := workload.MemoCounters()
 		metrics := telemetry.NewSweepMetrics(telemetry.SweepInfo{
-			Spec:           spec.Name,
-			Fingerprint:    outcome.Fingerprint,
-			Workers:        *workers,
-			Wall:           wall,
-			Points:         len(outcome.Results),
-			FrontierPoints: frontier,
-			SkippedInvalid: outcome.SkippedInvalid,
-			Shards:         outcome.Shards,
-			ResumedShards:  outcome.ResumedShards,
-			Instructions:   outcome.SimulatedInstructions,
-			MemoCaptures:   captureCount,
-			MemoHits:       replayCalls - captureCount,
-			GangWidth:      *gang,
-			FusedGangs:     outcome.FusedGangs,
-			FusedPoints:    outcome.FusedPoints,
-			DirectPoints:   outcome.DirectPoints,
-			GangFallbacks:  outcome.GangFallbacks,
-			SharedBTBs:     shared,
+			Spec:               spec.Name,
+			Fingerprint:        outcome.Fingerprint,
+			Workers:            *workers,
+			Wall:               wall,
+			Points:             len(outcome.Results),
+			FrontierPoints:     frontier,
+			SkippedInvalid:     outcome.SkippedInvalid,
+			Shards:             outcome.Shards,
+			ResumedShards:      outcome.ResumedShards,
+			Instructions:       outcome.SimulatedInstructions,
+			MemoCaptures:       captureCount,
+			MemoHits:           replayCalls - captureCount,
+			GangWidth:          *gang,
+			FusedGangs:         outcome.FusedGangs,
+			FusedPoints:        outcome.FusedPoints,
+			DirectPoints:       outcome.DirectPoints,
+			GangFallbacks:      outcome.GangFallbacks,
+			SharedBTBs:         sharedBTBs,
+			SharedTargetCaches: sharedTCs,
 		})
 		if err := fsutil.WriteFileAtomic(*telemOut, func(w io.Writer) error {
 			enc := json.NewEncoder(w)

@@ -148,13 +148,27 @@ func (c *Cache[V]) Peek(set int, tag uint64) (*V, bool) {
 // the least-recently-used entry (a fresh zero V is installed on allocation).
 // The returned bool reports whether an existing valid entry was evicted.
 func (c *Cache[V]) Insert(set int, tag uint64) (*V, bool) {
-	c.tick++
+	way := -1
 	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			ln.lastUse = c.tick
-			return &ln.val, false
+		if ln := &c.sets[set][i]; ln.valid && ln.tag == tag {
+			way = i
+			break
 		}
+	}
+	return c.InsertWay(set, way, tag)
+}
+
+// InsertWay is Insert for a caller that already knows where tag sits in
+// set, from a LookupWay of the same (set, tag) with no access to the set
+// since: way is the line holding tag, or -1 when the set does not hold
+// it. It skips Insert's scan for the tag, with the same tick, LRU and
+// statistics stream.
+func (c *Cache[V]) InsertWay(set, way int, tag uint64) (*V, bool) {
+	c.tick++
+	if way >= 0 {
+		ln := &c.sets[set][way]
+		ln.lastUse = c.tick
+		return &ln.val, false
 	}
 	var victim *line[V]
 	for i := range c.sets[set] {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -178,9 +179,10 @@ func TestIndexOf(t *testing.T) {
 	}
 }
 
-// TestLookupWayMatchesLookup drives LookupWay/TouchWay and plain Lookup
-// caches with the same stream and requires identical hits, stats, and
-// eviction behaviour — the equivalence the BTB's probe path relies on.
+// TestLookupWayMatchesLookup drives LookupWay/TouchWay/InsertWay and
+// plain Lookup/Insert caches with the same stream and requires identical
+// hits, stats, eviction behaviour and lines — the equivalence the BTB's
+// probe path and the tagged target cache's lookup memo rely on.
 func TestLookupWayMatchesLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := New[int](4, 2)
@@ -188,7 +190,7 @@ func TestLookupWayMatchesLookup(t *testing.T) {
 	for op := 0; op < 10000; op++ {
 		set := rng.Intn(4)
 		tag := uint64(rng.Intn(6))
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0: // lookup, refreshing via TouchWay on the a-side when it hits
 			_, way, hitA := a.LookupWay(set, tag)
 			_, hitB := b.Lookup(set, tag)
@@ -207,6 +209,15 @@ func TestLookupWayMatchesLookup(t *testing.T) {
 		case 2:
 			a.Touch(set, tag)
 			b.Touch(set, tag)
+		case 3: // lookup, then insert the same tag where the lookup found it
+			_, way, _ := a.LookupWay(set, tag)
+			b.Lookup(set, tag)
+			va, evA := a.InsertWay(set, way, tag)
+			vb, evB := b.Insert(set, tag)
+			if evA != evB || *va != *vb {
+				t.Fatalf("op %d: InsertWay evicted=%v payload %d, Insert evicted=%v payload %d", op, evA, *va, evB, *vb)
+			}
+			*va, *vb = op, op
 		}
 	}
 	ha, ma, ea := a.Stats()
@@ -216,6 +227,9 @@ func TestLookupWayMatchesLookup(t *testing.T) {
 	}
 	if a.tick != b.tick {
 		t.Fatalf("tick diverges: way-based %d, plain %d", a.tick, b.tick)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("lines diverge between the way-based and the plain cache")
 	}
 }
 

@@ -17,11 +17,35 @@ import (
 // uint64, so geometric lengths are capped at 64 bits — far shorter than a
 // production ITTAGE, but enough to dominate a fixed-length target cache on
 // workloads with long-range correlation.
+//
+// A drive calls Predict and then Update with the same pc and history, so
+// the predictor remembers its last lookup, which Update reuses instead of
+// walking the tables again. A lookup changes nothing, so a lookup of
+// another key only replaces it; Update, which trains the tables, and
+// Reset forget it.
 type ITTAGE struct {
 	cfg    ITTAGEConfig
 	base   []uint64 // last-target table, pc-indexed
 	tables []ittageTable
 	rng    *rand.Rand
+	memo   ittageMemo
+}
+
+// ittageLookup is one lookup's outcome: the provider (the longest
+// hitting table, -1 for none) and its entry, and the alternate
+// prediction.
+type ittageLookup struct {
+	provider int
+	e        *ittageEntry
+	alt      uint64
+	altOK    bool
+}
+
+// ittageMemo is an ITTAGE's last lookup, of (pc, hist); ok marks it live.
+type ittageMemo struct {
+	pc, hist uint64
+	look     ittageLookup
+	ok       bool
 }
 
 type ittageTable struct {
@@ -126,59 +150,67 @@ func (p *ITTAGE) baseIndex(pc uint64) int {
 }
 
 // lookup returns the provider (longest hitting table) and alternate
-// predictions.
-func (p *ITTAGE) lookup(pc, hist uint64) (provider int, providerEntry *ittageEntry, alt uint64, altOK bool) {
-	provider = -1
+// predictions for (pc, hist), from the memo when it holds that key.
+func (p *ITTAGE) lookup(pc, hist uint64) ittageLookup {
+	if m := &p.memo; m.ok && m.pc == pc && m.hist == hist {
+		return m.look
+	}
+	l := ittageLookup{provider: -1}
 	for ti := len(p.tables) - 1; ti >= 0; ti-- {
 		idx, tag := p.mix(ti, pc, hist)
 		e := &p.tables[ti].entries[idx]
 		if e.valid && e.tag == tag {
-			if provider < 0 {
-				provider = ti
-				providerEntry = e
+			if l.provider < 0 {
+				l.provider, l.e = ti, e
 				continue
 			}
-			alt, altOK = e.target, true
-			return
+			l.alt, l.altOK = e.target, true
+			break
 		}
 	}
-	if b := p.base[p.baseIndex(pc)]; b != 0 {
-		alt, altOK = b, true
+	if !l.altOK {
+		if b := p.base[p.baseIndex(pc)]; b != 0 {
+			l.alt, l.altOK = b, true
+		}
 	}
-	return
+	m := &p.memo // field by field, as in Tagged.Predict
+	m.pc, m.hist, m.look, m.ok = pc, hist, l, true
+	return l
+}
+
+// predict is the final prediction of lookup l.
+func (l ittageLookup) predict() (uint64, bool) {
+	if l.provider >= 0 {
+		// A freshly allocated entry (confidence 0) is less trustworthy
+		// than the alternate prediction.
+		if l.e.conf == 0 && l.altOK {
+			return l.alt, true
+		}
+		return l.e.target, true
+	}
+	return l.alt, l.altOK
 }
 
 // Predict implements TargetCache.
 func (p *ITTAGE) Predict(pc, hist uint64) (uint64, bool) {
-	provider, e, alt, altOK := p.lookup(pc, hist)
-	if provider >= 0 {
-		// A freshly allocated entry (confidence 0) is less trustworthy
-		// than the alternate prediction.
-		if e.conf == 0 && altOK {
-			return alt, true
-		}
-		return e.target, true
-	}
-	if altOK {
-		return alt, true
-	}
-	return 0, false
+	return p.lookup(pc, hist).predict()
 }
 
 // Update implements TargetCache.
 func (p *ITTAGE) Update(pc, hist, target uint64) {
 	// Judge the (pre-update) final prediction first.
-	predicted, ok := p.Predict(pc, hist)
+	l := p.lookup(pc, hist)
+	p.memo.ok = false
+	predicted, ok := l.predict()
 	mispredicted := !ok || predicted != target
 
-	provider, e, alt, altOK := p.lookup(pc, hist)
-	if provider >= 0 {
+	if e := l.e; l.provider >= 0 {
 		if e.target == target {
 			if e.conf < 3 {
 				e.conf++
 			}
 			// Useful only when the provider beat the alternate.
-			if (!altOK || alt != target) && e.useful < 3 {
+			if (!l.altOK || l.alt != target) && e.useful < 3 {
 				e.useful++
 			}
 		} else if e.conf > 0 {
@@ -189,8 +221,8 @@ func (p *ITTAGE) Update(pc, hist, target uint64) {
 	}
 
 	// Allocate into a longer-history table on a misprediction.
-	if mispredicted && provider < len(p.tables)-1 {
-		p.allocate(provider+1, pc, hist, target)
+	if mispredicted && l.provider < len(p.tables)-1 {
+		p.allocate(l.provider+1, pc, hist, target)
 	}
 
 	p.base[p.baseIndex(pc)] = target
@@ -244,6 +276,7 @@ func (p *ITTAGE) Reset() {
 		}
 	}
 	p.rng = rand.New(rand.NewSource(0x17a6e))
+	p.memo.ok = false
 }
 
 var _ TargetCache = (*ITTAGE)(nil)

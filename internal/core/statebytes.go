@@ -13,12 +13,14 @@ package core
 // payload and LRU tick, padded.
 const cacheLineBytes = 32
 
-// ApproxStateBytes estimates the heap footprint of NewTagless(c).
+// ApproxStateBytes estimates the heap footprint of NewTagless(c) once
+// its table is allocated (by its first Update).
 func (c TaglessConfig) ApproxStateBytes() int64 {
 	return int64(c.Entries) * 8
 }
 
-// ApproxStateBytes estimates the heap footprint of NewTagged(c).
+// ApproxStateBytes estimates the heap footprint of NewTagged(c) once
+// its table is allocated (by its first access).
 func (c TaggedConfig) ApproxStateBytes() int64 {
 	return int64(c.Entries) * cacheLineBytes
 }

@@ -100,16 +100,34 @@ func (c TaggedConfig) CostBits() int {
 // whose payload is the predicted target address. A tag mismatch produces no
 // prediction instead of another branch's target, trading capacity for the
 // elimination of interference.
+//
+// A drive calls Predict and then Update with the same pc and history, so
+// the cache remembers its last lookup — the key with the set, tag and way
+// it found — and Update writes that way, or allocates a victim, without
+// scanning the set for the tag again. Any other access and Reset forget
+// it, and Update forgets it once it has written, so interleaved keys
+// (wrong-path predictions between a jump's Predict and its Update) take
+// the full walk. Either way the LRU tick stream is the full walk's.
 type Tagged struct {
 	cfg     TaggedConfig
-	c       *cache.Cache[uint64]
+	c       *cache.Cache[uint64] // allocated by the first access
 	sets    int
 	setBits int
 	tagMask uint64
+	memo    taggedMemo
+}
+
+// taggedMemo is a Tagged's last lookup: Predict's (pc, hist), its set and
+// tag, and the way that holds the tag (-1 on a miss); ok marks it live.
+type taggedMemo struct {
+	pc, hist, tag uint64
+	set, way      int
+	ok            bool
 }
 
 // NewTagged returns a tagged target cache. It panics on invalid
-// configuration.
+// configuration. Its table is allocated by its first access, so a cache
+// that is built but never driven costs no table.
 func NewTagged(cfg TaggedConfig) *Tagged {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -117,7 +135,6 @@ func NewTagged(cfg TaggedConfig) *Tagged {
 	sets := cfg.Entries / cfg.Ways
 	t := &Tagged{
 		cfg:     cfg,
-		c:       cache.New[uint64](sets, cfg.Ways),
 		sets:    sets,
 		setBits: log2(sets),
 		tagMask: ^uint64(0),
@@ -131,9 +148,10 @@ func NewTagged(cfg TaggedConfig) *Tagged {
 // Config returns the configuration.
 func (t *Tagged) Config() TaggedConfig { return t.cfg }
 
-// index computes the set index and tag for (pc, hist) under the configured
-// scheme.
-func (t *Tagged) index(pc, hist uint64) (int, uint64) {
+// Slot returns the set index and the stored (truncated) tag of the line
+// (pc, hist) selects under the configured scheme: a pure function of the
+// configuration, the line Predict looks up and Update writes.
+func (t *Tagged) Slot(pc, hist uint64) (int, uint64) {
 	word := pc >> 2
 	h := hist
 	if t.cfg.HistBits < 64 {
@@ -156,11 +174,29 @@ func (t *Tagged) index(pc, hist uint64) (int, uint64) {
 	return int(set & setMask), tag & t.tagMask
 }
 
+// table returns the cache, allocating it at the first access.
+func (t *Tagged) table() *cache.Cache[uint64] {
+	if t.c == nil {
+		t.c = cache.New[uint64](t.sets, t.cfg.Ways)
+	}
+	return t.c
+}
+
 // Predict implements TargetCache. A tag miss returns ok=false: the fetch
 // engine then has no target-cache prediction and falls back to the BTB.
+// A repeated Predict of the key just looked up that hit refreshes the
+// remembered way without a scan.
 func (t *Tagged) Predict(pc, hist uint64) (uint64, bool) {
-	set, tag := t.index(pc, hist)
-	v, ok := t.c.Lookup(set, tag)
+	c := t.table()
+	if m := &t.memo; m.ok && m.way >= 0 && m.pc == pc && m.hist == hist {
+		return *c.TouchWay(m.set, m.way), true
+	}
+	set, tag := t.Slot(pc, hist)
+	v, way, ok := c.LookupWay(set, tag)
+	// Field by field: a composite literal is built on the stack and
+	// copied in wide loads that stall on the narrow stores just made.
+	m := &t.memo
+	m.pc, m.hist, m.tag, m.set, m.way, m.ok = pc, hist, tag, set, way, true
 	if !ok {
 		return 0, false
 	}
@@ -169,15 +205,27 @@ func (t *Tagged) Predict(pc, hist uint64) (uint64, bool) {
 
 // Update implements TargetCache, allocating (with LRU replacement) on miss.
 func (t *Tagged) Update(pc, hist, target uint64) {
-	set, tag := t.index(pc, hist)
-	v, _ := t.c.Insert(set, tag)
+	c := t.table()
+	var v *uint64
+	if m := &t.memo; m.ok && m.pc == pc && m.hist == hist {
+		v, _ = c.InsertWay(m.set, m.way, m.tag)
+	} else {
+		set, tag := t.Slot(pc, hist)
+		v, _ = c.Insert(set, tag)
+	}
 	*v = target
+	t.memo.ok = false
 }
 
 // CostBits implements TargetCache via the configuration's accounting.
 func (t *Tagged) CostBits() int { return t.cfg.CostBits() }
 
 // Reset implements TargetCache.
-func (t *Tagged) Reset() { t.c.Reset() }
+func (t *Tagged) Reset() {
+	if t.c != nil {
+		t.c.Reset()
+	}
+	t.memo.ok = false
+}
 
 var _ TargetCache = (*Tagged)(nil)

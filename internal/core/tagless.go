@@ -86,27 +86,27 @@ func (c TaglessConfig) CostBits() int { return 32 * c.Entries }
 // and is the motivation for the tagged variant.
 type Tagless struct {
 	cfg   TaglessConfig
-	table []uint64
+	table []uint64 // allocated by the first Update; nil reads as all zero
 	mask  uint64
 }
 
 // NewTagless returns a tagless target cache. It panics on invalid
-// configuration.
+// configuration. Its table is allocated by its first Update, so a cache
+// that is built but never trained costs no table.
 func NewTagless(cfg TaglessConfig) *Tagless {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Tagless{
-		cfg:   cfg,
-		table: make([]uint64, cfg.Entries),
-		mask:  uint64(cfg.Entries - 1),
-	}
+	return &Tagless{cfg: cfg, mask: uint64(cfg.Entries - 1)}
 }
 
 // Config returns the configuration.
 func (t *Tagless) Config() TaglessConfig { return t.cfg }
 
-func (t *Tagless) index(pc, hist uint64) uint64 {
+// Slot returns the table entry (pc, hist) selects under the configured
+// scheme: a pure function of the configuration, the entry Predict reads
+// and Update writes.
+func (t *Tagless) Slot(pc, hist uint64) uint64 {
 	word := pc >> 2
 	switch t.cfg.Scheme {
 	case SchemeGAg:
@@ -125,23 +125,25 @@ func (t *Tagless) index(pc, hist uint64) uint64 {
 // written by other branches are returned too — that interference is
 // inherent to the tagless structure.
 func (t *Tagless) Predict(pc, hist uint64) (uint64, bool) {
-	tgt := t.table[t.index(pc, hist)]
-	return tgt, tgt != 0
+	if i := t.Slot(pc, hist); i < uint64(len(t.table)) {
+		tgt := t.table[i]
+		return tgt, tgt != 0
+	}
+	return 0, false
 }
 
 // Update implements TargetCache.
 func (t *Tagless) Update(pc, hist, target uint64) {
-	t.table[t.index(pc, hist)] = target
+	if t.table == nil {
+		t.table = make([]uint64, t.cfg.Entries)
+	}
+	t.table[t.Slot(pc, hist)] = target
 }
 
 // CostBits implements TargetCache via the configuration's accounting.
 func (t *Tagless) CostBits() int { return t.cfg.CostBits() }
 
 // Reset implements TargetCache.
-func (t *Tagless) Reset() {
-	for i := range t.table {
-		t.table[i] = 0
-	}
-}
+func (t *Tagless) Reset() { clear(t.table) }
 
 var _ TargetCache = (*Tagless)(nil)

@@ -31,8 +31,9 @@ import (
 // TestWalkMatchesEngine pins every member of a replayed gang to the
 // streaming Engine loop.
 
-// Walk is one kept walk of a capture's front end; it is immutable, and
-// any number of RunGang calls may read it concurrently.
+// Walk is one kept walk of a capture's front end. Its events are
+// immutable and its table of target-cache classes is guarded, so any
+// number of RunGang calls may use it concurrently.
 type Walk struct {
 	front  Config           // the walked front end (its BTB, RAS depth and direction predictor)
 	regs   map[string]int32 // HistShare key -> register index
@@ -45,6 +46,9 @@ type Walk struct {
 	// interval of the capture, each event with len(depths) history
 	// values.
 	chunks []eventBuf
+	// classes are the target-cache classes RunGang calls have met
+	// (share.go), the one part of a Walk that changes.
+	classes classes
 }
 
 // WalkFrontEnd walks factory's first budget instructions once with the
@@ -115,24 +119,23 @@ func sameFrontEnd(a, b Config) bool {
 // reports for that member alone over the walked capture and budget. A
 // member may be the BTB-only baseline and may carry a telemetry
 // collector, which receives exactly the events a solo run would give it.
+// Tagless and tagged members whose tables index alike on the walk, in
+// this call or any other, share one simulation (share.go).
 //
 // It returns an error naming the reason, and runs nothing, when w cannot
 // serve the gang: it is empty, a member's front end is not the walk's, a
 // member asks for mispredict bits, or a member's history is not one w
 // walked (its HistShare key names no register of w, or it is deeper than
 // the register). ctx is polled as the kernel polls it; a cancelled replay
-// reports ctx's error in every result, over partial counters.
+// reports ctx's error, over partial counters, in every result it
+// simulates, while a member whose class another call has already
+// simulated takes that call's result.
 func (w *Walk) RunGang(ctx context.Context, pts []GangPoint) ([]AccuracyResult, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("sim: a walk's replay needs a member")
 	}
-	g := &gang{
-		members:  make([]gangMember, len(pts)),
-		tcs:      make([]core.TargetCache, len(pts)),
-		res:      w.res,
-		branches: w.branches,
-		insns:    w.insns,
-	}
+	members := make([]gangMember, len(pts))
+	tcs := make([]core.TargetCache, len(pts))
 	for i, pt := range pts {
 		cfg := pt.Config
 		if !sameFrontEnd(cfg, w.front) {
@@ -141,7 +144,7 @@ func (w *Walk) RunGang(ctx context.Context, pts []GangPoint) ([]AccuracyResult, 
 		if pt.Mispredicts != nil {
 			return nil, fmt.Errorf("sim: member %d asks for mispredict bits, which a walk's replay does not record", i)
 		}
-		m := &g.members[i]
+		m := &members[i]
 		m.tel = cfg.Telemetry
 		m.hist = int32(len(w.depths))
 		if cfg.NewTargetCache == nil {
@@ -159,12 +162,12 @@ func (w *Walk) RunGang(ctx context.Context, pts []GangPoint) ([]AccuracyResult, 
 	}
 	for i, pt := range pts {
 		if newTC := pt.Config.NewTargetCache; newTC != nil {
-			g.tcs[i] = newTC()
+			tcs[i] = newTC()
 		} else {
-			g.tcs[i] = noTC{}
+			tcs[i] = noTC{}
 		}
 	}
-	return g.run(ctx, span{walk: w}), nil
+	return w.runShared(ctx, members, tcs), nil
 }
 
 // replayWalk runs g's members over w's events, polling ctx before each

@@ -177,47 +177,61 @@ func walkPoints(key string) []GangPoint {
 }
 
 // TestWalkMatchesEngine pins the kept front-end walk: a gang replayed
-// over it — all of gangPoints' members, every subset of one, and members
-// reading shallower depths of a walked register — reports for every
-// member the AccuracyResult and telemetry of the streaming Engine loop.
+// over it — all of gangPoints' members with sharePoints' tagless and
+// tagged geometries (exact, overflowing, 6-bit tags), every subset of
+// one, and members reading shallower depths of a walked register —
+// reports for every member the AccuracyResult and telemetry of the
+// streaming Engine loop, on perl and on gcc. The subsets replay the same
+// walk, so most of their members take a class's result.
 func TestWalkMatchesEngine(t *testing.T) {
-	w, err := workload.ByName("perl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const budget = 60_000
-	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
-	ctx := context.Background()
-	walk, err := WalkFrontEnd(ctx, rep, budget, schemeKeyed(walkPoints("pattern")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newCol := func() *telemetry.Collector { return telemetry.NewCollector(telemetry.Config{Events: 64}) }
-	all := schemeKeyed(walkPoints("pattern"))
-	units := [][]GangPoint{all}
-	for i := range all {
-		units = append(units, schemeKeyed(walkPoints("pattern"))[i:i+1])
-	}
-	for ui, pts := range units {
-		for i := range pts {
-			if i%2 == 0 {
-				pts[i].Config.Telemetry = newCol()
-			}
-		}
-		got, err := walk.RunGang(ctx, pts)
+	for _, name := range []string{"perl", "gcc"} {
+		w, err := workload.ByName(name)
 		if err != nil {
-			t.Fatalf("unit %d: %v", ui, err)
+			t.Fatal(err)
 		}
-		for i, pt := range pts {
-			cfg := pt.Config
-			if cfg.Telemetry != nil {
-				cfg.Telemetry = newCol()
+		const budget = 60_000
+		rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+		ctx := context.Background()
+		points := func() []GangPoint {
+			pts := schemeKeyed(walkPoints("pattern"))
+			for _, sp := range sharePoints() {
+				if sp.class != "" {
+					pts = append(pts, sp.pt)
+				}
 			}
-			if want := engineRun(t, rep, budget, 0, cfg); got[i] != want {
-				t.Errorf("unit %d member %d: replay diverges from the engine\n  replay %+v\n  engine %+v", ui, i, got[i], want)
+			return pts
+		}
+		walk, err := WalkFrontEnd(ctx, rep, budget, points())
+		if err != nil {
+			t.Fatal(err)
+		}
+		newCol := func() *telemetry.Collector { return telemetry.NewCollector(telemetry.Config{Events: 64}) }
+		all := points()
+		units := [][]GangPoint{all}
+		for i := range all {
+			units = append(units, points()[i:i+1])
+		}
+		for ui, pts := range units {
+			for i := range pts {
+				if i%2 == 0 {
+					pts[i].Config.Telemetry = newCol()
+				}
 			}
-			if !reflect.DeepEqual(pt.Config.Telemetry, cfg.Telemetry) {
-				t.Errorf("unit %d member %d: telemetry diverges from the engine's", ui, i)
+			got, err := walk.RunGang(ctx, pts)
+			if err != nil {
+				t.Fatalf("%s unit %d: %v", name, ui, err)
+			}
+			for i, pt := range pts {
+				cfg := pt.Config
+				if cfg.Telemetry != nil {
+					cfg.Telemetry = newCol()
+				}
+				if want := engineRun(t, rep, budget, 0, cfg); got[i] != want {
+					t.Errorf("%s unit %d member %d: replay diverges from the engine\n  replay %+v\n  engine %+v", name, ui, i, got[i], want)
+				}
+				if !reflect.DeepEqual(pt.Config.Telemetry, cfg.Telemetry) {
+					t.Errorf("%s unit %d member %d: telemetry diverges from the engine's", name, ui, i)
+				}
 			}
 		}
 	}

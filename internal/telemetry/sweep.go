@@ -32,6 +32,9 @@ type SweepInfo struct {
 	// SharedBTBs counts the btb-gang members that ran on another
 	// member's BTB: their BTBs never evict, so they predict alike.
 	SharedBTBs int64
+	// SharedTargetCaches counts the target-cache points that took
+	// another point's result: their tables index alike on the capture.
+	SharedTargetCaches int64
 	// Interrupted marks a sweep cancelled before completing; the manifest
 	// holds the shards that finished.
 	Interrupted bool
@@ -79,6 +82,10 @@ type SweepMetrics struct {
 	// own: a btb gang runs one BTB per update strategy for all its
 	// members whose BTB never evicts over the capture.
 	SharedBTBs int64 `json:"btb_shared_points,omitempty"`
+	// SharedTargetCaches counts the tagless and tagged points that
+	// simulated no table of their own: a kept walk's replays simulate one
+	// member per class of caches whose tables index alike on the capture.
+	SharedTargetCaches int64 `json:"tc_shared_points,omitempty"`
 
 	Interrupted bool `json:"interrupted,omitempty"`
 }
@@ -86,26 +93,27 @@ type SweepMetrics struct {
 // NewSweepMetrics derives the exported document from the run facts.
 func NewSweepMetrics(info SweepInfo) SweepMetrics {
 	m := SweepMetrics{
-		Spec:           info.Spec,
-		Fingerprint:    info.Fingerprint,
-		Points:         info.Points,
-		FrontierPoints: info.FrontierPoints,
-		SkippedInvalid: info.SkippedInvalid,
-		Shards:         info.Shards,
-		ResumedShards:  info.ResumedShards,
-		Workers:        info.Workers,
-		WallMS:         float64(info.Wall.Microseconds()) / 1e3,
-		Instructions:   info.Instructions,
-		MemoCaptures:   info.MemoCaptures,
-		MemoHits:       info.MemoHits,
-		GangWidth:      info.GangWidth,
-		FusedGangs:     info.FusedGangs,
-		FusedPoints:    info.FusedPoints,
-		DirectPoints:   info.DirectPoints,
-		GangFallbacks:  info.GangFallbacks,
-		PassesAvoided:  info.FusedPoints - info.FusedGangs,
-		SharedBTBs:     info.SharedBTBs,
-		Interrupted:    info.Interrupted,
+		Spec:               info.Spec,
+		Fingerprint:        info.Fingerprint,
+		Points:             info.Points,
+		FrontierPoints:     info.FrontierPoints,
+		SkippedInvalid:     info.SkippedInvalid,
+		Shards:             info.Shards,
+		ResumedShards:      info.ResumedShards,
+		Workers:            info.Workers,
+		WallMS:             float64(info.Wall.Microseconds()) / 1e3,
+		Instructions:       info.Instructions,
+		MemoCaptures:       info.MemoCaptures,
+		MemoHits:           info.MemoHits,
+		GangWidth:          info.GangWidth,
+		FusedGangs:         info.FusedGangs,
+		FusedPoints:        info.FusedPoints,
+		DirectPoints:       info.DirectPoints,
+		GangFallbacks:      info.GangFallbacks,
+		PassesAvoided:      info.FusedPoints - info.FusedGangs,
+		SharedBTBs:         info.SharedBTBs,
+		SharedTargetCaches: info.SharedTargetCaches,
+		Interrupted:        info.Interrupted,
 	}
 	if info.MemoCaptures > 0 {
 		m.CaptureAmortization = float64(info.Points) / float64(info.MemoCaptures)
