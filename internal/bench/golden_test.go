@@ -21,11 +21,13 @@ var update = flag.Bool("update", false, "rewrite golden files with the current o
 // the whole suite; plus the accuracy experiments whose runs fuse into
 // gangs with a flush interval (context-switch), mixed target-cache
 // families beside a BTB-only member (followups), and several runs merged
-// under one telemetry key (verify's claim cells); and the timing
+// under one telemetry key (verify's claim cells); the BTB-only runs that
+// differ from their pass's front end only in update strategy (table2,
+// verify) or RAS depth (ras); and the timing
 // experiments with path-history members (table5) and five machine shapes
 // (sensitivity); and the event model, with and without wrong-path fetch
 // (wrongpath).
-var goldenExperiments = []string{"table1", "table4", "table5", "figures12-13", "budget", "context-switch", "followups", "sensitivity", "verify", "wrongpath"}
+var goldenExperiments = []string{"table1", "table2", "table4", "table5", "figures12-13", "budget", "context-switch", "followups", "ras", "sensitivity", "verify", "wrongpath"}
 
 // goldenEventExperiments are rendered after goldenExperiments with
 // Params.EventModel set: timing tables on the event-driven model.
