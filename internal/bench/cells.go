@@ -27,23 +27,31 @@ import (
 // share a workload, a budget, a flush interval and a front end (BTB
 // config, RAS depth, direction-predictor config) into one gang pass
 // (sim.Run), so K configurations cost one trace pass instead of K. A
-// timing run is a gang member that also records its per-branch
-// mispredict bits. On the fast model the gang's timing runs on one
-// machine then share one pipeline pass (cpu.RunPipeline) that times the
-// capture from those bits, its members sharing simulated lanes while
-// their pipelines agree up to a time shift (when there would be fewer
-// pipeline passes than workers, each splits into chunks of consecutive
-// runs, so every worker times one). On the event model each timing run
-// gets an event pass of its own (cpu.RunEvent), which times the capture
-// from its bits on the event-driven model. run executes the gangs and
-// the other passes on a bounded worker pool. Passes form in first-seen
-// order: cells in enqueue order, a cell's runs in run order, then its own
-// pass; pipeline passes, then event passes, follow all others, in
+// BTB-only accuracy run needs less: it rides the first pass of its
+// workload, budget, flush interval, BTB geometry and direction predictor
+// as a front-end variant, whatever its BTB update strategy and RAS depth
+// (the pass key without those two), so ras walks each program once for
+// its seven depths and table2 once for both strategies. A timing run is
+// a gang member that also records its per-branch mispredict bits, and
+// always shares its gang's exact front end. On the fast model the gang's
+// timing runs on one machine then share one pipeline pass
+// (cpu.RunPipeline) that times the capture from those bits, its members
+// sharing simulated lanes while their pipelines agree up to a time shift
+// (when there would be fewer pipeline passes than workers, each splits
+// into chunks of consecutive runs, so every worker times one). On the
+// event model each timing run gets an event pass of its own
+// (cpu.RunEvent), which times the capture from its bits on the
+// event-driven model. run executes the gangs and the other passes on a
+// bounded worker pool. Passes form in first-seen order: cells in enqueue
+// order, a cell's runs in run order, then its own pass, with BTB-only
+// accuracy runs placed after all of them, so each joins its gang after
+// the runs on the gang's exact front end and opens one only when no such
+// gang exists; pipeline passes, then event passes, follow all others, in
 // first-seen order, each waiting for its gang. A group of one run is a
-// solo run. The experiment renders
-// its tables from the results in enqueue order; because rendering is
-// serial and positional and every gang member gets exactly its solo
-// result, the output is byte-identical at any worker count, including 1.
+// solo run. The experiment renders its tables from the results in
+// enqueue order; because rendering is serial and positional and every
+// gang member gets exactly its solo result, the output is byte-identical
+// at any worker count, including 1.
 //
 // Per cell, fusion is invisible:
 //
@@ -65,7 +73,8 @@ import (
 //     group has run under its cell's key, cells in enqueue order and a
 //     cell's runs in run order up to its first failed run: the merges the
 //     cell would make running its runs one after another.
-//   - RunStats counts every cell once and every run's instructions.
+//   - RunStats counts every cell once, every fused pass that ran once,
+//     and every run's instructions.
 //
 // The experiment renders the failed cells' rows as ERR, appends a failure
 // footer, and every other cell's output is unchanged. Failure footers
@@ -219,6 +228,14 @@ type passKey struct {
 	dir      dirpred.Config
 }
 
+// ride is the key of the passes a BTB-only accuracy run with key k can
+// ride as a variant (sim.Run): k without the BTB update strategy and the
+// RAS depth.
+func (k passKey) ride() passKey {
+	k.btb.Strategy, k.ras = 0, 0
+	return k
+}
+
 // pass is one work item on the pool: a cell's own pass, a fused gang over
 // runs, or, once gang has run, the pipeline pass of the gang's timing
 // runs on one machine or the event pass of one of its timing runs.
@@ -243,12 +260,29 @@ type pipeKey struct {
 // gang then waits on one another worker has already taken, because the
 // pool hands out passes in order. A pipeline pass times one gang's fast
 // timing runs on one machine, an event pass one event-model timing run.
+// BTB-only accuracy runs are placed after every other run: each rides the
+// first gang of its ride key, after that gang's runs on the exact front
+// end, or, when there is none, opens a gang after all the others.
 func plan(cells []*groupCell, p Params) []*pass {
 	var passes, pipes, events []*pass
+	var riders []*simRun
 	fused := make(map[passKey]*pass)
+	rides := make(map[passKey]*pass)
 	piped := make(map[pipeKey]*pass)
+	gang := func(k passKey) *pass {
+		ps := &pass{budget: k.budget, done: make(chan struct{})}
+		passes = append(passes, ps)
+		if rides[k.ride()] == nil {
+			rides[k.ride()] = ps
+		}
+		return ps
+	}
 	for _, c := range cells {
 		for _, r := range c.runs {
+			if r.machine == nil && r.cfg.NewTargetCache == nil {
+				riders = append(riders, r)
+				continue
+			}
 			budget := p.AccuracyBudget
 			if r.machine != nil {
 				budget = p.TimingBudget
@@ -256,9 +290,8 @@ func plan(cells []*groupCell, p Params) []*pass {
 			k := passKey{r.w.Name, budget, r.flush, r.cfg.BTB, r.cfg.RASDepth, r.cfg.Dir}
 			ps := fused[k]
 			if ps == nil {
-				ps = &pass{budget: budget, done: make(chan struct{})}
+				ps = gang(k)
 				fused[k] = ps
-				passes = append(passes, ps)
 			}
 			ps.runs = append(ps.runs, r)
 			if r.machine == nil {
@@ -280,6 +313,14 @@ func plan(cells []*groupCell, p Params) []*pass {
 		if c.fn != nil {
 			passes = append(passes, &pass{cell: c})
 		}
+	}
+	for _, r := range riders {
+		k := passKey{r.w.Name, p.AccuracyBudget, r.flush, r.cfg.BTB, r.cfg.RASDepth, r.cfg.Dir}
+		ps := rides[k.ride()]
+		if ps == nil {
+			ps = gang(k)
+		}
+		ps.runs = append(ps.runs, r)
 	}
 	// With fewer pipeline passes than workers a worker would idle while
 	// one pass times a whole group, so each group splits into
@@ -418,6 +459,7 @@ func (g *cellGroup) fused(runs []*simRun, budget int64) {
 	if len(live) == 0 {
 		return
 	}
+	passesRun.Add(1)
 	pts := make([]sim.GangPoint, len(live))
 	for i, r := range live {
 		r.col = g.p.startCollector()
@@ -630,6 +672,7 @@ func errRow(n int) []string {
 
 var (
 	cellsExecuted   atomic.Int64
+	passesRun       atomic.Int64
 	instructionsSim atomic.Int64
 )
 
@@ -638,6 +681,9 @@ var (
 type RunStats struct {
 	// Cells is the number of simulation cells executed.
 	Cells int64
+	// Passes is the number of fused accuracy passes run (sim.Run gangs,
+	// each one capture walk however many runs it serves).
+	Passes int64
 	// Instructions is the number of instructions pushed through the
 	// accuracy and timing simulators.
 	Instructions int64
@@ -645,12 +691,16 @@ type RunStats struct {
 
 // SnapshotStats returns the current counter values.
 func SnapshotStats() RunStats {
-	return RunStats{Cells: cellsExecuted.Load(), Instructions: instructionsSim.Load()}
+	return RunStats{Cells: cellsExecuted.Load(), Passes: passesRun.Load(), Instructions: instructionsSim.Load()}
 }
 
 // Sub returns the counter deltas since an earlier snapshot.
 func (s RunStats) Sub(earlier RunStats) RunStats {
-	return RunStats{Cells: s.Cells - earlier.Cells, Instructions: s.Instructions - earlier.Instructions}
+	return RunStats{
+		Cells:        s.Cells - earlier.Cells,
+		Passes:       s.Passes - earlier.Passes,
+		Instructions: s.Instructions - earlier.Instructions,
+	}
 }
 
 // ---- replay-backed simulation kernels ----

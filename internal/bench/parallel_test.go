@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/btb"
 	"repro/internal/cpu"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -87,6 +88,81 @@ func TestPlanChunksPipelineGroups(t *testing.T) {
 		if !slices.Equal(sizes, tc.sizes) || !slices.Equal(order, c.runs) {
 			t.Errorf("%d workers: pipeline passes of %v runs (in run order: %v), want %v",
 				tc.workers, sizes, slices.Equal(order, c.runs), tc.sizes)
+		}
+	}
+}
+
+// TestPlanPlacesRiders pins where plan puts BTB-only accuracy runs: after
+// every other run, each in the first gang of its workload, budget, flush
+// interval, BTB geometry and direction predictor, whatever its update
+// strategy and RAS depth, or in a gang of its own opened after all the
+// others. A gang's runs on its exact front end thus come first, as
+// sim.Run's variants must follow them.
+func TestPlanPlacesRiders(t *testing.T) {
+	perl, err := workload.ByName("perl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xlisp, err := workload.ByName("xlisp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoBit, shallow := sim.DefaultConfig(), sim.DefaultConfig()
+	twoBit.BTB.Strategy, shallow.RASDepth = btb.StrategyTwoBit, 8
+	c := &groupCell{}
+	riders := []*sim.AccuracyResult{
+		c.accuracy(perl, 0, twoBit),
+		c.accuracy(xlisp, 0, shallow),
+	}
+	exact := c.accuracy(perl, 0, tcConfig(taglessGshare(512), pattern(9)))
+	c.timing(perl, sim.DefaultConfig(), cpu.DefaultConfig())
+	riders = append(riders, c.accuracy(perl, 1000, sim.DefaultConfig()), c.accuracy(xlisp, 0, sim.DefaultConfig()))
+	want := [][]*sim.AccuracyResult{{exact, riders[0]}, nil, {riders[1], riders[3]}, {riders[2]}}
+	var got [][]*sim.AccuracyResult
+	for _, ps := range plan([]*groupCell{c}, tinyParams()) {
+		if ps.cell != nil || ps.gang != nil || ps.timed != nil {
+			continue
+		}
+		var runs []*sim.AccuracyResult
+		for _, r := range ps.runs {
+			if r.machine == nil {
+				runs = append(runs, &r.res)
+			}
+		}
+		got = append(got, runs)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d gangs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("gang %d: accuracy runs %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestPassesPerExperiment pins how many fused accuracy passes (capture
+// walks) each experiment runs. BTB-only accuracy runs ride the first
+// pass of their workload, budget, flush interval, BTB geometry and
+// direction predictor as variants, whatever their update strategy or RAS
+// depth, so ras walks each of its three programs once, not once per
+// depth (21), and table2 and verify once per program, not once per
+// strategy (16 each).
+func TestPassesPerExperiment(t *testing.T) {
+	want := map[string]int64{
+		"table1": 8, "figures1-8": 0, "table2": 8, "table3": 0, "table4": 2,
+		"table5": 2, "table6": 2, "table7": 2, "table8": 2, "table9": 2,
+		"figures12-13": 2, "ablation-history": 2, "budget": 0, "cbt": 8,
+		"context-switch": 10, "cxx": 2, "followups": 10, "ras": 3,
+		"sensitivity": 2, "wrongpath": 2, "verify": 8,
+	}
+	p := tinyParams()
+	p.Parallel = 2
+	for _, e := range All() {
+		before := SnapshotStats()
+		e.Run(p)
+		if got := SnapshotStats().Sub(before).Passes; got != want[e.ID] {
+			t.Errorf("%s: %d fused passes, want %d", e.ID, got, want[e.ID])
 		}
 	}
 }

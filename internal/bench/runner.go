@@ -323,8 +323,8 @@ func RunSuite(ctx context.Context, opts SuiteOptions) (*SuiteResult, error) {
 			ent.Output = chunk
 		}
 		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, "tcsim: %-16s %8.1f ms  %4d cells  %12d instructions\n",
-				e.ID, float64(wall.Microseconds())/1000, work.Cells, work.Instructions)
+			fmt.Fprintf(opts.Log, "tcsim: %-16s %8.1f ms  %4d cells  %4d passes  %12d instructions\n",
+				e.ID, float64(wall.Microseconds())/1000, work.Cells, work.Passes, work.Instructions)
 		}
 		ent.WallMS = float64(wall.Microseconds()) / 1000
 		ent.Cells = work.Cells

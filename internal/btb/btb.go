@@ -162,10 +162,18 @@ func (b *BTB) Probe(pc uint64) (Entry, Hit, bool) {
 	return *e, Hit{set, way}, true
 }
 
+// Line returns the index, in [0, Sets×Ways), of the line a Probe hit: the
+// index Update reports for the line it stores to.
+func (b *BTB) Line(h Hit) int { return h.set*b.cfg.Ways + h.way }
+
 // UpdateHit is Update for a record whose fetch-time Probe hit the BTB and
 // whose set has not been touched since: the entry is refreshed in place,
 // with the same LRU/stats stream Update's find-or-allocate scan produces
 // on a hit.
+//
+// It keeps its own copy of train's rule: inlining train here loads the
+// strategy on every call and merges the returns, which slows the
+// accuracy kernel's walk, its hottest caller.
 func (b *BTB) UpdateHit(h Hit, r *trace.Record) {
 	if !r.Class.IsBranch() || !r.Taken {
 		return
@@ -197,25 +205,34 @@ func (b *BTB) UpdateHit(h Hit, r *trace.Record) {
 // allocated for every taken branch (an entry whose branch was never taken
 // would never redirect fetch). For indirect jumps the stored target evolves
 // according to the configured strategy; for direct branches the target is
-// static and simply (re)written.
-func (b *BTB) Update(r *trace.Record) {
+// static and simply (re)written. It returns the line it refreshed or
+// allocated (see Line), or -1 when r stores nothing: it is not a taken
+// branch.
+func (b *BTB) Update(r *trace.Record) int {
 	if !r.Class.IsBranch() || !r.Taken {
-		return
+		return -1
 	}
 	set, tag := b.index(r.PC)
-	e, existed := b.c.Touch(set, tag)
+	e, way, existed := b.c.Touch(set, tag)
+	e.train(b.cfg.Strategy, r, existed)
+	return set*b.cfg.Ways + way
+}
+
+// train stores the taken branch r in e under strategy s: a new entry
+// (!existed) or a direct branch's takes r's target; an indirect jump's
+// existing entry applies the update strategy.
+func (e *Entry) train(s Strategy, r *trace.Record, existed bool) {
 	e.Class = r.Class
 	if !existed || !r.Class.IsIndirect() {
 		e.Target = r.Target
 		e.missCount = 0
 		return
 	}
-	// Indirect jump with an existing entry: apply the update strategy.
 	if e.Target == r.Target {
 		e.missCount = 0
 		return
 	}
-	switch b.cfg.Strategy {
+	switch s {
 	case StrategyDefault:
 		e.Target = r.Target
 	case StrategyTwoBit:
@@ -225,6 +242,36 @@ func (b *BTB) Update(r *trace.Record) {
 			e.missCount = 0
 		}
 	}
+}
+
+// Payloads hold a BTB's lines as a BTB of the same geometry under another
+// update strategy would. The strategy changes only a line's target and
+// 2-bit counter: tags, valid bits and LRU order evolve alike under every
+// strategy, since a probe hit refreshes its line and a taken branch
+// refreshes or allocates one whatever the strategy, and a line's class is
+// always its last branch's. So payloads that follow each line a BTB
+// stores to (Follow) give, at every line that BTB hits, the target the
+// other BTB would predict.
+type Payloads struct {
+	strategy Strategy
+	lines    []Entry
+}
+
+// NewPayloads returns payloads for a BTB of cfg's geometry, under cfg's
+// strategy.
+func NewPayloads(cfg Config) *Payloads {
+	return &Payloads{strategy: cfg.Strategy, lines: make([]Entry, cfg.Sets*cfg.Ways)}
+}
+
+// Target returns the target line holds.
+func (p *Payloads) Target(line int) uint64 { return p.lines[line].Target }
+
+// Follow stores the taken branch r at line, where the followed BTB's
+// Update or UpdateHit just stored it: into the entry that line held when
+// existed (the BTB's probe hit it), else into a new one. A BTB reset
+// needs no Follow: the BTB hits only lines allocated since.
+func (p *Payloads) Follow(line int, existed bool, r *trace.Record) {
+	p.lines[line].train(p.strategy, r, existed)
 }
 
 // Reset invalidates all entries.

@@ -185,3 +185,47 @@ func TestHoldsMatchesBTB(t *testing.T) {
 		t.Error("an impossible geometry holds")
 	}
 }
+
+// TestPayloadsFollowOtherStrategy pins Payloads: following a small BTB of
+// one strategy over a random stream of indirect jumps, returns and direct
+// branches that keep its sets evicting, payloads of the other strategy
+// hold at every line it hits the target a BTB of that strategy predicts,
+// which hits and misses alike.
+func TestPayloadsFollowOtherStrategy(t *testing.T) {
+	classes := []trace.Class{trace.ClassIndJump, trace.ClassIndCall, trace.ClassReturn, trace.ClassUncondDirect, trace.ClassCondDirect}
+	for _, walked := range []Strategy{StrategyDefault, StrategyTwoBit} {
+		other := StrategyTwoBit - walked
+		rng := rand.New(rand.NewPCG(uint64(walked), 7))
+		cfg := Config{Sets: 4, Ways: 2, Strategy: walked}
+		b, ref := New(cfg), New(Config{Sets: 4, Ways: 2, Strategy: other})
+		p := NewPayloads(Config{Sets: 4, Ways: 2, Strategy: other})
+		for i := 0; i < 20_000; i++ {
+			pc := uint64(rng.IntN(24)) << 2
+			r := trace.Record{PC: pc, Class: classes[pc%5], Taken: rng.IntN(8) != 0, Target: uint64(1+rng.IntN(3)) << 12}
+			e, h, hit := b.Probe(pc)
+			want, _, refHit := ref.Probe(pc)
+			if hit != refHit {
+				t.Fatalf("%v, record %d: hit %v; the %v BTB's %v", walked, i, hit, other, refHit)
+			}
+			if hit {
+				if got := p.Target(b.Line(h)); e.Class != want.Class || got != want.Target {
+					t.Fatalf("%v, record %d: class %v, payload target %#x; the %v BTB's entry %+v", walked, i, e.Class, got, other, want)
+				}
+			}
+			line := b.Line(h)
+			if hit {
+				b.UpdateHit(h, &r)
+			} else {
+				line = b.Update(&r)
+			}
+			if r.Taken {
+				p.Follow(line, hit, &r)
+			}
+			ref.Update(&r)
+			if i%5000 == 4999 {
+				b.Reset()
+				ref.Reset()
+			}
+		}
+	}
+}

@@ -194,30 +194,32 @@ func (c *Cache[V]) InsertWay(set, way int, tag uint64) (*V, bool) {
 }
 
 // Touch finds or allocates the entry for tag in set with a single scan,
-// reporting whether the entry already existed. A found entry is refreshed
-// exactly like a Lookup hit (tick advance, hit count); an absent one is
-// allocated exactly like an Insert that followed a Peek miss (tick advance,
-// no miss count, eviction accounting). It is the one-pass equivalent of the
-// Peek / Lookup-or-Insert pattern update paths use, with identical tick and
+// reporting the way that holds it and whether the entry already existed
+// there. A found entry is refreshed exactly like a Lookup hit (tick
+// advance, hit count); an absent one is allocated exactly like an Insert
+// that followed a Peek miss (tick advance, no miss count, eviction
+// accounting). It is the one-pass equivalent of the Peek /
+// Lookup-or-Insert pattern update paths use, with identical tick and
 // statistics streams.
-func (c *Cache[V]) Touch(set int, tag uint64) (*V, bool) {
+func (c *Cache[V]) Touch(set int, tag uint64) (*V, int, bool) {
 	c.tick++
 	var victim *line[V]
+	way := -1
 	for i := range c.sets[set] {
 		ln := &c.sets[set][i]
 		if ln.valid && ln.tag == tag {
 			ln.lastUse = c.tick
 			c.hits++
-			return &ln.val, true
+			return &ln.val, i, true
 		}
 		if !ln.valid {
 			if victim == nil || victim.valid {
-				victim = ln
+				victim, way = ln, i
 			}
 			continue
 		}
 		if victim == nil || (victim.valid && ln.lastUse < victim.lastUse) {
-			victim = ln
+			victim, way = ln, i
 		}
 	}
 	if victim.valid {
@@ -228,7 +230,7 @@ func (c *Cache[V]) Touch(set int, tag uint64) (*V, bool) {
 	victim.tag = tag
 	victim.lastUse = c.tick
 	victim.val = zero
-	return &victim.val, false
+	return &victim.val, way, false
 }
 
 // Invalidate removes tag from set, reporting whether it was present.

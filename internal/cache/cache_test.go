@@ -243,7 +243,10 @@ func TestTouchMatchesPeekLookupInsert(t *testing.T) {
 	for op := 0; op < 10000; op++ {
 		set := rng.Intn(2)
 		tag := uint64(rng.Intn(10))
-		va, existedA := a.Touch(set, tag)
+		va, way, existedA := a.Touch(set, tag)
+		if &a.sets[set][way].val != va {
+			t.Fatalf("op %d: Touch reported way %d, which does not hold its entry", op, way)
+		}
 		var vb *int
 		existedB := false
 		if _, ok := b.Peek(set, tag); ok {

@@ -12,10 +12,24 @@ import (
 // the key idea — the second stage is *filtered*: an entry is allocated
 // there only when the first stage mispredicts, so monomorphic jumps never
 // consume history-indexed capacity.
+//
+// Like Tagged, it remembers Predict's last first-stage hit, so the Update
+// of the same pc refreshes that line and writes it without scanning the
+// set again; Update and Reset forget it. The LRU tick and statistics
+// stream is the full walk's.
 type Cascaded struct {
 	cfg    CascadedConfig
 	stage1 *cache.Cache[uint64] // pc-indexed, last-target (BTB-like)
 	stage2 *Tagged              // history-indexed
+	memo   stage1Memo
+}
+
+// stage1Memo is a first-stage lookup that hit: its pc, set, tag and way;
+// ok marks it live.
+type stage1Memo struct {
+	pc, tag  uint64
+	set, way int
+	ok       bool
 }
 
 // CascadedConfig describes a cascaded indirect-target predictor.
@@ -66,10 +80,10 @@ func NewCascaded(cfg CascadedConfig) *Cascaded {
 	}
 }
 
+// stage1Index splits pc's word address into the first stage's set and
+// tag.
 func (c *Cascaded) stage1Index(pc uint64) (int, uint64) {
-	word := pc >> 2
-	sets := uint64(c.stage1.Sets())
-	return int(word % sets), word / sets
+	return c.stage1.IndexOf(pc >> 2)
 }
 
 // Predict implements TargetCache: the second (history) stage wins when it
@@ -79,10 +93,13 @@ func (c *Cascaded) Predict(pc, hist uint64) (uint64, bool) {
 		return tgt, true
 	}
 	set, tag := c.stage1Index(pc)
-	if v, ok := c.stage1.Lookup(set, tag); ok {
-		return *v, true
+	v, way, ok := c.stage1.LookupWay(set, tag)
+	m := &c.memo
+	m.pc, m.tag, m.set, m.way, m.ok = pc, tag, set, way, ok
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return *v, true
 }
 
 // Update implements TargetCache. The first stage always learns the last
@@ -90,15 +107,25 @@ func (c *Cascaded) Predict(pc, hist uint64) (uint64, bool) {
 // one only if (when filtering) the first stage just mispredicted — i.e.
 // the jump demonstrated polymorphism.
 func (c *Cascaded) Update(pc, hist, target uint64) {
-	set, tag := c.stage1Index(pc)
+	var set, way int
+	var tag uint64
 	stage1Correct := false
-	if v, ok := c.stage1.Lookup(set, tag); ok {
-		stage1Correct = *v == target
+	if m := &c.memo; m.ok && m.pc == pc {
+		set, tag, way = m.set, m.tag, m.way
+		stage1Correct = *c.stage1.TouchWay(set, way) == target
+	} else {
+		set, tag = c.stage1Index(pc)
+		var v *uint64
+		var ok bool
+		if v, way, ok = c.stage1.LookupWay(set, tag); ok {
+			stage1Correct = *v == target
+		}
 	}
+	c.memo.ok = false
 	if _, hit := c.stage2.Predict(pc, hist); hit || !c.cfg.Filtered || !stage1Correct {
 		c.stage2.Update(pc, hist, target)
 	}
-	v, _ := c.stage1.Insert(set, tag)
+	v, _ := c.stage1.InsertWay(set, way, tag)
 	*v = target
 }
 
@@ -116,6 +143,7 @@ func (c *Cascaded) CostBits() int { return c.cfg.CostBits() }
 func (c *Cascaded) Reset() {
 	c.stage1.Reset()
 	c.stage2.Reset()
+	c.memo.ok = false
 }
 
 var _ TargetCache = (*Cascaded)(nil)

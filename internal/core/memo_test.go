@@ -316,3 +316,23 @@ func TestMemoMatchesFullWalk(t *testing.T) {
 		})
 	}
 }
+
+// TestCascadedMemoForgetsReset pins that a reset forgets the first
+// stage's remembered hit: a Predict that hit stage 1 (under a history
+// stage 2 misses), a Reset, then the Update of the same pc must allocate
+// afresh, as the full walk does.
+func TestCascadedMemoForgetsReset(t *testing.T) {
+	cfg := DefaultCascadedConfig()
+	got, ref := NewCascaded(cfg), newRefCascaded(cfg)
+	for _, p := range []targetCacheRef{got, ref} {
+		p.Update(0x40, 1, 0x100)
+		if tgt, ok := p.Predict(0x40, 2); !ok || tgt != 0x100 {
+			t.Fatalf("%T: predict = %#x, %v; want the first stage's 0x100", p, tgt, ok)
+		}
+		p.Reset()
+		p.Update(0x40, 2, 0x200)
+	}
+	if !sameState(got, ref) {
+		t.Fatal("state after a reset between Predict and Update differs from the full walk's")
+	}
+}

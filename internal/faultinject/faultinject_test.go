@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -433,6 +434,94 @@ func assertOnlyEntryErr(t *testing.T, healthy, faulty, row string, col int) {
 	}
 	if changed != 1 {
 		t.Fatalf("%d rows changed, want exactly the %s row", changed, row)
+	}
+}
+
+// TestRASVariantFaultsAreIsolated faults the runs that ride one capture
+// walk as variants: ras walks each program once, its seven depths riding
+// that walk. A panic in perl's depth-4 cell, a variant, fails that cell
+// alone, and so does one in its depth-1 cell, the run whose front end the
+// walk would run: the walk runs the others without it. Every other entry
+// of the perl column and every other column render as in a healthy run.
+// A corrupt perl capture fails every perl cell, and no other. Each holds
+// at 1 and 8 workers.
+func TestRASVariantFaultsAreIsolated(t *testing.T) {
+	exps := experiments(t, "ras")
+	_, healthy := runSuite(t, exps, 1)
+	const perl = 3 // the perl column: after the depth, xlisp and gosearch
+
+	for _, depth := range []string{"4", "1"} {
+		label := "ras/perl/ras-" + depth
+		plan := &Plan{PanicCells: map[string]string{label: "injected panic"}}
+		restore := plan.Install()
+		for _, workers := range []int{1, 8} {
+			res, out := runSuite(t, exps, workers)
+			if len(res.Failures) != 1 {
+				t.Fatalf("%s, %d workers: got %d failures, want exactly the injected one: %v", label, workers, len(res.Failures), res.Failures)
+			}
+			if ce := res.Failures[0]; ce.CellLabel() != label || ce.Stack == "" {
+				t.Errorf("%s, %d workers: failure %q (stack %d bytes), want it with a stack", label, workers, ce.CellLabel(), len(ce.Stack))
+			}
+			assertOnlyEntryErr(t, healthy, out, depth, perl)
+		}
+		if len(plan.Triggered()) == 0 {
+			t.Fatalf("%s: the fault never fired", label)
+		}
+		restore()
+	}
+
+	plan := &Plan{CorruptReplays: map[string]Corruption{"perl": {Offset: 1024, Length: 16}}}
+	restore := plan.Install()
+	defer restore()
+	for _, workers := range []int{1, 8} {
+		res, out := runSuite(t, exps, workers)
+		if len(res.Failures) != 7 {
+			t.Fatalf("%d workers: got %d failures, want perl's seven: %v", workers, len(res.Failures), res.Failures)
+		}
+		for _, ce := range res.Failures {
+			if ce.Workload != "perl" || !errors.Is(ce.Err, trace.ErrCorrupt) {
+				t.Errorf("%d workers: failure %v, want a perl cell wrapping trace.ErrCorrupt", workers, ce)
+			}
+		}
+		assertOnlyColumnErr(t, healthy, out, perl, 7)
+	}
+}
+
+// assertOnlyColumnErr requires faulty to be healthy plus the failure
+// footer, with field col of exactly rows rows changed to ERR and nothing
+// else changed but column widths: lines compare field by field, and rules
+// of dashes match any rule.
+func assertOnlyColumnErr(t *testing.T, healthy, faulty string, col, rows int) {
+	t.Helper()
+	var lines []string
+	for _, l := range strings.Split(faulty, "\n") {
+		if !strings.Contains(l, "cell(s) failed") && !strings.HasPrefix(l, "note: ERR ") {
+			lines = append(lines, l)
+		}
+	}
+	want := strings.Split(healthy, "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("faulty output has %d lines besides the footer, healthy has %d", len(lines), len(want))
+	}
+	rule := func(l string) bool { return l != "" && strings.Trim(l, "-") == "" }
+	changed := 0
+	for i := range want {
+		got, wantFields := strings.Fields(lines[i]), strings.Fields(want[i])
+		if slices.Equal(got, wantFields) || rule(lines[i]) && rule(want[i]) {
+			continue
+		}
+		changed++
+		if len(got) != len(wantFields) || len(got) <= col || got[col] != "ERR" {
+			t.Fatalf("unexpected change:\n  healthy: %q\n  faulty:  %q", want[i], lines[i])
+		}
+		for j := range got {
+			if j != col && got[j] != wantFields[j] {
+				t.Fatalf("entry %d changed too:\n  healthy: %q\n  faulty:  %q", j, want[i], lines[i])
+			}
+		}
+	}
+	if changed != rows {
+		t.Fatalf("%d rows changed, want %d", changed, rows)
 	}
 }
 

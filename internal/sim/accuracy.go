@@ -70,10 +70,14 @@ type Options struct {
 // struct-identical to the one it gets alone.
 //
 // Run simulates nothing and returns an error naming the reason when pts
-// cannot share one pass: it is empty, its members differ in RAS depth or
-// direction predictor, or they differ in BTB while one of them carries a
-// target cache; or a member asks for mispredict bits over a factory that
-// is not decoded. Otherwise the error is nil, and each result's Err
+// cannot share one pass: it is empty, its members differ in direction
+// predictor, or they differ in RAS depth or BTB other than as front-end
+// variants (gang.go) — where every member that carries a target cache or
+// records mispredict bits comes first, on the first member's front end,
+// and the rest differ from it at most in update strategy and RAS depth —
+// or as a BTB gang, whose members carry no target cache and share the RAS
+// depth; or a member asks for mispredict bits over a factory that is not
+// decoded. Otherwise the error is nil, and each result's Err
 // reports an early stop: a corrupt trace (wrapping trace.ErrCorrupt) or
 // ctx's error, over the counters of the instructions processed before it.
 func Run(ctx context.Context, factory trace.Factory, opts Options, pts []GangPoint) ([]AccuracyResult, error) {

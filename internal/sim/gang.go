@@ -26,19 +26,35 @@ import (
 //
 //   - one block iteration: record fields (pc/target/class byte) are read
 //     once per block for the whole gang;
-//   - one RAS and direction predictor: every member must carry the same
-//     RAS depth and direction-predictor config;
-//   - one BTB, unless no member carries a target cache: a gang whose
-//     members carry target caches must agree on the BTB too (the sweep's
-//     target-cache families all use the paper's baseline front end, and
-//     the bench groups an experiment's runs by front end), and its probe,
-//     direction prediction and training run once. A BTB gang — BTB-only
-//     members of different geometries or update strategies, as the
-//     sweep's btb family — gives each member its own BTB, which predicts
-//     from the shared direction predictor's and RAS's verdicts; except
-//     that members whose BTB never evicts over the span (it holds every
-//     taken branch's PC) predict alike per update strategy, so they run
-//     on one BTB per strategy (memberBTBs);
+//   - one direction predictor: every member must carry the same
+//     direction-predictor config;
+//   - one BTB and RAS: the members that carry a target cache or record
+//     mispredict bits must agree on the BTB and RAS depth too (the
+//     sweep's target-cache families all use the paper's baseline front
+//     end, and the bench groups an experiment's runs by front end), and
+//     its probe, direction prediction and training run once. BTB-only
+//     members may differ in two ways:
+//       - Front-end variants. Members on the first member's BTB geometry
+//         that differ from its front end only in update strategy or RAS
+//         depth ride its walk, after every member on its exact front end
+//         (variantsFrom). That is exact. A BTB's tags, valid bits and LRU
+//         order evolve alike under both strategies: a probe hit refreshes
+//         its line, and a taken branch refreshes or allocates one whatever
+//         the strategy. Only a line's target and 2-bit counter differ, and
+//         a prediction reads them only at an indirect-jump entry. The RAS
+//         depth changes only the predictions of return entries. So the
+//         walk keeps one tag array, a payload per other strategy that
+//         follows its lines (btb.Payloads) and a RAS per other depth, and
+//         counts a variant apart only at branches whose BTB entry is an
+//         indirect jump or a return; every other prediction is the walk's.
+//       - A BTB gang: BTB-only members whose BTBs differ otherwise, as
+//         the geometries of the sweep's btb family do, all on one RAS
+//         depth. Each member gets its
+//         own BTB, which predicts from the shared direction predictor's
+//         and RAS's verdicts; except that members whose BTB never evicts
+//         over the span (it holds every taken branch's PC) predict alike
+//         per update strategy, so they run on one BTB per strategy
+//         (memberBTBs);
 //   - per-key history registers: members naming the same HistShare key
 //     read one register, the deepest of theirs, each member its own low
 //     bits of it — exact because a pattern or path history's n-bit value
@@ -47,7 +63,8 @@ import (
 //
 // Per member there remains only the target cache itself (a BTB-only
 // member has none and reads the BTB's target; in a BTB gang, the
-// member's BTB, unless it runs on another's) and its optional telemetry
+// member's BTB, unless it runs on another's; a variant reads its
+// strategy's payload and its depth's RAS) and its optional telemetry
 // collector — flat tables allocated per member, with the member
 // bookkeeping (history index, divergence counters) laid out contiguously
 // in one slice — touched only on records whose prediction or update
@@ -63,9 +80,9 @@ import (
 // is struct-identical to the streaming reference loop's over the same
 // records and Options for that member alone, and its telemetry collector
 // ends up deep-equal to that run's.
-// TestGangMatchesSolo, TestGangTelemetryMatchesSolo, TestBTBGangMatchesEngine
-// and the sweep package's differential harness pin this at gang widths 1,
-// 4 and K across worker counts.
+// TestGangMatchesSolo, TestGangTelemetryMatchesSolo, TestBTBGangMatchesEngine,
+// TestVariantsMatchEngine and the sweep package's differential harness
+// pin this at gang widths 1, 4 and K across worker counts.
 
 // GangPoint is one member of a fused gang: a full simulation config plus
 // an optional history-sharing key.
@@ -124,25 +141,54 @@ func RunAccuracyGang(factory trace.Factory, budget int64, pts []GangPoint) ([]Ac
 }
 
 // fusable reports why pts cannot share one walk, or nil when every
-// member has the first's RAS depth and direction predictor, and either
-// every member has its BTB too or no member carries a target cache (a
-// BTB gang).
+// member has the first's direction predictor and either its variants can
+// ride its walk (variantsFrom) or the members form a BTB gang: no member
+// carries a target cache and every member has the first's RAS depth.
 func fusable(pts []GangPoint) error {
 	if len(pts) == 0 {
 		return errors.New("sim: a run needs a member")
 	}
 	first := pts[0].Config
-	btbs, tcs := false, false
 	for i, pt := range pts {
-		cfg := pt.Config
-		if cfg.RASDepth != first.RASDepth || cfg.Dir != first.Dir {
-			return fmt.Errorf("sim: members 0 and %d differ in RAS depth or direction predictor", i)
+		if pt.Config.Dir != first.Dir {
+			return fmt.Errorf("sim: members 0 and %d differ in direction predictor", i)
 		}
-		btbs = btbs || cfg.BTB != first.BTB
-		tcs = tcs || cfg.NewTargetCache != nil
 	}
-	if btbs && tcs {
-		return errors.New("sim: members differ in BTB while one carries a target cache")
+	if _, ok := variantsFrom(pts); ok {
+		return nil
+	}
+	for i, pt := range pts {
+		if pt.Config.RASDepth != first.RASDepth {
+			return fmt.Errorf("sim: members 0 and %d differ in RAS depth, and the gang's variants cannot ride its walk", i)
+		}
+	}
+	for _, pt := range pts {
+		if pt.Config.NewTargetCache != nil {
+			return errors.New("sim: members differ in BTB while one carries a target cache")
+		}
 	}
 	return nil
+}
+
+// variantsFrom returns where pts's variants start — at the first member
+// whose BTB update strategy or RAS depth is not the first member's, or
+// at len(pts) — and whether they can ride the first member's walk: every
+// member has its BTB geometry and direction predictor, and every member
+// from there on is BTB-only and records no mispredict bits.
+func variantsFrom(pts []GangPoint) (int, bool) {
+	first := pts[0].Config
+	k := len(pts)
+	for i, pt := range pts {
+		cfg := pt.Config
+		if cfg.BTB.Sets != first.BTB.Sets || cfg.BTB.Ways != first.BTB.Ways || cfg.Dir != first.Dir {
+			return 0, false
+		}
+		if k == len(pts) && (cfg.BTB != first.BTB || cfg.RASDepth != first.RASDepth) {
+			k = i
+		}
+		if i >= k && (cfg.NewTargetCache != nil || pt.Mispredicts != nil) {
+			return 0, false
+		}
+	}
+	return k, true
 }

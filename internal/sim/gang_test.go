@@ -475,3 +475,80 @@ func BenchmarkGangVsSolo(b *testing.B) {
 		perMemberInstr(b)
 	})
 }
+
+// variantPoints is one BTB-only member per RAS depth 1–64 and update
+// strategy, on the paper's BTB geometry and direction predictor.
+func variantPoints() []GangPoint {
+	var pts []GangPoint
+	for _, depth := range []int{1, 2, 4, 8, 16, 32, 64} {
+		for _, strat := range []btb.Strategy{btb.StrategyDefault, btb.StrategyTwoBit} {
+			cfg := DefaultConfig()
+			cfg.RASDepth, cfg.BTB.Strategy = depth, strat
+			pts = append(pts, GangPoint{Config: cfg})
+		}
+	}
+	return pts
+}
+
+// TestVariantsMatchEngine pins front-end variants — BTB-only members that
+// share a walk's BTB geometry and direction predictor but not its update
+// strategy or RAS depth — against the streaming Engine loop: every member
+// of a gang of them alone (walked at either end of the list: the default
+// strategy at depth 1, or the 2-bit one at depth 64) and of one riding a
+// target-cache gang reports that member's solo AccuracyResult and
+// collector, with and without flushes, in one pass and in segments (a
+// gang that collects runs in one pass). Each gang must take the variant
+// path, not a BTB gang's.
+func TestVariantsMatchEngine(t *testing.T) {
+	const budget = 100_000
+	ctx := context.Background()
+	newCol := func() *telemetry.Collector { return telemetry.NewCollector(telemetry.Config{Events: 64}) }
+	for _, name := range []string{"xlisp", "perl"} {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+		shapes := map[string]func() ([]GangPoint, int){
+			"alone": func() ([]GangPoint, int) { return variantPoints(), 1 },
+			"alone-reversed": func() ([]GangPoint, int) {
+				pts := variantPoints()
+				slices.Reverse(pts)
+				return pts, 1
+			},
+			"riding-target-caches": func() ([]GangPoint, int) {
+				exact := gangPoints()
+				return append(exact, variantPoints()...), len(exact)
+			},
+		}
+		for shape, build := range shapes {
+			for _, flush := range []int64{0, 7_777} {
+				for _, segments := range []int{1, 3, 8} {
+					pts, exact := build()
+					if g := newGang(ctx, span{bs: rep, end: budget}, pts); g.btb == nil || len(g.members) != exact {
+						t.Fatalf("%s %s: %d exact members over a BTB gang %v; want %d over the walk's BTB", name, shape, len(g.members), g.btb == nil, exact)
+					}
+					for i := range pts {
+						if segments == 1 && i%3 != 1 {
+							pts[i].Config.Telemetry = newCol()
+						}
+					}
+					got := runGang(t, ctx, rep, Options{Budget: budget, FlushInterval: flush, Segments: segments}, pts)
+					for i, pt := range pts {
+						cfg := pt.Config
+						if cfg.Telemetry != nil {
+							cfg.Telemetry = newCol()
+						}
+						if want := engineRun(t, rep, budget, flush, cfg); got[i] != want {
+							t.Errorf("%s %s, flush %d, %d segments, member %d: diverges from the engine\n  gang   %+v\n  engine %+v",
+								name, shape, flush, segments, i, got[i], want)
+						}
+						if !reflect.DeepEqual(pt.Config.Telemetry, cfg.Telemetry) {
+							t.Errorf("%s %s, flush %d, %d segments, member %d: telemetry diverges from the engine's", name, shape, flush, segments, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -45,6 +45,12 @@ import (
 //     loop of its own (btbGangKernel, runBTBMembers), which share the
 //     BTB's prediction (btbPredict) with the walk; its members whose BTB
 //     never evicts run on one BTB per update strategy (memberBTBs).
+//   - Variants. BTB-only members that differ from the walk's front end
+//     only in BTB update strategy or RAS depth ride the walk: a variant
+//     step (stepVariants) in place of the BTB update counts them apart at
+//     the branches whose BTB entry is an indirect jump or a return,
+//     trains the BTB and the payloads and RASes they read. A gang
+//     without variants pays one untaken branch per branch record for it.
 //
 // The inlined sequence must mirror Engine.Predict/Engine.Resolve exactly;
 // TestKernelMatchesGenericLoop, TestGangMatchesSolo and the bench golden
@@ -192,6 +198,18 @@ type gang struct {
 	mask      BranchBits
 	consulted int64
 
+	// vars are the gang's variants, the run's members after members:
+	// BTB-only members on the walk's BTB geometry and direction predictor
+	// whose update strategy or RAS depth may differ (gang.go). payloads
+	// follow the walk's BTB under each other strategy a variant has, and
+	// rases are the RASes of the other depths they have. walkApart counts
+	// the walk's predictions, in res, of the branches the variants count
+	// apart, which a variant's result replaces with its own.
+	vars      []variant
+	payloads  []*btb.Payloads
+	rases     []*btb.RAS
+	walkApart outcomes
+
 	// kept holds a kept walk's events with, for each, the providers'
 	// values at its fetch: one exactly sized chunk per poll interval.
 	kept []eventBuf
@@ -202,22 +220,23 @@ type gang struct {
 	err             error
 }
 
-// newGang instantiates pts over the first member's front end, or, when
-// the members' BTBs differ, over its RAS and direction predictor with the
-// members' BTBs (memberBTBs), for the walks over sp that follow; the
-// caller guarantees every member shares the RAS and direction predictor,
-// and that a BTB gang carries no target cache. A member without a target
-// cache (the BTB-only baseline) runs with noTC and no history.
+// newGang instantiates pts over the first member's front end, its
+// variants riding along (addVariants), or, for a BTB gang, over its RAS
+// and direction predictor with the members' BTBs (memberBTBs), for the
+// walks over sp that follow; the caller guarantees pts is fusable. A
+// member without a target cache (the BTB-only baseline) runs with noTC
+// and no history.
 func newGang(ctx context.Context, sp span, pts []GangPoint) *gang {
 	g := newFrontEnd(pts[0].Config)
+	k, variants := variantsFrom(pts)
+	if variants {
+		g.addVariants(pts[0].Config, pts[k:])
+		pts = pts[:k]
+	}
 	g.members = make([]gangMember, len(pts))
 	g.tcs = make([]core.TargetCache, len(pts))
-	for _, pt := range pts {
-		if pt.Config.BTB != pts[0].Config.BTB {
-			g.btb = nil
-		}
-	}
-	if g.btb == nil {
+	if !variants {
+		g.btb = nil
 		g.memberBTBs(ctx, sp, pts)
 	}
 	regs := make(map[string]int32, len(pts))
@@ -246,6 +265,42 @@ func newGang(ctx context.Context, sp span, pts []GangPoint) *gang {
 		m.mask = readMask(depths[i], g.providers[m.hist].Len())
 	}
 	return g
+}
+
+// variant is one variant's state: where it reads its update strategy's
+// targets (nil: the walk's BTB) and its RAS depth's return addresses, its
+// collector, and its counters over the branches the walk counts apart.
+type variant struct {
+	payload *btb.Payloads
+	ras     *btb.RAS
+	tel     *telemetry.Collector
+	outcomes
+}
+
+// addVariants gives the gang, whose walk runs front, the variants pts.
+// Variants of one update strategy other than the walk's read one set of
+// payloads, and variants of one RAS depth one RAS: the walk's at its
+// depth.
+func (g *gang) addVariants(front Config, pts []GangPoint) {
+	payloads := make(map[btb.Strategy]*btb.Payloads)
+	rases := map[int]*btb.RAS{front.RASDepth: g.ras}
+	g.vars = make([]variant, len(pts))
+	for i, pt := range pts {
+		cfg, v := pt.Config, &g.vars[i]
+		v.tel = cfg.Telemetry
+		if v.ras = rases[cfg.RASDepth]; v.ras == nil {
+			v.ras = btb.NewRAS(cfg.RASDepth)
+			rases[cfg.RASDepth] = v.ras
+			g.rases = append(g.rases, v.ras)
+		}
+		if s := cfg.BTB.Strategy; s != front.BTB.Strategy {
+			if v.payload = payloads[s]; v.payload == nil {
+				v.payload = btb.NewPayloads(cfg.BTB)
+				payloads[s] = v.payload
+				g.payloads = append(g.payloads, v.payload)
+			}
+		}
+	}
 }
 
 // memberBTBs gives each member of a BTB gang a BTB to run on. A BTB
@@ -464,6 +519,7 @@ func gangKernel[TC targetCache, H historySource](
 	btbT, ras, dir := g.btb, g.ras, g.dir
 	count, tel, consults := !sp.prime, !sp.prime && g.telemetry, g.consults
 	bits := count && g.bits
+	vary := len(g.vars) > 0
 	nh := len(hists)
 	// e and hv are the event being emitted; a kept walk collects events
 	// in events and hvals until it keeps them as a chunk.
@@ -626,9 +682,12 @@ func gangKernel[TC targetCache, H historySource](
 					g.shared[ord>>6] |= 1 << (ord & 63)
 				}
 			}
-			if hit {
+			switch {
+			case vary:
+				g.stepVariants(&r, base+int64(i)+1, entry, bref, hit, count)
+			case hit:
 				btbT.UpdateHit(bref, &r)
-			} else {
+			default:
 				btbT.Update(&r)
 			}
 			if ev != nil {
@@ -791,13 +850,17 @@ func btbGangKernel(ctx context.Context, sp span, g *gang) []AccuracyResult {
 	return g.finish(outcomes{}, branches, insns-start, nil)
 }
 
-// reset clears the front end: the shared structures and, in a BTB gang,
-// every member's BTB.
+// reset clears the front end: the shared structures, the variants' RASes
+// and, in a BTB gang, every member's BTB. The variants' payloads need no
+// reset: the walk's BTB hits only lines allocated since.
 func (g *gang) reset() {
 	g.ras.Reset()
 	g.dir.Reset()
 	if g.btb != nil {
 		g.btb.Reset()
+	}
+	for _, s := range g.rases {
+		s.Reset()
 	}
 	for mi := range g.members {
 		if b := g.members[mi].btb; b != nil {
@@ -849,6 +912,83 @@ func runBTBMembers(g *gang, evs []event, count bool) {
 		}
 	}
 	g.consulted = consulted
+}
+
+// stepVariants is the BTB update of a walk with variants, and the
+// variants' step: for branch r, instruction n, which the walk fetched
+// with the BTB probe (entry, at, hit), it counts the variants'
+// predictions when count (predictVariants), trains the walk's BTB, has
+// the payloads follow the line it stored r at, and trains the variants'
+// RASes. The walk's RAS and direction predictor train after.
+func (g *gang) stepVariants(r *trace.Record, n int64, entry btb.Entry, at btb.Hit, hit bool, count bool) {
+	if count && (hit && entry.Class.IsIndirect() || r.Class.IsTargetCachePredicted()) {
+		g.predictVariants(r, n, entry, at, hit)
+	}
+	var line int
+	if hit {
+		g.btb.UpdateHit(at, r)
+		line = g.btb.Line(at)
+	} else {
+		line = g.btb.Update(r)
+	}
+	if r.Taken {
+		for _, p := range g.payloads {
+			p.Follow(line, hit, r)
+		}
+	}
+	switch r.Class {
+	case trace.ClassCall, trace.ClassIndCall:
+		for _, s := range g.rases {
+			s.Push(r.FallThrough())
+		}
+	case trace.ClassReturn:
+		for _, s := range g.rases {
+			s.Pop()
+		}
+	}
+}
+
+// predictVariants counts each variant's prediction of r where it can
+// differ from the walk's BTB-only one — on a hit of an indirect-jump or
+// return entry, whose target comes from the update strategy's payload
+// or the RAS — and reports it to the variant's collector when r is an
+// indirect jump; stepVariants calls it for no other branch. Where the
+// walk counted its own prediction of such a branch for every member (no
+// target cache consulted), walkApart records it, for the variants'
+// results to leave out.
+func (g *gang) predictVariants(r *trace.Record, n int64, entry btb.Entry, at btb.Hit, hit bool) {
+	apart := hit && entry.Class.IsIndirect()
+	tel := r.Class.IsTargetCachePredicted()
+	var rasTarget uint64
+	rasOK := false
+	if hit && entry.Class == trace.ClassReturn {
+		rasTarget, rasOK = g.ras.Peek()
+	}
+	taken, target, ok := btbPredict(entry, hit,
+		hit && entry.Class == trace.ClassCondDirect && g.dir.Predict(r.PC), rasTarget, rasOK)
+	correct := taken == r.Taken && (!r.Taken || ok && target == r.Target)
+	if apart && !(g.consults && entry.Class.IsTargetCachePredicted()) {
+		g.walkApart.record(r.Class, correct)
+	}
+	for i := range g.vars {
+		v := &g.vars[i]
+		vTarget, vOK, vCorrect := target, ok, correct
+		if apart {
+			// An indirect or return entry always predicts taken.
+			switch {
+			case entry.Class == trace.ClassReturn:
+				vTarget, vOK = v.ras.Peek()
+			case v.payload != nil:
+				vTarget = v.payload.Target(g.btb.Line(at))
+			}
+			vCorrect = r.Taken && vOK && vTarget == r.Target
+			v.record(r.Class, vCorrect)
+		}
+		if tel && v.tel != nil {
+			v.tel.SetClock(n)
+			v.tel.Indirect(r.PC, 0, vTarget, taken && vOK, r.Target, vCorrect)
+		}
+	}
 }
 
 // memberStep runs every member over one event, whose history values are
@@ -908,13 +1048,14 @@ func memberStep[TC targetCache](g *gang, tcs []TC, ev *event, hv []uint64, count
 	}
 }
 
-// results assembles the per-member results: the shared skeleton plus
-// each member's divergence counters — in a BTB gang, a member that runs
-// on another's BTB takes that member's counters and mispredict bits —
-// every member reporting the same instruction count and error a solo run
-// stopped at this record would.
+// results assembles the per-member results, the variants' last: the
+// shared skeleton plus each member's divergence counters — in a BTB gang,
+// a member that runs on another's BTB takes that member's counters and
+// mispredict bits; a variant's skeleton leaves out the branches it
+// counted apart — every member reporting the same instruction count and
+// error a solo run stopped at this record would.
 func (g *gang) results() []AccuracyResult {
-	out := make([]AccuracyResult, len(g.members))
+	out := make([]AccuracyResult, len(g.members)+len(g.vars))
 	for mi := range g.members {
 		m := &g.members[mi]
 		if m.on != nil {
@@ -924,6 +1065,17 @@ func (g *gang) results() []AccuracyResult {
 		r.Instructions, r.Branches, r.TCCovered, r.Err = g.insns, g.branches, m.tcCovered, g.err
 		g.res.add(r)
 		m.outcomes.add(r)
+	}
+	shared := g.res
+	for c, n := range g.walkApart {
+		shared[c].Predictions -= n.Predictions
+		shared[c].Mispredicts -= n.Mispredicts
+	}
+	for vi := range g.vars {
+		r := &out[len(g.members)+vi]
+		r.Instructions, r.Branches, r.Err = g.insns, g.branches, g.err
+		shared.add(r)
+		g.vars[vi].outcomes.add(r)
 	}
 	return out
 }
