@@ -22,10 +22,11 @@ import (
 // from the streaming reference loop (Run over a factory that is not a
 // BlockSource) in ways none of which is observable in the results:
 //
-//   - Batched iteration. Records come from a trace.BlockSource's column
-//     batches — built once per capture process-wide — and non-branch
-//     records are skipped with a one-byte class check, never
-//     materializing a Record.
+//   - Batched iteration. Records come from a trace.BlockSource's
+//     control-flow columns (FlowAt) — built once per capture
+//     process-wide, or decoded without the columns no predictor reads
+//     from a trace store — and non-branch records are skipped with a
+//     one-byte class check, never materializing a Record.
 //   - Devirtualization. The per-branch Predict/Resolve sequence is
 //     inlined here and instantiated per concrete (target cache, history)
 //     pair, so the hot path is direct calls on concrete structs instead
@@ -46,11 +47,12 @@ import (
 //     BTB's prediction (btbPredict) with the walk; its members whose BTB
 //     never evicts run on one BTB per update strategy (memberBTBs).
 //   - Variants. BTB-only members that differ from the walk's front end
-//     only in BTB update strategy or RAS depth ride the walk: a variant
-//     step (stepVariants) in place of the BTB update counts them apart at
-//     the branches whose BTB entry is an indirect jump or a return,
-//     trains the BTB and the payloads and RASes they read. A gang
-//     without variants pays one untaken branch per branch record for it.
+//     only in BTB update strategy or RAS depth ride the walk: at calls,
+//     returns and indirect jumps and calls, a variant step (stepVariants)
+//     in place of the BTB update counts them apart at the branches whose
+//     BTB entry is an indirect jump or a return, trains the BTB and the
+//     payloads and RASes they read. A gang without variants pays one
+//     untaken branch per branch record for it.
 //
 // The inlined sequence must mirror Engine.Predict/Engine.Resolve exactly;
 // TestKernelMatchesGenericLoop, TestGangMatchesSolo and the bench golden
@@ -201,7 +203,8 @@ type gang struct {
 	// vars are the gang's variants, the run's members after members:
 	// BTB-only members on the walk's BTB geometry and direction predictor
 	// whose update strategy or RAS depth may differ (gang.go). payloads
-	// follow the walk's BTB under each other strategy a variant has, and
+	// follow the walk's BTB under each other strategy a variant has (at
+	// the lines stepVariants stores to, the ones a variant reads), and
 	// rases are the RASes of the other depths they have. walkApart counts
 	// the walk's predictions, in res, of the branches the variants count
 	// apart, which a variant's result replaces with its own.
@@ -332,9 +335,9 @@ func (g *gang) memberBTBs(ctx context.Context, sp span, pts []GangPoint) {
 }
 
 // takenPCs returns the distinct PCs of the taken branches among records
-// [0, end) of bs, the PCs a BTB allocates entries for. It polls ctx as
-// the walk does, and reports false when ctx is done or a block cannot be
-// read.
+// [0, end) of bs, the PCs a BTB allocates entries for, reading only their
+// control-flow columns. It polls ctx as the walk does, and reports false
+// when ctx is done or a block cannot be read.
 func takenPCs(ctx context.Context, bs trace.BlockSource, end int64) ([]uint64, bool) {
 	effEnd := min(max(end, 0), bs.Len())
 	var pcs []uint64
@@ -350,7 +353,7 @@ func takenPCs(ctx context.Context, bs trace.BlockSource, end int64) ([]uint64, b
 		if base&ctxCheckMask == 0 && ctx.Err() != nil {
 			return nil, false
 		}
-		blk, err := bs.BlockAt(int(base / trace.BlockLen))
+		blk, err := bs.FlowAt(int(base / trace.BlockLen))
 		if err != nil {
 			return nil, false
 		}
@@ -550,7 +553,7 @@ func gangKernel[TC targetCache, H historySource](
 	var r trace.Record
 
 	for bi := int(start / trace.BlockLen); insns < effEnd; bi++ {
-		blk, err := bs.BlockAt(bi)
+		blk, err := bs.FlowAt(bi)
 		if err != nil {
 			return g.finish(res, branches, insns-start, err)
 		}
@@ -569,7 +572,6 @@ func gangKernel[TC targetCache, H historySource](
 		meta = meta[:m]
 		pcs := blk.PC[:m]
 		tgts := blk.Target[:m]
-		addrs := blk.Addr[:m]
 		stop := min(nextPoll, nextFlush) - base - 1
 		for i := lo; i < m; i++ {
 			if int64(i) == stop {
@@ -602,11 +604,10 @@ func gangKernel[TC targetCache, H historySource](
 				continue
 			}
 			// Lean materialization: only the fields the predictors read
-			// (the register operands stay zero; no consumer below looks
-			// at them).
+			// (the address and register operands stay zero; no consumer
+			// below looks at them).
 			r.PC = pcs[i]
 			r.Target = tgts[i]
-			r.Addr = addrs[i]
 			r.Class = cls
 			r.Op = trace.OpClass(mb >> trace.MetaOpShift & trace.MetaOpMask)
 			r.Taken = mb&trace.MetaTaken != 0
@@ -683,7 +684,10 @@ func gangKernel[TC targetCache, H historySource](
 				}
 			}
 			switch {
-			case vary:
+			case vary && cls >= trace.ClassCall:
+				// Calls, returns and indirect jumps and calls: the
+				// branches a variant's prediction, RAS or payload can
+				// differ at (stepVariants).
 				g.stepVariants(&r, base+int64(i)+1, entry, bref, hit, count)
 			case hit:
 				btbT.UpdateHit(bref, &r)
@@ -792,7 +796,7 @@ func btbGangKernel(ctx context.Context, sp span, g *gang) []AccuracyResult {
 	}
 	var r trace.Record
 	for bi := int(start / trace.BlockLen); insns < effEnd; bi++ {
-		blk, err := bs.BlockAt(bi)
+		blk, err := bs.FlowAt(bi)
 		if err != nil {
 			runBTBMembers(g, events, count)
 			*buf = events
@@ -915,11 +919,22 @@ func runBTBMembers(g *gang, evs []event, count bool) {
 }
 
 // stepVariants is the BTB update of a walk with variants, and the
-// variants' step: for branch r, instruction n, which the walk fetched
-// with the BTB probe (entry, at, hit), it counts the variants'
-// predictions when count (predictVariants), trains the walk's BTB, has
-// the payloads follow the line it stored r at, and trains the variants'
-// RASes. The walk's RAS and direction predictor train after.
+// variants' step, at a call, return, indirect jump or indirect call: for
+// branch r, instruction n, which the walk fetched with the BTB probe
+// (entry, at, hit), it counts the variants' predictions when count
+// (predictVariants), trains the walk's BTB, has the payloads follow the
+// line it stored r at, and trains the variants' RASes. The walk's RAS and
+// direction predictor train after.
+//
+// A direct jump or conditional branch takes the walk's plain BTB update
+// instead, which is exact because a branch's class is its PC's: a line
+// holds branches of one class from its allocation to its eviction. A
+// variant reads its RAS or a payload only at a hit of a return or
+// indirect-jump or -call line, which a direct branch never hits, and
+// every store to such a line, its allocation included, takes this step,
+// so its payloads follow it. A direct branch's line holds its target with
+// a clear counter under every strategy, and nothing reads its payloads
+// until a branch of another class allocates the line anew.
 func (g *gang) stepVariants(r *trace.Record, n int64, entry btb.Entry, at btb.Hit, hit bool, count bool) {
 	if count && (hit && entry.Class.IsIndirect() || r.Class.IsTargetCachePredicted()) {
 		g.predictVariants(r, n, entry, at, hit)

@@ -91,6 +91,52 @@ func TestSegmentedOverStore(t *testing.T) {
 	}
 }
 
+// TestRunOverStoreMatchesReplay runs a target-cache gang and a BTB gang
+// over a compressed trace store, whose accuracy walks read only the
+// control-flow columns (FlowAt), in one pass and in four segments: every
+// member's result must equal its result over the in-memory capture. The
+// store's budget holds two of its eight groups decoded in flow form, so
+// the passes keep decoding groups and dropping them, and a record cursor
+// read between the runs (BlockAt) has full decodes replace flow-form ones.
+func TestRunOverStoreMatchesReplay(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 60_000
+	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+	var img bytes.Buffer
+	if _, err := trace.WriteStore(&img, rep.Open(), trace.StoreOptions{Compress: true, GroupRecords: 2 * trace.BlockLen}); err != nil {
+		t.Fatal(err)
+	}
+	store, err := trace.OpenStore(bytes.NewReader(img.Bytes()), int64(img.Len()), 2*2*trace.BlockLen*(2*8+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, gang := range []struct {
+		name string
+		pts  func() []GangPoint
+	}{{"gang", gangPoints}, {"btb-gang", btbGangPoints}} {
+		for _, segments := range []int{1, 4} {
+			opts := Options{Budget: budget, Segments: segments}
+			want := runGang(t, ctx, rep, opts, gang.pts())
+			got := runGang(t, ctx, store, opts, gang.pts())
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s, %d segments, member %d: store run diverges\n  store  %+v\n  memory %+v", gang.name, segments, i, got[i], want[i])
+				}
+			}
+		}
+		if n := len(trace.Collect(store.Open())); n != budget {
+			t.Fatalf("cursor read %d records of the store, want %d", n, budget)
+		}
+	}
+	if groups := int64(store.NumBlocks()+1) / 2; store.CacheStats().Misses <= 2*groups {
+		t.Fatalf("store made %d decodes of its %d groups; budget too loose for the test", store.CacheStats().Misses, groups)
+	}
+}
+
 // TestSegmentedCorruptTail pins the damaged-capture contract: the
 // segmented run must surface the same ErrCorrupt as the streaming run
 // when the budget reaches the damaged group, and stay silent when it

@@ -30,31 +30,39 @@ const (
 	MetaTaken     = 0x80
 )
 
-// Block is one structure-of-arrays batch of records. All slices share the
-// same length. The slices are exported so hot simulation kernels can
-// index the columns directly; they are shared and must be treated as
-// read-only.
-type Block struct {
+// Flow is a batch's control-flow columns: each record's PC, target and
+// Meta byte, all an accuracy pass reads. All slices share the same length;
+// they are shared and must be treated as read-only.
+type Flow struct {
 	PC     []uint64
 	Target []uint64
-	Addr   []uint64
 	Meta   []uint8
-	Dst    []uint8
-	Src1   []uint8
-	Src2   []uint8
 }
 
-// Len returns the number of records in the block.
-func (b *Block) Len() int { return len(b.Meta) }
+// Block is one structure-of-arrays batch of records: its control-flow
+// columns and the effective address and register operands the timing
+// models read. All slices share the same length. The slices are exported
+// so hot simulation kernels can index the columns directly; they are
+// shared and must be treated as read-only.
+type Block struct {
+	Flow
+	Addr []uint64
+	Dst  []uint8
+	Src1 []uint8
+	Src2 []uint8
+}
+
+// Len returns the number of records in the batch.
+func (f *Flow) Len() int { return len(f.Meta) }
 
 // Class returns record i's control-flow class.
-func (b *Block) Class(i int) Class { return Class(b.Meta[i] & MetaClassMask) }
+func (f *Flow) Class(i int) Class { return Class(f.Meta[i] & MetaClassMask) }
 
 // Op returns record i's functional-unit class.
-func (b *Block) Op(i int) OpClass { return OpClass(b.Meta[i] >> MetaOpShift & MetaOpMask) }
+func (f *Flow) Op(i int) OpClass { return OpClass(f.Meta[i] >> MetaOpShift & MetaOpMask) }
 
 // Taken reports whether record i redirected the instruction stream.
-func (b *Block) Taken(i int) bool { return b.Meta[i]&MetaTaken != 0 }
+func (f *Flow) Taken(i int) bool { return f.Meta[i]&MetaTaken != 0 }
 
 // Record materializes record i into *r.
 func (b *Block) Record(i int, r *Record) {
@@ -91,9 +99,9 @@ func (b *Block) truncate(n int) {
 // block except the last holds exactly BlockLen records — kernels rely on
 // this to seek to a record index without scanning.
 //
-// Damage surfaces only as a BlockAt error: a run stops at the first block
-// it cannot read and reports that error with the counts of the records
-// before it.
+// Damage surfaces only as a BlockAt or FlowAt error: a run stops at the
+// first block it cannot read and reports that error with the counts of the
+// records before it.
 type BlockSource interface {
 	Factory
 	// Len returns the record count the source holds.
@@ -105,6 +113,11 @@ type BlockSource interface {
 	// region, or the underlying read error; the returned block stays
 	// valid after later calls.
 	BlockAt(i int) (*Block, error)
+	// FlowAt returns batch i's control-flow columns, equal to BlockAt(i)'s,
+	// for passes that read nothing else: a file-backed source may decode
+	// only these. It fails where BlockAt fails, with the same error, and
+	// the returned columns stay valid after later calls.
+	FlowAt(i int) (*Flow, error)
 }
 
 // columnArena hands out block columns carved from large slabs. Profiling
@@ -131,12 +144,14 @@ func (a *columnArena) alloc(n int) Block {
 	u64, u8 := a.u64, a.u8
 	a.u64, a.u8 = u64[3*n:], u8[4*n:]
 	return Block{
-		PC:     u64[0*n : 1*n : 1*n],
-		Target: u64[1*n : 2*n : 2*n],
-		Addr:   u64[2*n : 3*n : 3*n],
-		Meta:   u8[0*n : 1*n : 1*n],
-		Dst:    u8[1*n : 2*n : 2*n],
-		Src1:   u8[2*n : 3*n : 3*n],
-		Src2:   u8[3*n : 4*n : 4*n],
+		Flow: Flow{
+			PC:     u64[0*n : 1*n : 1*n],
+			Target: u64[1*n : 2*n : 2*n],
+			Meta:   u8[0*n : 1*n : 1*n],
+		},
+		Addr: u64[2*n : 3*n : 3*n],
+		Dst:  u8[1*n : 2*n : 2*n],
+		Src1: u8[2*n : 3*n : 3*n],
+		Src2: u8[3*n : 4*n : 4*n],
 	}
 }

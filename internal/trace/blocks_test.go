@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -24,7 +25,8 @@ import (
 // TestCaptureBlocksMatchDecode pins the capture-time block builder against
 // the store decoder: the blocks a fresh capture carries must be
 // record-for-record and block-for-block identical to decoding a TCSTORE1
-// image of it from scratch.
+// image of it afresh, and their control-flow columns to a flow-form
+// decode of it.
 func TestCaptureBlocksMatchDecode(t *testing.T) {
 	for _, budget := range []int64{0, 1, 100, trace.BlockLen, trace.BlockLen + 1, 10_000} {
 		t.Run(fmt.Sprint(budget), func(t *testing.T) {
@@ -38,6 +40,10 @@ func TestCaptureBlocksMatchDecode(t *testing.T) {
 				t.Fatal(err)
 			}
 			decoded, err := trace.OpenStore(bytes.NewReader(img.Bytes()), int64(img.Len()), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows, err := trace.OpenStore(bytes.NewReader(img.Bytes()), int64(img.Len()), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,6 +69,13 @@ func TestCaptureBlocksMatchDecode(t *testing.T) {
 					if br != dr {
 						t.Fatalf("block %d record %d differs:\n  built   %+v\n  decoded %+v", bi, i, br, dr)
 					}
+				}
+				f, err := flows.FlowAt(bi)
+				if err != nil {
+					t.Fatalf("block %d: FlowAt: %v", bi, err)
+				}
+				if !slices.Equal(f.PC, b.PC) || !slices.Equal(f.Target, b.Target) || !slices.Equal(f.Meta, b.Meta) {
+					t.Fatalf("block %d: flow-form decode differs from the built block's control-flow columns", bi)
 				}
 			}
 		})
@@ -259,7 +272,8 @@ var damageCases = []struct {
 
 // TestBatchCursorMatchesCursor runs the record cursor and the batched
 // block walk over real workload captures and their damaged variants,
-// requiring identical record streams and identical failure reporting.
+// requiring identical record streams and identical failure reporting; a
+// FlowAt walk must read the same control-flow fields and stop alike.
 func TestBatchCursorMatchesCursor(t *testing.T) {
 	for _, c := range damageCases {
 		img := compressedImage(t, c.workload)
@@ -272,6 +286,7 @@ func TestBatchCursorMatchesCursor(t *testing.T) {
 			t.Run(c.workload+"/"+v.name, func(t *testing.T) {
 				cRecs, bRecs, cErr, bErr := bothDecoders(v.img, v.cut)
 				assertSameStream(t, cRecs, bRecs, cErr, bErr)
+				assertFlowWalk(t, v.img, v.cut, bRecs, bErr)
 				switch {
 				case v.name == "intact" && (cErr != nil || len(cRecs) != imageRecords):
 					t.Fatalf("intact image read %d records, err %v; want %d, nil", len(cRecs), cErr, imageRecords)
@@ -283,9 +298,24 @@ func TestBatchCursorMatchesCursor(t *testing.T) {
 	}
 }
 
+// assertFlowWalk reads img, truncated to cut bytes once open, through
+// FlowAt over a freshly opened store, which must read the control-flow
+// fields of recs and stop with err, what the block walk read.
+func assertFlowWalk(t *testing.T, img []byte, cut int64, recs []trace.Record, err error) {
+	t.Helper()
+	s, openErr := openTruncated(img, cut)
+	if openErr != nil {
+		if err == nil || openErr.Error() != err.Error() {
+			t.Fatalf("store failed to open for FlowAt (%v), the block walk's error is %v", openErr, err)
+		}
+		return
+	}
+	assertFlowsMatch(t, s, recs, err)
+}
+
 // FuzzBlocks feeds arbitrary store images, truncated beneath the open
-// store at an arbitrary length, to both decoders, asserting they never
-// panic and never disagree.
+// store at an arbitrary length, to both decoders and to a FlowAt walk,
+// asserting they never panic and never disagree.
 func FuzzBlocks(f *testing.F) {
 	c := damageCases[1]
 	for _, v := range damagedVariants(compressedImage(f, c.workload), c.cuts, c.flips) {
@@ -294,5 +324,6 @@ func FuzzBlocks(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, cut int64) {
 		cRecs, bRecs, cErr, bErr := bothDecoders(data, cut)
 		assertSameStream(t, cRecs, bRecs, cErr, bErr)
+		assertFlowWalk(t, data, cut, bRecs, bErr)
 	})
 }

@@ -7,7 +7,7 @@ import "errors"
 // invalid class byte, or a group cut short. Wrapped errors name the group
 // or field so callers can report exactly where the damage was found. The
 // store reader never panics on corrupt input; it returns an ErrCorrupt
-// from OpenStore or BlockAt, and a Cursor surfaces it through Err.
+// from OpenStore, BlockAt or FlowAt, and a Cursor surfaces it through Err.
 var ErrCorrupt = errors.New("trace: corrupt data")
 
 // ErrSource is implemented by sources that can fail mid-stream (a Cursor

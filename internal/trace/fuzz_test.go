@@ -61,7 +61,9 @@ func drain(t *testing.T, src trace.Source) []trace.Record {
 // seeded with intact, truncated and bit-flipped images of a real capture,
 // raw and compressed — must never panic, must reject damage with
 // ErrCorrupt (at open or at the damaged group), and whatever reads
-// cleanly must re-encode to the same record count.
+// cleanly must re-encode to the same record count. FlowAt over a second
+// store of the same bytes must read the cursor's records' control-flow
+// fields and stop with the cursor's error.
 func FuzzStore(f *testing.F) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -85,7 +87,13 @@ func FuzzStore(f *testing.F) {
 			}
 			return
 		}
-		recs := drain(t, s.Open())
+		src := s.Open()
+		recs := drain(t, src)
+		flows, err := trace.OpenStore(bytes.NewReader(data), int64(len(data)), 1<<20)
+		if err != nil {
+			t.Fatalf("second OpenStore of the same bytes: %v", err)
+		}
+		assertFlowsMatch(t, flows, recs, trace.SourceErr(src))
 		if int64(len(recs)) == s.Len() {
 			var out bytes.Buffer
 			n, err := trace.WriteStore(&out, trace.NewSliceSource(recs), trace.StoreOptions{GroupRecords: 4096})
@@ -94,6 +102,38 @@ func FuzzStore(f *testing.F) {
 			}
 		}
 	})
+}
+
+// assertFlowsMatch walks bs through FlowAt and requires the control-flow
+// fields of recs, the records a cursor read before it stopped with err:
+// the same fields, then the same error, or none.
+func assertFlowsMatch(t *testing.T, bs trace.BlockSource, recs []trace.Record, err error) {
+	t.Helper()
+	n := 0
+	var flowErr error
+	for bi := 0; bi < bs.NumBlocks(); bi++ {
+		f, ferr := bs.FlowAt(bi)
+		if ferr != nil {
+			flowErr = ferr
+			break
+		}
+		for i := 0; i < f.Len(); i++ {
+			if n >= len(recs) {
+				t.Fatalf("FlowAt read past the cursor's %d records", len(recs))
+			}
+			r := &recs[n]
+			if f.PC[i] != r.PC || f.Target[i] != r.Target || f.Class(i) != r.Class || f.Op(i) != r.Op || f.Taken(i) != r.Taken {
+				t.Fatalf("record %d: FlowAt read (%#x, %#x, %#x), the cursor %+v", n, f.PC[i], f.Target[i], f.Meta[i], *r)
+			}
+			n++
+		}
+	}
+	if n != len(recs) {
+		t.Fatalf("FlowAt read %d records, the cursor %d", n, len(recs))
+	}
+	if (flowErr == nil) != (err == nil) || flowErr != nil && (!errors.Is(flowErr, trace.ErrCorrupt) || flowErr.Error() != err.Error()) {
+		t.Fatalf("FlowAt stopped with %v, the cursor with %v", flowErr, err)
+	}
 }
 
 // FuzzCursor covers the record Cursor that every BlockSource's Open

@@ -201,10 +201,11 @@ func delta(b *[]byte) (uint64, bool) {
 
 // decodePredicted decodes group gi's inflated body (flag bytes, then the
 // missed-field streams of the given lengths) into blocks, whose lengths
-// sum to the group's record count. Any flag the table cannot serve, any
-// stream that ends early or has bytes left over, and any invalid flag or
-// meta byte is an ErrCorrupt.
-func decodePredicted(gi int, tab *predTable, body []byte, lens [predStreams]int, blocks []Block) error {
+// sum to the group's record count: every column when full is set, else
+// the Flow columns, though it still reads and checks every stream. Any
+// flag the table cannot serve, any stream that ends early or has bytes
+// left over, and any invalid flag or meta byte is an ErrCorrupt.
+func decodePredicted(gi int, tab *predTable, body []byte, lens [predStreams]int, blocks []Block, full bool) error {
 	clear(tab[:])
 	recs := len(body)
 	for _, n := range lens {
@@ -283,9 +284,12 @@ func decodePredicted(gi int, tab *predTable, body []byte, lens [predStreams]int,
 				e.stride = addr - e.addr
 				e.addr = addr
 			}
-			blk.PC[j], blk.Target[j], blk.Addr[j] = pc, tgt, addr
+			blk.PC[j], blk.Target[j] = pc, tgt
 			blk.Meta[j] = e.meta | f&MetaTaken
-			blk.Dst[j], blk.Src1[j], blk.Src2[j] = e.dst, e.src1, e.src2
+			if full {
+				blk.Addr[j] = addr
+				blk.Dst[j], blk.Src1[j], blk.Src2[j] = e.dst, e.src1, e.src2
+			}
 			if f&MetaTaken != 0 {
 				next = tgt
 			} else {

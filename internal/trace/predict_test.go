@@ -73,7 +73,9 @@ func varint(vs ...uint64) []byte {
 
 // TestPredictedHandBuilt decodes hand-built compressed groups: a valid one
 // reads back its records, and each malformed one fails its group with an
-// ErrCorrupt naming the fault.
+// ErrCorrupt naming the fault. FlowAt, which decodes only the control-flow
+// columns, reads the same and fails alike, also where only the address
+// or register fields are at fault.
 func TestPredictedHandBuilt(t *testing.T) {
 	const pc = 0x1000
 	// load is a claimed-entry record: PC and static fields coded, its
@@ -103,6 +105,7 @@ func TestPredictedHandBuilt(t *testing.T) {
 			t.Fatalf("valid group record %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
+	assertFlowsAlike(t, predImage(t, 3, lens, body))
 
 	with := func(k int, b []byte) [predStreams][]byte {
 		st := valid
@@ -124,6 +127,7 @@ func TestPredictedHandBuilt(t *testing.T) {
 		{"static misses end early", []byte{load}, with(predStaticStream, loadStatic[:3]), nil, "static misses end early"},
 		{"target misses end early", []byte{load | predTargetMiss}, valid, nil, "target misses end early"},
 		{"address misses end early", []byte{load, loop, loop}, valid, nil, "address misses end early"},
+		{"address misses left over", []byte{load, loop, stride}, with(predAddrStream, varint(0x100, 8, 8)), nil, "left over in missed-field stream 3"},
 		{"bytes left over", []byte{load}, valid, nil, "left over"},
 		{"reserved flag bit", []byte{load | predReserved}, valid, nil, "invalid flag byte"},
 		{"invalid target mode", []byte{load | predTargetInvalid}, valid, nil, "invalid flag byte"},
@@ -138,11 +142,13 @@ func TestPredictedHandBuilt(t *testing.T) {
 			if tc.lens != nil {
 				tc.lens(&lens)
 			}
-			s := openStore(t, predImage(t, uint32(len(tc.flags)), lens, body), 0)
+			img := predImage(t, uint32(len(tc.flags)), lens, body)
+			s := openStore(t, img, 0)
 			_, err := s.BlockAt(0)
 			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err=%v, want an ErrCorrupt containing %q", err, tc.want)
 			}
+			assertFlowsAlike(t, img)
 		})
 	}
 }

@@ -60,6 +60,9 @@ func (rep *Replay) NumBlocks() int { return len(rep.blocks) }
 // BlockAt implements BlockSource; in-memory batches never fail.
 func (rep *Replay) BlockAt(i int) (*Block, error) { return &rep.blocks[i], nil }
 
+// FlowAt implements BlockSource: block i's own control-flow columns.
+func (rep *Replay) FlowAt(i int) (*Flow, error) { return &rep.blocks[i].Flow, nil }
+
 // MemBytes returns the resident size of the captured columns in bytes
 // (3 uint64 and 4 byte columns per record).
 func (rep *Replay) MemBytes() int64 { return rep.n * storeBytesPerRecord }

@@ -72,16 +72,17 @@ func (s *Stats) Consume(src Source) *Stats {
 
 // ConsumeBatches accumulates the first limit records of bs (limit <= 0
 // means all), equivalent to Consume over bs.Open() but without
-// materializing Records: the class and op come from the packed meta byte,
-// and only indirect jumps touch the pc/target columns. A BlockAt error
-// stops the scan; the records before the failing block stay accumulated.
+// materializing Records: it reads only the control-flow columns (FlowAt),
+// the class and op come from the packed meta byte, and only indirect jumps
+// touch the pc/target columns. A FlowAt error stops the scan; the records
+// before the failing block stay accumulated.
 func (s *Stats) ConsumeBatches(bs BlockSource, limit int64) (*Stats, error) {
 	n := bs.Len()
 	if limit > 0 && limit < n {
 		n = limit
 	}
 	for bi, done := 0, int64(0); done < n; bi++ {
-		blk, err := bs.BlockAt(bi)
+		blk, err := bs.FlowAt(bi)
 		if err != nil {
 			return s, err
 		}

@@ -13,11 +13,19 @@ package trace
 // its budget holds decoded once read, and holds any later group only
 // until a reader takes its last block: a recency cache smaller than the
 // capture would instead evict each group just before the next pass needs
-// it. Resident bytes stay within the budget, plus at most one group per
-// active reader and one read-ahead group per waiting reader; a reader that
-// stops inside a later group leaves it held until another reader takes
-// its last block. Concurrent readers of one group share one decode, and a
-// reader that would wait for it decodes the next group meanwhile.
+// it. A group decodes in one of two forms: in full, every column, for
+// BlockAt, or in flow form, only the control-flow columns (17 of a
+// record's 28 bytes), for FlowAt, which the accuracy passes call. A slot
+// holds one decode of its group: FlowAt shares whichever form the slot
+// holds, and BlockAt replaces a flow-form decode with a full one. The
+// resident prefix is as many groups as the budget holds in the widest
+// form the store has served: flow form until the first BlockAt, full
+// form from then on. Resident bytes stay within the budget, plus at most
+// one group per active reader and one read-ahead group per waiting reader;
+// a reader that stops inside a later group leaves it held until another
+// reader takes its last block. Concurrent readers of one group share one
+// decode, and a reader that would wait for it decodes the next group
+// meanwhile.
 //
 // File layout (all integers little-endian):
 //
@@ -50,7 +58,9 @@ package trace
 // index carry CRC32s, and the footer fields are cross-validated against
 // the file size, the block layout constants, and each other. Damage never
 // panics: it surfaces as an ErrCorrupt from OpenStore or from BlockAt on
-// the affected group, including a file truncated after it was opened.
+// the affected group, including a file truncated after it was opened. A
+// flow-form decode checks every stream a full one does, so FlowAt fails
+// wherever BlockAt fails, with the same error.
 
 import (
 	"bytes"
@@ -89,8 +99,12 @@ const (
 	storeDefaultBudget = 64 << 20
 )
 
-// storeBytesPerRecord is the raw column footprint of one record.
-const storeBytesPerRecord = 3*8 + 4
+// storeBytesPerRecord is the raw column footprint of one record, and
+// flowBytesPerRecord that of its control-flow columns (PC, Target, Meta).
+const (
+	storeBytesPerRecord = 3*8 + 4
+	flowBytesPerRecord  = 2*8 + 1
+)
 
 // StoreOptions configure WriteStore.
 type StoreOptions struct {
@@ -299,11 +313,13 @@ type Store struct {
 	nblocks    int
 	n          int64
 
-	// resident is the count of leading groups that stay decoded once
-	// read: as many as the budget passed to OpenStore holds.
-	resident int
-	mu       sync.Mutex
-	slots    []*groupDecode // per group: the decode holding it, or nil
+	// resident and flowResident count the leading groups the budget
+	// passed to OpenStore holds decoded in full and in flow form; the
+	// groups of the widest form served (prefix) stay decoded once read.
+	resident, flowResident int
+	mu                     sync.Mutex
+	wide                   bool           // the store has served a BlockAt
+	slots                  []*groupDecode // per group: the decode holding it, or nil
 
 	hits, misses atomic.Int64
 }
@@ -311,7 +327,10 @@ type Store struct {
 // groupDecode is one decode of one group. Readers that find it in their
 // group's slot share it, waiting on done while it is in flight.
 type groupDecode struct {
-	done   chan struct{} // closed once blocks or err is set
+	done chan struct{} // closed once blocks or err is set
+	// full is set when blocks hold every column; otherwise they hold only
+	// their Flow columns.
+	full   bool
 	blocks []Block
 	err    error
 }
@@ -324,8 +343,10 @@ func corruptf(format string, args ...any) error {
 // OpenStore opens a TCSTORE1 capture from r (size bytes long), validating
 // the footer and index. budget is the decoded bytes the store keeps
 // resident (<= 0 selects the 64 MiB default): the first budget ÷ (decoded
-// group size) groups stay decoded once read. Group payloads are validated
-// lazily: damage inside a group surfaces as an ErrCorrupt from BlockAt.
+// group size) groups stay decoded once read, the group size being that of
+// the widest form the store has served. Group payloads are validated
+// lazily: damage inside a group surfaces as an ErrCorrupt from BlockAt
+// and FlowAt.
 func OpenStore(r io.ReaderAt, size int64, budget int64) (*Store, error) {
 	if budget <= 0 {
 		budget = storeDefaultBudget
@@ -378,12 +399,13 @@ func OpenStore(r io.ReaderAt, size int64, budget int64) (*Store, error) {
 		return nil, corruptf("store index checksum %#x, want %#x", crc, indexCRC)
 	}
 	s := &Store{
-		r:          r,
-		size:       size,
-		compress:   flags&storeFlagPredict != 0,
-		blocksPerG: int(groupRecs / BlockLen),
-		resident:   int(min(budget/(groupRecs*storeBytesPerRecord), groupCount)),
-		slots:      make([]*groupDecode, groupCount),
+		r:            r,
+		size:         size,
+		compress:     flags&storeFlagPredict != 0,
+		blocksPerG:   int(groupRecs / BlockLen),
+		resident:     int(min(budget/(groupRecs*storeBytesPerRecord), groupCount)),
+		flowResident: int(min(budget/(groupRecs*flowBytesPerRecord), groupCount)),
+		slots:        make([]*groupDecode, groupCount),
 	}
 	end := int64(len(storeMagic))
 	var sum int64
@@ -460,33 +482,77 @@ func (s *Store) SizeBytes() int64 { return s.size }
 // flate-compressed.
 func (s *Store) Compressed() bool { return s.compress }
 
-// BlockAt implements BlockSource, decoding the containing group on demand.
-// The returned block stays valid after its group leaves its slot (the
-// slot drops its reference; the memory is never reused), so concurrent
-// readers never observe reuse.
+// BlockAt implements BlockSource, decoding the containing group in full
+// on demand. The returned block stays valid after its group leaves its
+// slot (the slot drops its reference; the memory is never reused), so
+// concurrent readers never observe reuse.
 func (s *Store) BlockAt(i int) (*Block, error) {
-	gi, bi := i/s.blocksPerG, i%s.blocksPerG
-	d, err := s.group(gi)
+	d, bi, err := s.read(i, true)
 	if err != nil {
 		return nil, err
-	}
-	if bi >= len(d.blocks) {
-		return nil, corruptf("store block %d beyond group %d (%d blocks)", i, gi, len(d.blocks))
-	}
-	if gi >= s.resident && bi == len(d.blocks)-1 {
-		s.drop(gi, d)
 	}
 	return &d.blocks[bi], nil
 }
 
-// group returns group gi's decode, sharing the one its slot holds or has
-// in flight. A reader that must wait first decodes the next group if no
-// slot holds it: a pass reads forward, so that is the group it needs next.
-func (s *Store) group(gi int) (*groupDecode, error) {
+// FlowAt implements BlockSource: block i's control-flow columns from the
+// decode its group's slot holds, in either form, or else from a flow-form
+// decode. They stay valid as BlockAt's block does.
+func (s *Store) FlowAt(i int) (*Flow, error) {
+	d, bi, err := s.read(i, false)
+	if err != nil {
+		return nil, err
+	}
+	return &d.blocks[bi].Flow, nil
+}
+
+// read returns the decode of block i's group, in full when full is set,
+// and the block's index in it. A reader that takes the last block of a
+// group past the resident prefix releases the group's slot.
+func (s *Store) read(i int, full bool) (*groupDecode, int, error) {
+	gi, bi := i/s.blocksPerG, i%s.blocksPerG
+	d, err := s.group(gi, full)
+	if err != nil {
+		return nil, 0, err
+	}
+	if bi >= len(d.blocks) {
+		return nil, 0, corruptf("store block %d beyond group %d (%d blocks)", i, gi, len(d.blocks))
+	}
+	if bi == len(d.blocks)-1 {
+		s.mu.Lock()
+		if gi >= s.prefix() && s.slots[gi] == d {
+			s.slots[gi] = nil
+		}
+		s.mu.Unlock()
+	}
+	return d, bi, nil
+}
+
+// prefix is the count of leading groups that stay decoded once read: as
+// many as the budget holds in the widest form the store has served.
+// Caller holds mu.
+func (s *Store) prefix() int {
+	if s.wide {
+		return s.resident
+	}
+	return s.flowResident
+}
+
+// group returns group gi's decode, in full when full is set, sharing the
+// one its slot holds or has in flight when that serves; a full read of a
+// group its slot holds in flow form decodes it again, in full, in its
+// place. The first full read shrinks the resident prefix to the groups the
+// budget holds in full and empties the slots it no longer covers. A reader
+// that must wait first decodes the next group, in its own form, if no slot
+// holds it: a pass reads forward, so that is the group it needs next.
+func (s *Store) group(gi int, full bool) (*groupDecode, error) {
 	s.mu.Lock()
+	if full && !s.wide {
+		s.wide = true
+		clear(s.slots[s.resident:s.flowResident])
+	}
 	d := s.slots[gi]
-	if d == nil {
-		d = s.claim(gi)
+	if d == nil || full && !d.full {
+		d = s.claim(gi, full)
 		s.mu.Unlock()
 		s.decode(gi, d)
 		return d, d.err
@@ -496,7 +562,7 @@ func (s *Store) group(gi int) (*groupDecode, error) {
 	case <-d.done:
 	default:
 		if gi+1 < len(s.slots) && s.slots[gi+1] == nil {
-			ahead = s.claim(gi + 1)
+			ahead = s.claim(gi+1, full)
 		}
 	}
 	s.mu.Unlock()
@@ -509,9 +575,10 @@ func (s *Store) group(gi int) (*groupDecode, error) {
 	return d, d.err
 }
 
-// claim puts a decode in flight in group gi's slot. Caller holds mu.
-func (s *Store) claim(gi int) *groupDecode {
-	d := &groupDecode{done: make(chan struct{})}
+// claim puts a decode of the given form in flight in group gi's slot.
+// Caller holds mu.
+func (s *Store) claim(gi int, full bool) *groupDecode {
+	d := &groupDecode{done: make(chan struct{}), full: full}
 	s.slots[gi] = d
 	return d
 }
@@ -521,7 +588,7 @@ func (s *Store) claim(gi int) *groupDecode {
 func (s *Store) decode(gi int, d *groupDecode) {
 	s.misses.Add(1)
 	storeMisses.Add(1)
-	if d.blocks, d.err = s.decodeGroup(gi); d.err != nil {
+	if d.blocks, d.err = s.decodeGroup(gi, d.full); d.err != nil {
 		s.drop(gi, d)
 	}
 	close(d.done)
@@ -548,8 +615,9 @@ type decodeBufs struct {
 
 var decodeBufPool = sync.Pool{New: func() any { return new(decodeBufs) }}
 
-// decodeGroup reads, checks and decodes one group into Block batches.
-func (s *Store) decodeGroup(gi int) ([]Block, error) {
+// decodeGroup reads, checks and decodes one group into Block batches, of
+// every column when full is set, else of their Flow columns only.
+func (s *Store) decodeGroup(gi int, full bool) ([]Block, error) {
 	sc := decodeBufPool.Get().(*decodeBufs)
 	defer decodeBufPool.Put(sc)
 	g := s.groups[gi]
@@ -576,8 +644,8 @@ func (s *Store) decodeGroup(gi int) ([]Block, error) {
 		if got := int(binary.LittleEndian.Uint32(enc)); got != recs {
 			return nil, corruptf("store group %d payload claims %d records, index %d", gi, got, recs)
 		}
-		blocks := groupBlocks(recs)
-		if err := decodeRaw(gi, enc[4:], blocks); err != nil {
+		blocks := groupBlocks(recs, full)
+		if err := decodeRaw(gi, enc[4:], blocks, full); err != nil {
 			return nil, err
 		}
 		return blocks, nil
@@ -602,8 +670,8 @@ func (s *Store) decodeGroup(gi int) ([]Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	blocks := groupBlocks(recs)
-	if err := decodePredicted(gi, &sc.tab, body, lens, blocks); err != nil {
+	blocks := groupBlocks(recs, full)
+	if err := decodePredicted(gi, &sc.tab, body, lens, blocks, full); err != nil {
 		return nil, err
 	}
 	return blocks, nil
@@ -652,36 +720,45 @@ func (sc *decodeBufs) inflate(gi int, enc []byte, n int) ([]byte, error) {
 	return body, nil
 }
 
-// groupBlocks returns the blocks of a group of recs records. All column
+// groupBlocks returns the blocks of a group of recs records, with every
+// column when full is set, else with only their Flow columns. All column
 // storage is carved from two exact-size slabs rather than the shared
 // columnArena: the arena over-provisions to its fixed slab size, and a
 // held group pins whatever slab its blocks were carved from — exact slabs
 // keep a held group's footprint at its decoded size.
-func groupBlocks(recs int) []Block {
+func groupBlocks(recs int, full bool) []Block {
 	blocks := make([]Block, 0, (recs+BlockLen-1)/BlockLen)
-	slab64 := make([]uint64, 3*recs)
-	slab8 := make([]uint8, 4*recs)
+	w64, w8 := 2, 1
+	if full {
+		w64, w8 = 3, 4
+	}
+	slab64 := make([]uint64, w64*recs)
+	slab8 := make([]uint8, w8*recs)
 	for done := 0; done < recs; {
 		n := min(BlockLen, recs-done)
 		u64, u8 := slab64, slab8
-		slab64, slab8 = u64[3*n:], u8[4*n:]
-		blocks = append(blocks, Block{
+		slab64, slab8 = u64[w64*n:], u8[w8*n:]
+		blk := Block{Flow: Flow{
 			PC:     u64[0*n : 1*n : 1*n],
 			Target: u64[1*n : 2*n : 2*n],
-			Addr:   u64[2*n : 3*n : 3*n],
 			Meta:   u8[0*n : 1*n : 1*n],
-			Dst:    u8[1*n : 2*n : 2*n],
-			Src1:   u8[2*n : 3*n : 3*n],
-			Src2:   u8[3*n : 4*n : 4*n],
-		})
+		}}
+		if full {
+			blk.Addr = u64[2*n : 3*n : 3*n]
+			blk.Dst = u8[1*n : 2*n : 2*n]
+			blk.Src1 = u8[2*n : 3*n : 3*n]
+			blk.Src2 = u8[3*n : 4*n : 4*n]
+		}
+		blocks = append(blocks, blk)
 		done += n
 	}
 	return blocks
 }
 
 // decodeRaw copies group gi's raw columns (the payload after its record
-// count) into blocks, checking every Meta byte.
-func decodeRaw(gi int, cols []byte, blocks []Block) error {
+// count) into blocks, all of them when full is set, else the Flow ones,
+// checking every Meta byte.
+func decodeRaw(gi int, cols []byte, blocks []Block, full bool) error {
 	recs := len(cols) / storeBytesPerRecord
 	pcCol := cols
 	tgtCol := pcCol[recs*8:]
@@ -696,12 +773,16 @@ func decodeRaw(gi int, cols []byte, blocks []Block) error {
 		for j := 0; j < n; j++ {
 			blk.PC[j] = binary.LittleEndian.Uint64(pcCol[(done+j)*8:])
 			blk.Target[j] = binary.LittleEndian.Uint64(tgtCol[(done+j)*8:])
-			blk.Addr[j] = binary.LittleEndian.Uint64(addrCol[(done+j)*8:])
 		}
 		copy(blk.Meta, metaCol[done:done+n])
-		copy(blk.Dst, dstCol[done:done+n])
-		copy(blk.Src1, src1Col[done:done+n])
-		copy(blk.Src2, src2Col[done:done+n])
+		if full {
+			for j := 0; j < n; j++ {
+				blk.Addr[j] = binary.LittleEndian.Uint64(addrCol[(done+j)*8:])
+			}
+			copy(blk.Dst, dstCol[done:done+n])
+			copy(blk.Src1, src1Col[done:done+n])
+			copy(blk.Src2, src2Col[done:done+n])
+		}
 		for j, mb := range blk.Meta {
 			if int(mb&MetaClassMask) >= numClasses || int(mb>>MetaOpShift&MetaOpMask) >= NumOpClasses {
 				return corruptf("store group %d record %d: invalid meta byte %#x", gi, done+j, mb)

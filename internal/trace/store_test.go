@@ -51,6 +51,99 @@ func damagedStore(t testing.TB, recs []Record) *Store {
 	return openStore(t, img, 0)
 }
 
+// flowsEqual reports whether two batches hold the same control-flow
+// columns.
+func flowsEqual(a, b *Flow) bool {
+	return slices.Equal(a.PC, b.PC) && slices.Equal(a.Target, b.Target) && slices.Equal(a.Meta, b.Meta)
+}
+
+// walkFlows reads every block of bs through read, stopping at the first
+// block it cannot read: the control-flow columns before it and its error.
+func walkFlows(bs BlockSource, read func(int) (*Flow, error)) ([]*Flow, error) {
+	var flows []*Flow
+	for bi := 0; bi < bs.NumBlocks(); bi++ {
+		f, err := read(bi)
+		if err != nil {
+			return flows, err
+		}
+		flows = append(flows, f)
+	}
+	return flows, nil
+}
+
+// assertFlowsAlike opens img twice and reads one store through FlowAt,
+// the other through BlockAt: both must read the same control-flow columns
+// from the same blocks, and stop at the same block with the same error —
+// none, or an ErrCorrupt of the same text. A store that fails to open
+// reads nothing.
+func assertFlowsAlike(t *testing.T, img []byte) {
+	t.Helper()
+	fs, err := OpenStore(bytes.NewReader(img), int64(len(img)), 0)
+	if err != nil {
+		return
+	}
+	bs := openStore(t, img, 0)
+	flows, fErr := walkFlows(fs, fs.FlowAt)
+	blocks, bErr := walkFlows(bs, func(i int) (*Flow, error) {
+		b, err := bs.BlockAt(i)
+		if err != nil {
+			return nil, err
+		}
+		return &b.Flow, nil
+	})
+	if len(flows) != len(blocks) {
+		t.Fatalf("FlowAt read %d blocks (err %v), BlockAt %d (err %v)", len(flows), fErr, len(blocks), bErr)
+	}
+	for bi := range flows {
+		if !flowsEqual(flows[bi], blocks[bi]) {
+			t.Fatalf("block %d: FlowAt's columns differ from BlockAt's", bi)
+		}
+	}
+	switch {
+	case fErr == nil && bErr == nil:
+	case fErr == nil || bErr == nil || !errors.Is(fErr, ErrCorrupt) || fErr.Error() != bErr.Error():
+		t.Fatalf("FlowAt stopped with %v, BlockAt with %v", fErr, bErr)
+	}
+}
+
+// TestFlowAtMatchesBlockAt pins FlowAt to BlockAt's control-flow columns,
+// block for block: on an in-memory capture, FlowAt is the block's own;
+// on raw and compressed stores read through FlowAt alone, every group
+// decodes in flow form, to the same columns.
+func TestFlowAtMatchesBlockAt(t *testing.T) {
+	recs := randomRecords(2*BlockLen+2*BlockLen+BlockLen/2+17, 23)
+	rep := Capture(NewSliceSource(recs))
+	for bi := 0; bi < rep.NumBlocks(); bi++ {
+		f, _ := rep.FlowAt(bi)
+		b, _ := rep.BlockAt(bi)
+		if f != &b.Flow {
+			t.Fatalf("Replay block %d: FlowAt is not the block's Flow", bi)
+		}
+	}
+	for _, compress := range []bool{false, true} {
+		img := writeStore(t, recs, StoreOptions{Compress: compress, GroupRecords: 2 * BlockLen})
+		s := openStore(t, img, 0)
+		if s.NumBlocks() != rep.NumBlocks() {
+			t.Fatalf("compress=%v: NumBlocks = %d, want %d", compress, s.NumBlocks(), rep.NumBlocks())
+		}
+		for bi := 0; bi < rep.NumBlocks(); bi++ {
+			got, err := s.FlowAt(bi)
+			if err != nil {
+				t.Fatalf("compress=%v: FlowAt(%d): %v", compress, bi, err)
+			}
+			want, _ := rep.BlockAt(bi)
+			if !flowsEqual(got, &want.Flow) {
+				t.Fatalf("compress=%v: block %d: FlowAt's columns differ from the capture's", compress, bi)
+			}
+		}
+		for gi, d := range s.slots {
+			if d == nil || d.full {
+				t.Fatalf("compress=%v: group %d not held in flow form after FlowAt reads", compress, gi)
+			}
+		}
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	// A partial final group and a partial final block, to cover both
 	// boundary shapes.
@@ -212,6 +305,7 @@ func TestStoreDamage(t *testing.T) {
 		img := writeStore(t, recs, StoreOptions{Compress: compress, GroupRecords: BlockLen})
 
 		check := func(t *testing.T, damaged []byte) {
+			assertFlowsAlike(t, damaged)
 			s, err := OpenStore(bytes.NewReader(damaged), int64(len(damaged)), 0)
 			if err != nil {
 				if !errors.Is(err, ErrCorrupt) {
@@ -292,6 +386,97 @@ func TestStoreResidentPrefix(t *testing.T) {
 	}
 	if got := pass(); got != (CacheStats{Hits: 2, Misses: 2}) {
 		t.Fatalf("second pass %+v, want 2 hits on the resident groups and 2 misses", got)
+	}
+}
+
+// heldBytes is the decoded size of the groups s's slots hold, each in the
+// form it was decoded in. Every decode must be done.
+func heldBytes(s *Store) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for gi, d := range s.slots {
+		switch {
+		case d == nil:
+		case d.full:
+			n += int64(s.groups[gi].recs) * storeBytesPerRecord
+		default:
+			n += int64(s.groups[gi].recs) * flowBytesPerRecord
+		}
+	}
+	return n
+}
+
+// TestStoreFlowForm pins the slot policy across the two decode forms at
+// the default budget's proportions, scaled down sixteenfold: one-block
+// groups under a sixteenth of the default budget. A capture of 46 groups,
+// as a 3M-record one is of default groups, fits the budget in flow form
+// (60 groups would) but not in full (36 groups do). Four accuracy passes
+// (FlowAt) decode each group once: 46 decodes, where four BlockAt passes
+// make 76. A later BlockAt pass decodes every group in full, in place of
+// its flow form, and shrinks the resident prefix to 36 groups; after every
+// read the held decodes take no more than the budget.
+func TestStoreFlowForm(t *testing.T) {
+	const groups = 46
+	budget := int64(storeDefaultBudget / (storeGroupRecords / BlockLen))
+	if flowGroups, fullGroups := budget/(BlockLen*flowBytesPerRecord), budget/(BlockLen*storeBytesPerRecord); flowGroups != 60 || fullGroups != 36 {
+		t.Fatalf("budget holds %d flow-form and %d full groups, want 60 and 36", flowGroups, fullGroups)
+	}
+	img := writeStore(t, randomRecords(groups*BlockLen, 43), StoreOptions{Compress: true, GroupRecords: BlockLen})
+	s := openStore(t, img, budget)
+	if s.flowResident != groups || s.resident != 36 {
+		t.Fatalf("%d groups resident in flow form and %d in full, want %d and 36", s.flowResident, s.resident, groups)
+	}
+	flowAt := func(i int) error { _, err := s.FlowAt(i); return err }
+	blockAt := func(i int) error { _, err := s.BlockAt(i); return err }
+	pass := func(read func(int) error) CacheStats {
+		t.Helper()
+		before := s.CacheStats()
+		for bi := 0; bi < s.NumBlocks(); bi++ {
+			if err := read(bi); err != nil {
+				t.Fatalf("block %d: %v", bi, err)
+			}
+			if held := heldBytes(s); held > budget {
+				t.Fatalf("block %d: %d bytes of decodes held, budget %d", bi, held, budget)
+			}
+		}
+		after := s.CacheStats()
+		return CacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
+	}
+	var flow CacheStats
+	for p := 0; p < 4; p++ {
+		st := pass(flowAt)
+		flow.Hits += st.Hits
+		flow.Misses += st.Misses
+	}
+	if flow != (CacheStats{Hits: 3 * groups, Misses: groups}) {
+		t.Fatalf("four FlowAt passes %+v, want %d decodes and %d hits", flow, groups, 3*groups)
+	}
+	if got := pass(blockAt); got != (CacheStats{Misses: groups}) {
+		t.Fatalf("BlockAt pass after the FlowAt passes %+v, want %d full decodes", got, groups)
+	}
+	for gi, d := range s.slots {
+		if held := d != nil; held != (gi < 36) || held && !d.full {
+			t.Fatalf("group %d held=%v after the BlockAt pass, want it held in full iff in the 36-group prefix", gi, held)
+		}
+	}
+	if got := pass(blockAt); got != (CacheStats{Hits: 36, Misses: groups - 36}) {
+		t.Fatalf("second BlockAt pass %+v, want 36 hits and %d decodes", got, groups-36)
+	}
+	if got := pass(flowAt); got != (CacheStats{Hits: 36, Misses: groups - 36}) {
+		t.Fatalf("FlowAt pass over the full prefix %+v, want 36 hits and %d decodes", got, groups-36)
+	}
+
+	full := openStore(t, img, budget)
+	for p := 0; p < 4; p++ {
+		for bi := 0; bi < full.NumBlocks(); bi++ {
+			if _, err := full.BlockAt(bi); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := full.CacheStats().Misses; got != groups+3*(groups-36) {
+		t.Fatalf("four BlockAt passes made %d decodes, want %d", got, groups+3*(groups-36))
 	}
 }
 
@@ -408,6 +593,9 @@ func TestStoreCorruptGroupNeverKept(t *testing.T) {
 	if got := s.CacheStats().Misses; got != misses+1 {
 		t.Fatalf("retry made %d decodes, want 1: a failed decode was kept", got-misses)
 	}
+	if _, err := s.FlowAt(2); !errors.Is(err, ErrCorrupt) || err.Error() != errs[0].Error() {
+		t.Fatalf("FlowAt: err=%v, want BlockAt's %v", err, errs[0])
+	}
 	for bi := 0; bi < 2; bi++ {
 		blk, err := s.BlockAt(bi)
 		if err != nil {
@@ -465,6 +653,63 @@ func TestStoreConcurrentPasses(t *testing.T) {
 	}
 }
 
+// TestStoreConcurrentMixedPasses is TestStoreConcurrentPasses with half
+// the readers reading through FlowAt: under -race, flow-form and full
+// decodes of one group that replace each other in its slot never hand a
+// reader wrong columns, and afterwards only the resident slots, sized for
+// full decodes, may hold a group.
+func TestStoreConcurrentMixedPasses(t *testing.T) {
+	const groupRecs = 2 * BlockLen
+	recs := randomRecords(10*groupRecs+BlockLen/3, 47)
+	rep := Capture(NewSliceSource(recs))
+	budget := int64(4 * groupRecs * storeBytesPerRecord)
+	s := openStore(t, writeStore(t, recs, StoreOptions{Compress: true, GroupRecords: groupRecs}), budget)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 3; pass++ {
+				for bi := 0; bi < s.NumBlocks(); bi++ {
+					want, _ := rep.BlockAt(bi)
+					var got *Flow
+					var err error
+					if g%2 == 0 {
+						got, err = s.FlowAt(bi)
+					} else {
+						var blk *Block
+						if blk, err = s.BlockAt(bi); err == nil {
+							got = &blk.Flow
+							if !slices.Equal(blk.Addr, want.Addr) || !slices.Equal(blk.Dst, want.Dst) ||
+								!slices.Equal(blk.Src1, want.Src1) || !slices.Equal(blk.Src2, want.Src2) {
+								t.Errorf("reader %d pass %d: block %d differs from the in-memory capture", g, pass, bi)
+								return
+							}
+						}
+					}
+					if err != nil {
+						t.Errorf("reader %d: block %d: %v", g, bi, err)
+						return
+					}
+					if !flowsEqual(got, &want.Flow) {
+						t.Errorf("reader %d pass %d: block %d's control-flow columns differ from the in-memory capture", g, pass, bi)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for gi, d := range s.slots {
+		if held := d != nil; held && gi >= s.resident {
+			t.Errorf("group %d held after the passes, past the %d resident groups", gi, s.resident)
+		}
+	}
+	if held := heldBytes(s); held > budget {
+		t.Errorf("%d bytes of decodes held after the passes, budget %d", held, budget)
+	}
+}
+
 func TestStoreBadGroupSize(t *testing.T) {
 	if _, err := WriteStore(&bytes.Buffer{}, NewSliceSource(nil), StoreOptions{GroupRecords: 100}); err == nil {
 		t.Fatal("WriteStore accepted a group size that is not a block multiple")
@@ -486,6 +731,11 @@ func TestStoreTruncatedAfterOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	flows, err := OpenStoreFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flows.Close()
 	if err := os.Truncate(path, s.SizeBytes()-200_000); err != nil {
 		t.Fatal(err)
 	}
@@ -495,6 +745,12 @@ func TestStoreTruncatedAfterOpen(t *testing.T) {
 	_, err = s.BlockAt(s.NumBlocks() - 1)
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("BlockAt(last) after truncation: err=%v, want a truncated ErrCorrupt", err)
+	}
+	if _, ferr := flows.FlowAt(0); ferr != nil {
+		t.Fatalf("FlowAt(0) before the cut: %v", ferr)
+	}
+	if _, ferr := flows.FlowAt(flows.NumBlocks() - 1); ferr == nil || ferr.Error() != err.Error() {
+		t.Fatalf("FlowAt(last) after truncation: err=%v, want BlockAt's %v", ferr, err)
 	}
 
 	errDisk := errors.New("disk on fire")
@@ -507,6 +763,9 @@ func TestStoreTruncatedAfterOpen(t *testing.T) {
 	fr.err = errDisk
 	if _, err := fs.BlockAt(0); !errors.Is(err, errDisk) || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("BlockAt over a failing reader: err=%v, want the read error unchanged", err)
+	}
+	if _, err := fs.FlowAt(0); !errors.Is(err, errDisk) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("FlowAt over a failing reader: err=%v, want the read error unchanged", err)
 	}
 }
 
@@ -593,48 +852,74 @@ func sumStats(s *Stats) *struct {
 // BenchmarkStoreRescan measures the traffic a spilled capture sees from
 // its cells, gangs and pipeline passes: each iteration opens a compressed store
 // whose decoded groups take ~1.3× the store's budget, and every reader
-// reads all its blocks four times over. ns/record and B/record count each
-// record once per reader and pass.
+// reads all its blocks four times over: in full (readers=N, the timing
+// passes' BlockAt) or their control-flow columns (flow-readers=N, the
+// accuracy passes' FlowAt), whose flow-form decodes the budget holds
+// whole. ns/record and B/record count each record once per reader and
+// pass.
 func BenchmarkStoreRescan(b *testing.B) {
 	const groups, budgetGroups, passes = 13, 10, 4
 	img := writeStore(b, randomRecords(groups*storeGroupRecords, 7), StoreOptions{Compress: true})
 	budget := int64(budgetGroups * storeGroupRecords * storeBytesPerRecord)
-	for _, readers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
-			var sum atomic.Uint64
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := openStore(b, img, budget)
-				var wg sync.WaitGroup
-				for r := 0; r < readers; r++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						var x uint64
-						for p := 0; p < passes; p++ {
-							for bi := 0; bi < s.NumBlocks(); bi++ {
-								blk, err := s.BlockAt(bi)
-								if err != nil {
-									b.Error(err)
-									return
-								}
-								for j, pc := range blk.PC {
-									x += pc ^ uint64(blk.Meta[j])
-								}
+	for _, flow := range []bool{false, true} {
+		for _, readers := range []int{1, 2} {
+			name := fmt.Sprintf("readers=%d", readers)
+			if flow {
+				name = "flow-" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				rescan(b, img, budget, readers, passes, flow)
+			})
+		}
+	}
+}
+
+// rescan is one BenchmarkStoreRescan case: readers goroutines each read
+// every block of a store of img passes times, through FlowAt when flow is
+// set, else through BlockAt.
+func rescan(b *testing.B, img []byte, budget int64, readers, passes int, flow bool) {
+	var sum atomic.Uint64
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	var records float64
+	for i := 0; i < b.N; i++ {
+		s := openStore(b, img, budget)
+		records += float64(readers*passes) * float64(s.Len())
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var x uint64
+				for p := 0; p < passes; p++ {
+					for bi := 0; bi < s.NumBlocks(); bi++ {
+						var f *Flow
+						var err error
+						if flow {
+							f, err = s.FlowAt(bi)
+						} else {
+							var blk *Block
+							if blk, err = s.BlockAt(bi); err == nil {
+								f = &blk.Flow
 							}
 						}
-						sum.Add(x)
-					}()
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						for j, pc := range f.PC {
+							x += pc ^ uint64(f.Meta[j])
+						}
+					}
 				}
-				wg.Wait()
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&ms1)
-			records := float64(b.N) * float64(readers*passes*groups*storeGroupRecords)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
-			b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/records, "B/record")
-		})
+				sum.Add(x)
+			}()
+		}
+		wg.Wait()
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
+	b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/records, "B/record")
 }
