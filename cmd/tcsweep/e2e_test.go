@@ -245,11 +245,11 @@ func TestCommitNeedsBenchfmt(t *testing.T) {
 }
 
 // TestTelemetryCountsSharedBTBs pins -telemetry's btb_shared_points on
-// the smoke grid at auto width: of its 72 btb points, the 40 whose BTB
-// holds every taken PC of its capture, and is not the first such member
-// of its btb gang and update strategy, simulate no BTB of their own. The
-// run stays as fused as before: every point from a fused walk, no
-// fallbacks.
+// the smoke grid at the default width: of its 72 btb points, the 40
+// whose BTB holds every taken PC of its capture, and is not the first
+// such member of its btb gang and update strategy, simulate no BTB of
+// their own. The run stays as fused as before: every point from a fused
+// walk, no fallbacks.
 func TestTelemetryCountsSharedBTBs(t *testing.T) {
 	bin := buildBinary(t)
 	telemetryPath := filepath.Join(t.TempDir(), "telemetry.json")

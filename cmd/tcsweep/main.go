@@ -26,7 +26,7 @@
 // any worker count. Rerunning a finished manifest (same spec and -shard)
 // simulates nothing and prints the recorded report again, with -csv and
 // -doc if asked. -expand prints the planned gang grouping alongside
-// the point list, so the memory footprint of a gang width is predictable
+// the point list, so the capture walks a gang width makes are visible
 // before simulating.
 package main
 
@@ -62,7 +62,7 @@ func run() int {
 		workers  = flag.Int("workers", 0, "concurrent simulation workers (0 = one per CPU, 1 = serial)")
 		shard    = flag.Int("shard", 0, "points per checkpoint shard (default 32)")
 		resume   = flag.String("resume", "", "manifest path: completed shards are recorded there and skipped on restart")
-		gang     = flag.Int("gang", 0, "points fused per trace pass (0 = auto width from a memory budget, 1 = no fusion)")
+		gang     = flag.Int("gang", 0, "points fused per trace pass (0 = 16, 1 = no fusion)")
 		csvPath  = flag.String("csv", "", "write every swept point (with frontier flags) as CSV to this file")
 		docPath  = flag.String("doc", "", "write the sweep/v1 result document as JSON to this file")
 		telemOut = flag.String("telemetry", "", "write sweep run metrics as JSON to this file")
@@ -263,14 +263,13 @@ func run() int {
 
 // printGangPlan summarizes the planned execution on stderr: capture
 // walks per workload — btb gangs and direct points, plus the kept
-// front-end walk the target-cache units replay — the unit-width
-// distributions, and the largest unit's predictor-state footprint, so
-// the memory cost of a width is visible before anything simulates.
+// front-end walk the target-cache units replay — and the unit-width
+// distributions.
 func printGangPlan(points []sweep.Point, shardSize, width int) {
 	plans := sweep.PlanGangs(points, shardSize, width)
 	mode := fmt.Sprintf("width %d", width)
 	if width == 0 {
-		mode = "auto width"
+		mode = "default width 16"
 	}
 	fmt.Fprintf(os.Stderr, "tcsweep: gang plan (%s):\n", mode)
 	for _, pl := range plans {
@@ -281,8 +280,8 @@ func printGangPlan(points []sweep.Point, shardSize, width int) {
 		if len(pl.Replays) > 0 {
 			parts = append(parts, "1 kept walk replayed by "+widthCounts(pl.Replays)+" units")
 		}
-		fmt.Fprintf(os.Stderr, "tcsweep:   %-8s %4d points in %4d passes (%s), peak gang state %s\n",
-			pl.Workload, pl.Points, pl.Passes, strings.Join(parts, "; "), formatBytes(pl.MaxStateBytes))
+		fmt.Fprintf(os.Stderr, "tcsweep:   %-8s %4d points in %4d passes (%s)\n",
+			pl.Workload, pl.Points, pl.Passes, strings.Join(parts, "; "))
 	}
 }
 
@@ -299,16 +298,6 @@ func widthCounts(counts map[int]int) string {
 		parts[i] = fmt.Sprintf("%dx%d-point", counts[w], w)
 	}
 	return strings.Join(parts, ", ")
-}
-
-func formatBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", n)
 }
 
 // writeBenchFmt writes one benchfmt result line per recorded rep:

@@ -43,12 +43,6 @@ type Params struct {
 	// are gathered positionally, so rendered tables are byte-identical at
 	// every setting.
 	Parallel int
-	// Segments is the number of concurrent segments a fused accuracy
-	// pass may split its capture into (sim.Options.Segments):
-	// 0 picks automatically — split only when idle workers outnumber
-	// queued passes — 1 disables splitting, N forces up to N. Results are
-	// byte-identical at every setting.
-	Segments int
 	// Telemetry, when non-nil, collects per-site predictor statistics,
 	// misprediction events and run-level metrics: every simulation cell
 	// gets a private collector, merged into the recorder when the cell
@@ -68,9 +62,6 @@ type Params struct {
 	// fails, when non-nil, collects every CellError across experiments
 	// for the run-level exit digest.
 	fails *failureLog
-	// segs is the segment count resolved by the cell scheduler for the
-	// current cell group (planSegments).
-	segs int
 }
 
 // workers resolves Parallel to a concrete worker count.
@@ -94,30 +85,6 @@ func (p Params) shareBudget() int64 {
 		return p.AccuracyBudget
 	}
 	return p.TimingBudget
-}
-
-// cellSegments resolves Segments for a queue of `cells` passes.
-// Automatic mode splits only when cores would otherwise idle (fewer
-// passes than workers, counting no more workers than GOMAXPROCS: a
-// segment past the cores only adds priming work), giving each pass
-// roughly the spare cores, capped at 8 — beyond that, priming overhead
-// outweighs the extra overlap.
-func (p Params) cellSegments(cells int) int {
-	if p.Segments == 1 {
-		return 1
-	}
-	if p.Segments > 1 {
-		return p.Segments
-	}
-	w := min(p.workers(), runtime.GOMAXPROCS(0))
-	if cells <= 0 || w <= cells {
-		return 1
-	}
-	s := (w + cells - 1) / cells
-	if s > 8 {
-		s = 8
-	}
-	return s
 }
 
 // WithContext returns a copy of p whose simulation cells observe ctx:

@@ -324,8 +324,8 @@ func plan(cells []*groupCell, p Params) []*pass {
 	}
 	// With fewer pipeline passes than workers a worker would idle while
 	// one pass times a whole group, so each group splits into
-	// ceil(workers/passes) chunks of consecutive runs, as gangs split
-	// into segments: every worker still times a fused chunk.
+	// ceil(workers/passes) chunks of consecutive runs: every worker still
+	// times a fused chunk.
 	if n, w := len(pipes), p.workers(); n > 0 && n < w {
 		k := (w + n - 1) / n
 		var chunks []*pass
@@ -341,22 +341,6 @@ func plan(cells []*groupCell, p Params) []*pass {
 	return append(append(passes, pipes...), events...)
 }
 
-// planSegments resolves intra-pass segmentation for a plan: with fewer
-// passes that can start at once (gangs and cells) than workers, fused
-// passes split their captures so the idle workers help the critical path.
-// Pipeline and event passes do not count: they only wait for their
-// gangs. Resolving per plan (not per pass) makes the count depend only on
-// the queue, never on scheduling order.
-func (p Params) planSegments(passes []*pass) int {
-	startable := 0
-	for _, ps := range passes {
-		if ps.gang == nil {
-			startable++
-		}
-	}
-	return p.cellSegments(startable)
-}
-
 // run executes all enqueued cells, at most g.workers passes at a time,
 // and clears the queue. It returns only when every pass has finished;
 // failures are appended to g.errs in enqueue order.
@@ -365,7 +349,6 @@ func (g *cellGroup) run() {
 	g.cells = nil
 	cellsExecuted.Add(int64(len(cells)))
 	passes := plan(cells, g.p)
-	g.p.segs = g.p.planSegments(passes)
 	pool.Run(g.workers, len(passes), func(i int) { g.exec(passes[i]) })
 	for _, c := range cells {
 		p := g.p.forCell(c.id)
@@ -472,7 +455,7 @@ func (g *cellGroup) fused(runs []*simRun, budget int64) {
 	}
 	w, flush := live[0].w, live[0].flush
 	perr := g.capture(cellID{}, func() {
-		opts := sim.Options{Budget: budget, FlushInterval: flush, Segments: g.p.segs}
+		opts := sim.Options{Budget: budget, FlushInterval: flush}
 		res, err := sim.Run(g.p.Context(), w.ReplayPrefix(budget, g.p.shareBudget()), opts, pts)
 		if err != nil {
 			abortCell(fmt.Errorf("bench: a fused pass of %d run(s) on %s: %w", len(pts), w.Name, err))

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -28,9 +27,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		for _, e := range All() {
 			serial, parallel := base, base
 			serial.Parallel = 1
-			serial.Segments = 1
 			parallel.Parallel = 8
-			parallel.Segments = 4
 			a := e.Run(serial)
 			b := e.Run(parallel)
 			if len(a) != len(b) {
@@ -163,42 +160,6 @@ func TestPassesPerExperiment(t *testing.T) {
 		e.Run(p)
 		if got := SnapshotStats().Sub(before).Passes; got != want[e.ID] {
 			t.Errorf("%s: %d fused passes, want %d", e.ID, got, want[e.ID])
-		}
-	}
-}
-
-// TestPlanSegmentsCountsStartablePasses: a timing plan of two gangs
-// resolves its segments from the two gangs alone; the pipeline passes
-// that wait on them do not count. Workers past GOMAXPROCS do not count
-// either: a segment no idle core runs only adds priming work.
-func TestPlanSegmentsCountsStartablePasses(t *testing.T) {
-	var cells []*groupCell
-	for _, name := range []string{"perl", "gcc"} {
-		w, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := &groupCell{}
-		c.timing(w, sim.DefaultConfig(), cpu.DefaultConfig())
-		c.timing(w, sim.DefaultConfig(), cpu.DefaultConfig())
-		cells = append(cells, c)
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, tc := range []struct{ workers, procs, segs int }{{1, 8, 1}, {2, 8, 1}, {4, 8, 2}, {8, 8, 4}, {8, 4, 2}, {8, 2, 1}} {
-		runtime.GOMAXPROCS(tc.procs)
-		p := Params{Parallel: tc.workers}
-		passes := plan(cells, p)
-		gangs := 0
-		for _, ps := range passes {
-			if ps.gang == nil {
-				gangs++
-			}
-		}
-		if gangs != 2 {
-			t.Fatalf("%d workers: plan holds %d gangs, want 2", tc.workers, gangs)
-		}
-		if got := p.planSegments(passes); got != tc.segs {
-			t.Errorf("%d workers, GOMAXPROCS %d: %d passes (2 gangs) resolve %d segments, want %d", tc.workers, tc.procs, len(passes), got, tc.segs)
 		}
 	}
 }

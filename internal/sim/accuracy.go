@@ -52,9 +52,6 @@ type Options struct {
 	// the BTB re-warms after one encounter per jump, a history-indexed
 	// target cache after one per (jump, history) pair. 0 never flushes.
 	FlushInterval int64
-	// Segments is the most concurrent segments a pass over a decoded
-	// trace splits into (segment.go); 0 and 1 run one pass.
-	Segments int
 }
 
 // Run simulates every member of pts over factory's first opts.Budget
@@ -63,11 +60,10 @@ type Options struct {
 // telemetry collector.
 //
 // Over a decoded trace.BlockSource — a memoized capture or a trace-store
-// file — every member runs in one fused pass of the batched kernel
-// (gang.go), split into up to opts.Segments segments. Over any other
-// factory each member runs alone on the streaming reference loop, which
-// records no mispredict bits. Either way each member's result is
-// struct-identical to the one it gets alone.
+// file — every member runs in one fused, sequential pass of the batched
+// kernel (gang.go). Over any other factory each member runs alone on the
+// streaming reference loop, which records no mispredict bits. Either way
+// each member's result is struct-identical to the one it gets alone.
 //
 // Run simulates nothing and returns an error naming the reason when pts
 // cannot share one pass: it is empty, its members differ in direction
@@ -85,8 +81,7 @@ func Run(ctx context.Context, factory trace.Factory, opts Options, pts []GangPoi
 		return nil, err
 	}
 	if bs, ok := factory.(trace.BlockSource); ok {
-		sp := span{bs: bs, end: opts.Budget, flushInterval: opts.FlushInterval}
-		return runSegmented(ctx, sp, opts.Segments, pts), nil
+		return runFused(ctx, span{bs: bs, end: opts.Budget, flushInterval: opts.FlushInterval}, pts), nil
 	}
 	for i, pt := range pts {
 		if pt.Mispredicts != nil {

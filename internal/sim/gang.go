@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/trace"
 )
@@ -129,6 +130,57 @@ func (b BranchBits) each(f func(i int64)) {
 	for wi, w := range b {
 		for ; w != 0; w &= w - 1 {
 			f(int64(wi)<<6 + int64(bits.TrailingZeros64(w)))
+		}
+	}
+}
+
+// runFused simulates the gang pts over sp in one pass and hands every
+// member that asked for mispredict bits its bits.
+func runFused(ctx context.Context, sp span, pts []GangPoint) []AccuracyResult {
+	g := newGang(ctx, sp, pts)
+	res := g.run(ctx, sp)
+	g.deliverBits(pts)
+	g.countShared()
+	return res
+}
+
+// deliverBits hands every member of pts that asked for mispredict bits
+// its bits over g's walk: the mispredicted branches whose outcome was
+// every member's, joined with the member's own among the branches whose
+// prediction consulted the target caches.
+func (g *gang) deliverBits(pts []GangPoint) {
+	for mi, pt := range pts {
+		if pt.Mispredicts == nil {
+			continue
+		}
+		out := make(BranchBits, (g.branches+63)/64)
+		g.shared.each(func(b int64) { out.Set(b) })
+		own, consulted := g.members[mi].bits, int64(0)
+		g.mask.each(func(b int64) {
+			if own.Has(consulted) {
+				out.Set(b)
+			}
+			consulted++
+		})
+		*pt.Mispredicts = out
+	}
+}
+
+// sharedBTBs counts, process-wide, the BTB-gang members that ran on
+// another member's BTB.
+var sharedBTBs atomic.Int64
+
+// SharedBTBs returns how many BTB-gang members, process-wide, ran on
+// another member's BTB instead of simulating their own: one per member
+// per pass.
+func SharedBTBs() int64 { return sharedBTBs.Load() }
+
+// countShared adds to SharedBTBs the members of g that ran on another
+// member's BTB.
+func (g *gang) countShared() {
+	for mi := range g.members {
+		if g.members[mi].on != nil {
+			sharedBTBs.Add(1)
 		}
 	}
 }

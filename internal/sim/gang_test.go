@@ -115,10 +115,10 @@ func referenceBits(src trace.Source, budget, flush int64, cfg Config) BranchBits
 }
 
 // TestGangMispredictBits pins the bits a gang hands members that ask for
-// them: for every member, whatever the flush interval and segment count,
-// exactly the branches a streaming Engine run of that member alone
-// mispredicts. Members that do not ask get none, and asking changes no
-// member's AccuracyResult.
+// them: for every member, whatever the flush interval, exactly the
+// branches a streaming Engine run of that member alone mispredicts.
+// Members that do not ask get none, and asking changes no member's
+// AccuracyResult.
 func TestGangMispredictBits(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -128,41 +128,36 @@ func TestGangMispredictBits(t *testing.T) {
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
 	ctx := context.Background()
 	for _, flush := range []int64{0, 7_000} {
-		want := runGang(t, ctx, rep, Options{Budget: budget, FlushInterval: flush}, gangPoints())
-		for _, segments := range []int{1, 4} {
-			pts := gangPoints()
-			bits := make([]BranchBits, len(pts))
-			for i := range pts {
-				if i != 2 { // one member asks for nothing
-					pts[i].Mispredicts = &bits[i]
+		opts := Options{Budget: budget, FlushInterval: flush}
+		want := runGang(t, ctx, rep, opts, gangPoints())
+		pts := gangPoints()
+		bits := make([]BranchBits, len(pts))
+		for i := range pts {
+			if i != 2 { // one member asks for nothing
+				pts[i].Mispredicts = &bits[i]
+			}
+		}
+		got := runGang(t, ctx, rep, opts, pts)
+		for i := range pts {
+			if got[i] != want[i] {
+				t.Errorf("flush %d, member %d: asking for bits changed the result\n  got  %+v\n  want %+v", flush, i, got[i], want[i])
+			}
+			if pts[i].Mispredicts == nil {
+				continue
+			}
+			ref := referenceBits(rep.Open(), budget, flush, pts[i].Config)
+			var n, diff int64
+			for b := int64(0); b < got[i].Branches; b++ {
+				if bits[i].Has(b) {
+					n++
+				}
+				if bits[i].Has(b) != ref.Has(b) {
+					diff++
 				}
 			}
-			before := SegmentCounters().SegmentedRuns
-			got := runGang(t, ctx, rep, Options{Budget: budget, FlushInterval: flush, Segments: segments}, pts)
-			if split := SegmentCounters().SegmentedRuns > before; split != (segments > 1) {
-				t.Fatalf("%d segments: segmented %v", segments, split)
-			}
-			for i := range pts {
-				if got[i] != want[i] {
-					t.Errorf("flush %d, %d segments, member %d: asking for bits changed the result\n  got  %+v\n  want %+v", flush, segments, i, got[i], want[i])
-				}
-				if pts[i].Mispredicts == nil {
-					continue
-				}
-				ref := referenceBits(rep.Open(), budget, flush, pts[i].Config)
-				var n, diff int64
-				for b := int64(0); b < got[i].Branches; b++ {
-					if bits[i].Has(b) {
-						n++
-					}
-					if bits[i].Has(b) != ref.Has(b) {
-						diff++
-					}
-				}
-				if diff != 0 || n != got[i].Overall.Mispredicts || int64(len(bits[i])) != (got[i].Branches+63)/64 {
-					t.Errorf("flush %d, %d segments, member %d: %d of %d branch bits differ from the engine's; %d set, %d mispredicts, %d words",
-						flush, segments, i, diff, got[i].Branches, n, got[i].Overall.Mispredicts, len(bits[i]))
-				}
+			if diff != 0 || n != got[i].Overall.Mispredicts || int64(len(bits[i])) != (got[i].Branches+63)/64 {
+				t.Errorf("flush %d, member %d: %d of %d branch bits differ from the engine's; %d set, %d mispredicts, %d words",
+					flush, i, diff, got[i].Branches, n, got[i].Overall.Mispredicts, len(bits[i]))
 			}
 		}
 	}
@@ -381,8 +376,8 @@ func TestGangErrorContract(t *testing.T) {
 }
 
 // TestGangCancellation pins partial results under a cancelled context:
-// every member stops at the same poll boundary a solo run stops at, in a
-// gang with target caches and in a BTB gang.
+// every member stops short of the budget, at the same poll boundary a
+// solo run stops at, in a gang with target caches and in a BTB gang.
 func TestGangCancellation(t *testing.T) {
 	w, err := workload.ByName("perl")
 	if err != nil {
@@ -399,6 +394,9 @@ func TestGangCancellation(t *testing.T) {
 			want := runOne(t, ctx, rep, opts, pt.Config)
 			if got[i].Err != context.Canceled || want.Err != context.Canceled {
 				t.Fatalf("gang %d member %d: expected context.Canceled, gang %v solo %v", gi, i, got[i].Err, want.Err)
+			}
+			if got[i].Instructions >= budget {
+				t.Errorf("gang %d member %d: a cancelled run processed the full budget (%d)", gi, i, got[i].Instructions)
 			}
 			got[i].Err, want.Err = nil, nil
 			if got[i] != want {
@@ -496,9 +494,9 @@ func variantPoints() []GangPoint {
 // of a gang of them alone (walked at either end of the list: the default
 // strategy at depth 1, or the 2-bit one at depth 64) and of one riding a
 // target-cache gang reports that member's solo AccuracyResult and
-// collector, with and without flushes, in one pass and in segments (a
-// gang that collects runs in one pass). Each gang must take the variant
-// path, not a BTB gang's.
+// collector, with and without flushes, with no member collecting and with
+// most of them collecting. Each gang must take the variant path, not a
+// BTB gang's.
 func TestVariantsMatchEngine(t *testing.T) {
 	const budget = 100_000
 	ctx := context.Background()
@@ -523,28 +521,28 @@ func TestVariantsMatchEngine(t *testing.T) {
 		}
 		for shape, build := range shapes {
 			for _, flush := range []int64{0, 7_777} {
-				for _, segments := range []int{1, 3, 8} {
+				for _, collect := range []bool{false, true} {
 					pts, exact := build()
 					if g := newGang(ctx, span{bs: rep, end: budget}, pts); g.btb == nil || len(g.members) != exact {
 						t.Fatalf("%s %s: %d exact members over a BTB gang %v; want %d over the walk's BTB", name, shape, len(g.members), g.btb == nil, exact)
 					}
 					for i := range pts {
-						if segments == 1 && i%3 != 1 {
+						if collect && i%3 != 1 {
 							pts[i].Config.Telemetry = newCol()
 						}
 					}
-					got := runGang(t, ctx, rep, Options{Budget: budget, FlushInterval: flush, Segments: segments}, pts)
+					got := runGang(t, ctx, rep, Options{Budget: budget, FlushInterval: flush}, pts)
 					for i, pt := range pts {
 						cfg := pt.Config
 						if cfg.Telemetry != nil {
 							cfg.Telemetry = newCol()
 						}
 						if want := engineRun(t, rep, budget, flush, cfg); got[i] != want {
-							t.Errorf("%s %s, flush %d, %d segments, member %d: diverges from the engine\n  gang   %+v\n  engine %+v",
-								name, shape, flush, segments, i, got[i], want)
+							t.Errorf("%s %s, flush %d, collect %v, member %d: diverges from the engine\n  gang   %+v\n  engine %+v",
+								name, shape, flush, collect, i, got[i], want)
 						}
 						if !reflect.DeepEqual(pt.Config.Telemetry, cfg.Telemetry) {
-							t.Errorf("%s %s, flush %d, %d segments, member %d: telemetry diverges from the engine's", name, shape, flush, segments, i)
+							t.Errorf("%s %s, flush %d, collect %v, member %d: telemetry diverges from the engine's", name, shape, flush, collect, i)
 						}
 					}
 				}

@@ -16,9 +16,9 @@ import (
 )
 
 // Batched accuracy kernel: every accuracy run over a decoded block stream —
-// a solo run (a gang of one), a run with periodic flushes, a segment
-// worker's priming walk and its simulated span, a fused gang, and a
-// kept front-end walk (walk.go) — executes gangKernel below. It differs
+// a solo run (a gang of one), a run with periodic flushes, a fused gang,
+// and a kept front-end walk (walk.go) — executes gangKernel below, one
+// sequential walk from the stream's first record. It differs
 // from the streaming reference loop (Run over a factory that is not a
 // BlockSource) in ways none of which is observable in the results:
 //
@@ -314,9 +314,9 @@ func (g *gang) addVariants(front Config, pts []GangPoint) {
 // member of one update strategy predicts every branch alike. The first
 // holding member of each strategy gets a BTB; each later one runs on it,
 // unless it carries a collector, whose events it must report itself.
-// Every other member gets its own. The scan covers the primed prefix of
-// a segment too; when it cannot finish (a read error, or ctx done, which
-// the walk then reports), every member gets its own BTB.
+// Every other member gets its own. When the scan cannot finish (a read
+// error, or ctx done, which the walk then reports), every member gets its
+// own BTB.
 func (g *gang) memberBTBs(ctx context.Context, sp span, pts []GangPoint) {
 	pcs, scanned := takenPCs(ctx, sp.bs, sp.end)
 	first := make(map[btb.Strategy]*gangMember)
@@ -414,14 +414,11 @@ func readMask(depth, regDepth int) uint64 {
 	return 1<<depth - 1
 }
 
-// span is one kernel walk over records [start, end) of a block stream.
+// span is one kernel walk over records [0, end) of a block stream.
 type span struct {
 	bs            trace.BlockSource
-	start, end    int64
+	end           int64
 	flushInterval int64 // reset every structure each flushInterval instructions; 0 never
-	// prime walks for the state mutations only: no counters, no
-	// telemetry, and none of the pure lookups that only feed them.
-	prime bool
 	// keep keeps every event for later replays (a kept walk, which
 	// has no members) instead of running the members on each.
 	keep bool
@@ -506,22 +503,19 @@ func cast[TC targetCache](tcs []core.TargetCache) []TC {
 	return out
 }
 
-// gangKernel is the walk over records [sp.start, sp.end): the shared
-// front end per branch, and the member step on every event it emits
-// (unless sp.keep keeps the events for later replays).
-// Instruction indices (context polls, flush points, telemetry clocks) are
-// absolute trace positions, so a segment's span behaves exactly like the
-// same span of a streaming run; each result's Instructions counts only the
-// records processed in the span.
+// gangKernel is the walk over records [0, sp.end): the shared front end
+// per branch, and the member step on every event it emits (unless sp.keep
+// keeps the events for later replays). Instruction indices (context
+// polls, flush points, telemetry clocks) count from the stream's first
+// record, as the streaming loop counts them.
 func gangKernel[TC targetCache, H historySource](
 	ctx context.Context, sp span, g *gang, tcs []TC, hists []H,
 ) []AccuracyResult {
 	var res outcomes // shared skeleton counters
-	var branches int64
+	var branches, insns int64
 	bs, members := sp.bs, g.members
 	btbT, ras, dir := g.btb, g.ras, g.dir
-	count, tel, consults := !sp.prime, !sp.prime && g.telemetry, g.consults
-	bits := count && g.bits
+	tel, consults, bits := g.telemetry, g.consults, g.bits
 	vary := len(g.vars) > 0
 	nh := len(hists)
 	// e and hv are the event being emitted; a kept walk collects events
@@ -531,31 +525,28 @@ func gangKernel[TC targetCache, H historySource](
 	var events []event
 	var hvals []uint64
 
-	// The block layout invariant (block i covers records [i*BlockLen,
-	// i*BlockLen+len)) lets the kernel seek straight to the start block.
 	effEnd := min(max(sp.end, 0), bs.Len())
-	start := min(max(sp.start, 0), effEnd)
-	insns := start
 	if bits {
-		// A bit per record holds every branch ordinal of the span, so the
+		// A bit per record holds every branch ordinal of the walk, so the
 		// loop sets shared and mask bits in place.
-		words := (effEnd - start + 63) / 64
+		words := (effEnd + 63) / 64
 		g.shared, g.mask = make(BranchBits, words), make(BranchBits, words)
 	}
 	// The record scan stops only at instructions where the walk must poll
-	// ctx or flush, tracked as absolute indices (record i of a block is
-	// instruction base+i+1), so a non-branch record costs one compare.
-	nextPoll := (start/(ctxCheckMask+1) + 1) * (ctxCheckMask + 1)
+	// ctx or flush, tracked as indices into the stream (record i of a
+	// block is instruction base+i+1), so a non-branch record costs one
+	// compare.
+	nextPoll := int64(ctxCheckMask + 1)
 	nextFlush := int64(math.MaxInt64)
 	if fi := sp.flushInterval; fi > 0 {
-		nextFlush = (start/fi + 1) * fi
+		nextFlush = fi
 	}
 	var r trace.Record
 
-	for bi := int(start / trace.BlockLen); insns < effEnd; bi++ {
+	for bi := 0; insns < effEnd; bi++ {
 		blk, err := bs.FlowAt(bi)
 		if err != nil {
-			return g.finish(res, branches, insns-start, err)
+			return g.finish(res, branches, insns, err)
 		}
 		base := int64(bi) * trace.BlockLen
 		meta := blk.Meta
@@ -563,17 +554,13 @@ func gangKernel[TC targetCache, H historySource](
 		if rem := effEnd - base; int64(m) > rem {
 			m = int(rem)
 		}
-		lo := 0
-		if base < insns {
-			lo = int(insns - base)
-		}
 		// Reslice the columns to the iteration length once so i < m
 		// proves every access in range (no per-access bounds checks).
 		meta = meta[:m]
 		pcs := blk.PC[:m]
 		tgts := blk.Target[:m]
 		stop := min(nextPoll, nextFlush) - base - 1
-		for i := lo; i < m; i++ {
+		for i := 0; i < m; i++ {
 			if int64(i) == stop {
 				n := base + int64(i) + 1
 				if sp.keep {
@@ -583,7 +570,7 @@ func gangKernel[TC targetCache, H historySource](
 				if n == nextPoll {
 					nextPoll += ctxCheckMask + 1
 					if err := ctx.Err(); err != nil {
-						return g.finish(res, branches, n-start, err)
+						return g.finish(res, branches, n, err)
 					}
 				}
 				if n == nextFlush {
@@ -611,9 +598,7 @@ func gangKernel[TC targetCache, H historySource](
 			r.Class = cls
 			r.Op = trace.OpClass(mb >> trace.MetaOpShift & trace.MetaOpMask)
 			r.Taken = mb&trace.MetaTaken != 0
-			if count {
-				branches++
-			}
+			branches++
 
 			// ---- shared fetch skeleton: one BTB probe ----
 			entry, bref, hit := btbT.Probe(r.PC)
@@ -645,7 +630,7 @@ func gangKernel[TC targetCache, H historySource](
 					hv[pi] = hists[pi].Value(r.PC)
 				}
 			}
-			if !consult && count {
+			if !consult {
 				// No target cache consulted: the prediction — and its
 				// correctness — is identical for every member. Count
 				// once.
@@ -688,7 +673,7 @@ func gangKernel[TC targetCache, H historySource](
 				// Calls, returns and indirect jumps and calls: the
 				// branches a variant's prediction, RAS or payload can
 				// differ at (stepVariants).
-				g.stepVariants(&r, base+int64(i)+1, entry, bref, hit, count)
+				g.stepVariants(&r, base+int64(i)+1, entry, bref, hit)
 			case hit:
 				btbT.UpdateHit(bref, &r)
 			default:
@@ -699,7 +684,7 @@ func gangKernel[TC targetCache, H historySource](
 					events = append(events, e)
 					hvals = append(hvals, hv...)
 				} else {
-					memberStep(g, tcs, ev, hv, count)
+					memberStep(g, tcs, ev, hv)
 				}
 			}
 
@@ -724,7 +709,7 @@ func gangKernel[TC targetCache, H historySource](
 	if sp.keep {
 		g.keepChunk(events, hvals)
 	}
-	return g.finish(res, branches, insns-start, nil)
+	return g.finish(res, branches, insns, nil)
 }
 
 // finish records a kernel walk's outcome — shared counters res over
@@ -776,43 +761,39 @@ func resolveFront(ras *btb.RAS, dir *dirpred.Predictor, r *trace.Record) {
 // is a loop of its own so that the walk every other gang runs stays as
 // lean.
 func btbGangKernel(ctx context.Context, sp span, g *gang) []AccuracyResult {
-	var branches int64
-	bs, ras, dir := sp.bs, g.ras, g.dir
-	count := !sp.prime
-	bits := count && g.bits
+	var branches, insns int64
+	bs, ras, dir, bits := sp.bs, g.ras, g.dir, g.bits
 	buf := btbEvents.Get().(*[]event)
 	events := (*buf)[:0]
 	defer btbEvents.Put(buf)
 	effEnd := min(max(sp.end, 0), bs.Len())
-	start := min(max(sp.start, 0), effEnd)
-	insns := start
 	if bits {
-		g.mask = make(BranchBits, (effEnd-start+63)/64)
+		g.mask = make(BranchBits, (effEnd+63)/64)
 	}
-	nextPoll := (start/(ctxCheckMask+1) + 1) * (ctxCheckMask + 1)
+	nextPoll := int64(ctxCheckMask + 1)
 	nextFlush := int64(math.MaxInt64)
 	if fi := sp.flushInterval; fi > 0 {
-		nextFlush = (start/fi + 1) * fi
+		nextFlush = fi
 	}
 	var r trace.Record
-	for bi := int(start / trace.BlockLen); insns < effEnd; bi++ {
+	for bi := 0; insns < effEnd; bi++ {
 		blk, err := bs.FlowAt(bi)
 		if err != nil {
-			runBTBMembers(g, events, count)
+			runBTBMembers(g, events)
 			*buf = events
-			return g.finish(outcomes{}, branches, insns-start, err)
+			return g.finish(outcomes{}, branches, insns, err)
 		}
 		base := int64(bi) * trace.BlockLen
 		m := min(len(blk.Meta), int(effEnd-base))
-		for i := max(int(insns-base), 0); i < m; i++ {
+		for i := 0; i < m; i++ {
 			if n := base + int64(i) + 1; n == nextPoll || n == nextFlush {
-				runBTBMembers(g, events, count)
+				runBTBMembers(g, events)
 				events = events[:0]
 				if n == nextPoll {
 					nextPoll += ctxCheckMask + 1
 					if err := ctx.Err(); err != nil {
 						*buf = events
-						return g.finish(outcomes{}, branches, n-start, err)
+						return g.finish(outcomes{}, branches, n, err)
 					}
 				}
 				if n == nextFlush {
@@ -826,9 +807,7 @@ func btbGangKernel(ctx context.Context, sp span, g *gang) []AccuracyResult {
 				continue
 			}
 			r.PC, r.Target, r.Taken = blk.PC[i], blk.Target[i], mb&trace.MetaTaken != 0
-			if count {
-				branches++
-			}
+			branches++
 			rasTarget, rasOK := ras.Peek()
 			ev := event{pc: r.PC, target: r.Target, btbTarget: rasTarget, n: base + int64(i) + 1, cls: r.Class}
 			if r.Taken {
@@ -849,9 +828,9 @@ func btbGangKernel(ctx context.Context, sp span, g *gang) []AccuracyResult {
 		}
 		insns = base + int64(m)
 	}
-	runBTBMembers(g, events, count)
+	runBTBMembers(g, events)
 	*buf = events
-	return g.finish(outcomes{}, branches, insns-start, nil)
+	return g.finish(outcomes{}, branches, insns, nil)
 }
 
 // reset clears the front end: the shared structures, the variants' RASes
@@ -877,9 +856,8 @@ func (g *gang) reset() {
 // predicts every event from the walk's verdicts, is counted, and trains,
 // one member over all the events before the next, keeping its BTB hot.
 // A member that runs on another's BTB is skipped; results fills it in.
-func runBTBMembers(g *gang, evs []event, count bool) {
-	bits := count && g.bits
-	consulted := g.consulted
+func runBTBMembers(g *gang, evs []event) {
+	bits, consulted := g.bits, g.consulted
 	var r trace.Record
 	for mi := range g.members {
 		m := &g.members[mi]
@@ -891,21 +869,19 @@ func runBTBMembers(g *gang, evs []event, count bool) {
 			ev := &evs[ei]
 			taken := ev.flags&evTaken != 0
 			entry, bref, hit := m.btb.Probe(ev.pc)
-			if count {
-				pTaken, pTarget, pHasTarget := btbPredict(entry, hit,
-					ev.flags&evDirTaken != 0, ev.btbTarget, ev.flags&evRASValid != 0)
-				correct := pTaken == taken && (!taken || (pHasTarget && pTarget == ev.target))
-				m.record(ev.cls, correct)
-				if m.tel != nil && ev.cls.IsTargetCachePredicted() {
-					m.tel.SetClock(ev.n)
-					m.tel.Indirect(ev.pc, 0, pTarget, pTaken && pHasTarget, ev.target, correct)
+			pTaken, pTarget, pHasTarget := btbPredict(entry, hit,
+				ev.flags&evDirTaken != 0, ev.btbTarget, ev.flags&evRASValid != 0)
+			correct := pTaken == taken && (!taken || (pHasTarget && pTarget == ev.target))
+			m.record(ev.cls, correct)
+			if m.tel != nil && ev.cls.IsTargetCachePredicted() {
+				m.tel.SetClock(ev.n)
+				m.tel.Indirect(ev.pc, 0, pTarget, pTaken && pHasTarget, ev.target, correct)
+			}
+			if bits {
+				if !correct {
+					m.bits = m.bits.Set(consulted)
 				}
-				if bits {
-					if !correct {
-						m.bits = m.bits.Set(consulted)
-					}
-					consulted++
-				}
+				consulted++
 			}
 			r.PC, r.Target, r.Class, r.Taken = ev.pc, ev.target, ev.cls, taken
 			if hit {
@@ -921,10 +897,10 @@ func runBTBMembers(g *gang, evs []event, count bool) {
 // stepVariants is the BTB update of a walk with variants, and the
 // variants' step, at a call, return, indirect jump or indirect call: for
 // branch r, instruction n, which the walk fetched with the BTB probe
-// (entry, at, hit), it counts the variants' predictions when count
-// (predictVariants), trains the walk's BTB, has the payloads follow the
-// line it stored r at, and trains the variants' RASes. The walk's RAS and
-// direction predictor train after.
+// (entry, at, hit), it counts the variants' predictions where they can
+// differ (predictVariants), trains the walk's BTB, has the payloads follow
+// the line it stored r at, and trains the variants' RASes. The walk's RAS
+// and direction predictor train after.
 //
 // A direct jump or conditional branch takes the walk's plain BTB update
 // instead, which is exact because a branch's class is its PC's: a line
@@ -935,8 +911,8 @@ func runBTBMembers(g *gang, evs []event, count bool) {
 // so its payloads follow it. A direct branch's line holds its target with
 // a clear counter under every strategy, and nothing reads its payloads
 // until a branch of another class allocates the line anew.
-func (g *gang) stepVariants(r *trace.Record, n int64, entry btb.Entry, at btb.Hit, hit bool, count bool) {
-	if count && (hit && entry.Class.IsIndirect() || r.Class.IsTargetCachePredicted()) {
+func (g *gang) stepVariants(r *trace.Record, n int64, entry btb.Entry, at btb.Hit, hit bool) {
+	if hit && entry.Class.IsIndirect() || r.Class.IsTargetCachePredicted() {
 		g.predictVariants(r, n, entry, at, hit)
 	}
 	var line int
@@ -1010,8 +986,8 @@ func (g *gang) predictVariants(r *trace.Record, n int64, entry btb.Entry, at btb
 // hv: each member's lookup, when the event's prediction consulted the
 // target caches, then its training, when it is an indirect jump — Engine
 // order, since both touch only the member's own target cache.
-func memberStep[TC targetCache](g *gang, tcs []TC, ev *event, hv []uint64, count bool) {
-	bits := count && g.bits
+func memberStep[TC targetCache](g *gang, tcs []TC, ev *event, hv []uint64) {
+	bits := g.bits
 	consult := ev.flags&evConsult != 0
 	indirectCls := ev.cls == trace.ClassIndJump || ev.cls == trace.ClassIndCall
 	for mi := range g.members {
@@ -1021,34 +997,30 @@ func memberStep[TC targetCache](g *gang, tcs []TC, ev *event, hv []uint64, count
 			ph = hv[hist] & m.mask
 		}
 		if consult {
-			// Priming still looks up every member: a tagged cache's
-			// Predict ticks replacement state on a hit.
 			pTarget, pFromTC := ev.btbTarget, false
 			if tgt, ok := tcs[mi].Predict(ev.pc, ph); ok {
 				pTarget, pFromTC = tgt, true
 			}
-			if count {
-				// An indirect class is always predicted taken; on a direct
-				// branch or return, a stale BTB entry misclassified it as
-				// indirect.
-				correct := ev.flags&evTaken != 0 && pTarget == ev.target
-				m.record(ev.cls, correct)
-				if indirectCls {
-					if pFromTC {
-						m.tcCovered++
-					}
-					// Accuracy runs have no cycle clock; telemetry events
-					// are stamped with the instruction index.
-					if m.tel != nil {
-						m.tel.SetClock(ev.n)
-						m.tel.Indirect(ev.pc, ph, pTarget, true, ev.target, correct)
-					}
+			// An indirect class is always predicted taken; on a direct
+			// branch or return, a stale BTB entry misclassified it as
+			// indirect.
+			correct := ev.flags&evTaken != 0 && pTarget == ev.target
+			m.record(ev.cls, correct)
+			if indirectCls {
+				if pFromTC {
+					m.tcCovered++
 				}
-				if bits && !correct {
-					m.bits = m.bits.Set(g.consulted)
+				// Accuracy runs have no cycle clock; telemetry events are
+				// stamped with the instruction index.
+				if m.tel != nil {
+					m.tel.SetClock(ev.n)
+					m.tel.Indirect(ev.pc, ph, pTarget, true, ev.target, correct)
 				}
 			}
-		} else if count && m.tel != nil {
+			if bits && !correct {
+				m.bits = m.bits.Set(g.consulted)
+			}
+		} else if m.tel != nil {
 			// An indirect jump whose shared prediction the walk counted
 			// once.
 			m.tel.SetClock(ev.n)

@@ -98,22 +98,25 @@ func kernelConfigs() map[string]Config {
 // TestKernelMatchesGenericLoop pins the batched devirtualized accuracy
 // kernel against the streaming reference loop: identical AccuracyResult,
 // field for field, for every dispatch arm, with and without periodic
-// flushes.
+// flushes, over the whole capture, a budget that ends inside one of its
+// blocks, and its first block alone.
 func TestKernelMatchesGenericLoop(t *testing.T) {
 	w, err := workload.ByName("perl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget = 60_000
-	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+	const size = 60_000
+	rep := trace.Capture(trace.NewLimit(w.Open(), size))
 	ctx := context.Background()
 	for name, cfg := range kernelConfigs() {
 		for _, flush := range []int64{0, 7_777} {
-			opts := Options{Budget: budget, FlushInterval: flush}
-			got := runOne(t, ctx, rep, opts, cfg)
-			want := runOne(t, ctx, opaqueFactory{rep}, opts, cfg)
-			if got != want {
-				t.Errorf("%s flush=%d: kernel result diverges\n  kernel  %+v\n  generic %+v", name, flush, got, want)
+			for _, budget := range []int64{size, 10*trace.BlockLen + trace.BlockLen/2, trace.BlockLen} {
+				opts := Options{Budget: budget, FlushInterval: flush}
+				got := runOne(t, ctx, rep, opts, cfg)
+				want := runOne(t, ctx, opaqueFactory{rep}, opts, cfg)
+				if got != want {
+					t.Errorf("%s flush=%d budget=%d: kernel result diverges\n  kernel  %+v\n  generic %+v", name, flush, budget, got, want)
+				}
 			}
 		}
 	}

@@ -48,15 +48,13 @@ func TestConcurrentAccuracyOverSharedReplay(t *testing.T) {
 	}
 }
 
-// TestConcurrentSegmentedReplay layers both axes of concurrency: several
-// goroutines each run a segment-parallel simulation (which itself spawns
-// one worker per segment) over one shared replay and over one shared
-// out-of-core store whose resident budget holds one group, so the rest
-// are decoded, shared and dropped under load.
-// Under -race this proves segment workers and the store's group slots
-// share no unsynchronized mutable state; the result check proves
-// determinism survives the contention.
-func TestConcurrentSegmentedReplay(t *testing.T) {
+// TestConcurrentRunsOverTightStore runs one-pass simulations from several
+// goroutines at once over one shared replay and over one shared
+// out-of-core store whose resident budget holds one group, so the rest are
+// decoded, shared and dropped under load. Under -race this proves the
+// store's group slots share no unsynchronized mutable state; the result
+// check proves determinism survives the contention.
+func TestConcurrentRunsOverTightStore(t *testing.T) {
 	const budget = 20 * trace.BlockLen
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -84,7 +82,7 @@ func TestConcurrentSegmentedReplay(t *testing.T) {
 			if i%2 == 1 {
 				src = store
 			}
-			res, err := sim.Run(context.Background(), src, sim.Options{Budget: budget, Segments: 2 + i%3}, []sim.GangPoint{{Config: sim.DefaultConfig()}})
+			res, err := sim.Run(context.Background(), src, sim.Options{Budget: budget}, []sim.GangPoint{{Config: sim.DefaultConfig()}})
 			if err != nil {
 				t.Error(err)
 				return

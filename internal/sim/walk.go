@@ -180,7 +180,7 @@ func replayWalk[TC targetCache](ctx context.Context, w *Walk, g *gang, tcs []TC)
 		}
 		nh := len(w.depths)
 		for ei := range c.events {
-			memberStep(g, tcs, &c.events[ei], c.hvals[ei*nh:ei*nh+nh], true)
+			memberStep(g, tcs, &c.events[ei], c.hvals[ei*nh:ei*nh+nh])
 		}
 	}
 	return g.results()

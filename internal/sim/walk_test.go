@@ -21,12 +21,12 @@ func engineRun(t testing.TB, rep *trace.Replay, budget, flush int64, cfg Config)
 
 // TestBTBGangMatchesEngine pins the BTB gang — members differing only in
 // their BTB, sharing one RAS and direction predictor — against the
-// streaming Engine loop: for every member, with and without flushes, in
-// one pass and in segments, the same AccuracyResult, the same telemetry
-// and the same mispredict bits. Both update strategies have members whose
-// BTB evicts and members whose BTB holds every taken PC, which run on one
-// BTB per strategy (TestBTBGangShares); in one pass, collectors keep
-// most of them on their own.
+// streaming Engine loop: for every member, with and without flushes, with
+// no member collecting and with most of them collecting, the same
+// AccuracyResult, the same telemetry and the same mispredict bits. Both
+// update strategies have members whose BTB evicts and members whose BTB
+// holds every taken PC, which run on one BTB per strategy
+// (TestBTBGangShares) unless a collector keeps them on their own.
 func TestBTBGangMatchesEngine(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -36,34 +36,34 @@ func TestBTBGangMatchesEngine(t *testing.T) {
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
 	newCol := func() *telemetry.Collector { return telemetry.NewCollector(telemetry.Config{Events: 64}) }
 	for _, flush := range []int64{0, 7_777} {
-		for _, segments := range []int{1, 4} {
+		for _, collect := range []bool{false, true} {
 			pts := btbGangPoints()
 			bits := make([]BranchBits, len(pts))
 			for i := range pts {
 				if i%2 == 0 {
 					pts[i].Mispredicts = &bits[i]
 				}
-				if segments == 1 && i%3 != 2 {
+				if collect && i%3 != 2 {
 					pts[i].Config.Telemetry = newCol()
 				}
 			}
-			got := runGang(t, context.Background(), rep, Options{Budget: budget, FlushInterval: flush, Segments: segments}, pts)
+			got := runGang(t, context.Background(), rep, Options{Budget: budget, FlushInterval: flush}, pts)
 			for i, pt := range pts {
 				cfg := pt.Config
 				if cfg.Telemetry != nil {
 					cfg.Telemetry = newCol()
 				}
 				if want := engineRun(t, rep, budget, flush, cfg); got[i] != want {
-					t.Errorf("flush %d, %d segments, member %d: diverges from the engine\n  gang   %+v\n  engine %+v", flush, segments, i, got[i], want)
+					t.Errorf("flush %d, collect %v, member %d: diverges from the engine\n  gang   %+v\n  engine %+v", flush, collect, i, got[i], want)
 				}
 				if !reflect.DeepEqual(pt.Config.Telemetry, cfg.Telemetry) {
-					t.Errorf("flush %d, %d segments, member %d: telemetry diverges from the engine's", flush, segments, i)
+					t.Errorf("flush %d, collect %v, member %d: telemetry diverges from the engine's", flush, collect, i)
 				}
 				if pt.Mispredicts == nil {
 					continue
 				}
 				if ref := referenceBits(rep.Open(), budget, flush, cfg); !sameBits(bits[i], ref, got[i].Branches) {
-					t.Errorf("flush %d, %d segments, member %d: mispredict bits differ from the engine's", flush, segments, i)
+					t.Errorf("flush %d, collect %v, member %d: mispredict bits differ from the engine's", flush, collect, i)
 				}
 			}
 		}
@@ -75,7 +75,7 @@ func TestBTBGangMatchesEngine(t *testing.T) {
 // update strategy does, the first, and every later one runs on it, unless
 // it carries a collector; a member whose BTB evicts runs its own. A scan
 // that cannot finish shares nothing. SharedBTBs counts each shared member
-// once per pass, segmented or not.
+// once per pass.
 func TestBTBGangShares(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -145,12 +145,10 @@ func TestBTBGangShares(t *testing.T) {
 		}
 	}
 
-	for _, segments := range []int{1, 4} {
-		before := SharedBTBs()
-		runGang(t, ctx, rep, Options{Budget: budget, Segments: segments}, pts)
-		if got := SharedBTBs() - before; got != shared {
-			t.Errorf("%d segments: SharedBTBs rose by %d, want %d", segments, got, shared)
-		}
+	before := SharedBTBs()
+	runGang(t, ctx, rep, Options{Budget: budget}, pts)
+	if got := SharedBTBs() - before; got != shared {
+		t.Errorf("SharedBTBs rose by %d, want %d", got, shared)
 	}
 }
 

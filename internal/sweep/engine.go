@@ -59,10 +59,9 @@ type Options struct {
 	// recorded there atomically, and a later run with the same spec and
 	// shard size skips them. Empty disables checkpointing.
 	ManifestPath string
-	// GangWidth bounds how many points one fused unit updates: 0 picks
-	// a width per unit automatically from a memory budget, 1 disables
-	// fusion (every point walks the capture on its own), higher values
-	// force that width. Results are byte-identical at any width — the
+	// GangWidth bounds how many points one fused unit updates: 0 means
+	// 16, 1 disables fusion (every point walks the capture on its own),
+	// higher values force that width. Results are byte-identical at any width — the
 	// gang kernel and the kept walk are equivalence-pinned against
 	// per-point simulation — so the width, like the worker count, is
 	// absent from the resume fingerprint.

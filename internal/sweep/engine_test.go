@@ -288,8 +288,8 @@ func TestStorageBitsAcrossFamilies(t *testing.T) {
 // TestPlanGangsMatchesRun pins that -expand's plan is what a run does:
 // at every width, PlanGangs' passes equal the capture walks a fresh Run
 // reports (kept walks and btb gangs in FusedGangs, plus DirectPoints),
-// and at auto width the differential grid forms multi-point btb gangs and
-// path-history units.
+// and at the default width the differential grid forms multi-point btb
+// gangs and path-history units.
 func TestPlanGangsMatchesRun(t *testing.T) {
 	spec, err := ParseSpec([]byte(diffSpec))
 	if err != nil {
@@ -308,7 +308,7 @@ func TestPlanGangsMatchesRun(t *testing.T) {
 		}
 	}
 	if !btbGang || !pathUnit {
-		t.Errorf("auto width plans a multi-point btb gang: %v, path-history unit: %v; want both", btbGang, pathUnit)
+		t.Errorf("the default width plans a multi-point btb gang: %v, path-history unit: %v; want both", btbGang, pathUnit)
 	}
 	for _, width := range []int{0, 1, 3, 4} {
 		var passes int64

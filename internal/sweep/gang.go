@@ -62,68 +62,21 @@ func histShareKey(p Point) string { return p.History }
 // scheme; btb points, which have none, group apart from the rest.
 func gangKey(p Point) string { return p.Workload + "\x00" + p.History }
 
-// StateBytes estimates the point's in-memory predictor footprint, the
-// quantity the auto-width planner budgets: fusing K points holds K
-// predictor states live at once.
-func (p Point) StateBytes() int64 {
-	switch p.Family {
-	case "btb":
-		// ~5 words per BTB entry (tag, target, class, strategy state, LRU).
-		return int64(p.Entries) * 40
-	case "tagless":
-		cfg, err := p.taglessConfig()
-		if err != nil {
-			return 0
-		}
-		return cfg.ApproxStateBytes()
-	case "tagged":
-		return p.taggedConfig().ApproxStateBytes()
-	case "cascaded":
-		return p.cascadedConfig().ApproxStateBytes()
-	case "ittage":
-		return p.ittageConfig().ApproxStateBytes()
-	}
-	return 0
-}
-
-const (
-	// gangMemBudget is the soft per-gang predictor-state budget the
-	// auto-width planner divides by the gang's largest member.
-	gangMemBudget = 64 << 20
-	// maxAutoWidth caps automatic gang width. Wider gangs amortize the
-	// trace pass further but with diminishing returns once per-member
-	// target-cache work dominates, and they enlarge the blast radius of a
-	// failing member (the whole gang's pass is discarded). 16 keeps the
-	// smoke grid's shards fusing in at most two passes while the kernel's
-	// width scaling is still near-linear.
-	maxAutoWidth = 16
-)
-
-// autoWidth picks a gang width for a bucket of points: the memory budget
-// divided by the largest member's predictor state, clamped to
-// [1, maxAutoWidth].
-func autoWidth(points []Point, idxs []int) int {
-	var maxState int64 = 1
-	for _, i := range idxs {
-		if s := points[i].StateBytes(); s > maxState {
-			maxState = s
-		}
-	}
-	w := int(gangMemBudget / maxState)
-	if w < 1 {
-		w = 1
-	}
-	if w > maxAutoWidth {
-		w = maxAutoWidth
-	}
-	return w
-}
+// defaultWidth is the gang width 0 asks for. Wider gangs amortize the
+// trace pass further but with diminishing returns once per-member
+// target-cache work dominates, and they enlarge the blast radius of a
+// failing member (the whole gang's pass is discarded). 16 keeps the
+// smoke grid's shards fusing in at most two passes while the kernel's
+// width scaling is still near-linear.
+const defaultWidth = 16
 
 // planUnits groups the points of one shard [lo, hi) into execution units:
 // at width 1 one unit per point, otherwise units of at most width points
-// grouped by gangKey in first-seen order. width 0 picks a width per group
-// automatically.
+// grouped by gangKey in first-seen order. width 0 means defaultWidth.
 func planUnits(points []Point, lo, hi, width int) [][]int {
+	if width <= 0 {
+		width = defaultWidth
+	}
 	var units [][]int
 	var order []string
 	buckets := make(map[string][]int)
@@ -139,16 +92,8 @@ func planUnits(points []Point, lo, hi, width int) [][]int {
 		buckets[k] = append(buckets[k], i)
 	}
 	for _, k := range order {
-		idxs := buckets[k]
-		w := width
-		if w <= 0 {
-			w = autoWidth(points, idxs)
-		}
-		for len(idxs) > 0 {
-			n := w
-			if n > len(idxs) {
-				n = len(idxs)
-			}
+		for idxs := buckets[k]; len(idxs) > 0; {
+			n := min(width, len(idxs))
 			units = append(units, idxs[:n])
 			idxs = idxs[n:]
 		}
@@ -360,9 +305,6 @@ type GangPlan struct {
 	Replays map[int]int
 	// Points/Passes summarize: Points simulations in Passes capture walks.
 	Points, Passes int
-	// MaxStateBytes is the largest single unit's summed predictor state —
-	// the planner's memory-footprint prediction.
-	MaxStateBytes int64
 }
 
 // PlanGangs simulates the engine's unit planning over a full expansion
@@ -398,13 +340,6 @@ func PlanGangs(points []Point, shardSize, width int) []GangPlan {
 			} else {
 				plan.Gangs[len(unit)]++
 				plan.Passes++
-			}
-			var state int64
-			for _, i := range unit {
-				state += points[i].StateBytes()
-			}
-			if state > plan.MaxStateBytes {
-				plan.MaxStateBytes = state
 			}
 		}
 	}

@@ -35,7 +35,7 @@ func TestPlanUnits(t *testing.T) {
 		{5},          // gcc+pattern: its own unit
 	}
 	if len(units) != len(want) {
-		t.Fatalf("auto width planned %d units %v, want %d", len(units), units, len(want))
+		t.Fatalf("default width planned %d units %v, want %d", len(units), units, len(want))
 	}
 	for ui, u := range units {
 		if len(u) != len(want[ui]) {
@@ -98,9 +98,6 @@ func TestPlanGangs(t *testing.T) {
 	if len(perl.Replays) != 2 || perl.Replays[4] != 1 || perl.Replays[1] != 1 {
 		t.Errorf("perl replays = %v, want a 4-point and a 1-point unit", perl.Replays)
 	}
-	if perl.MaxStateBytes <= 0 {
-		t.Errorf("perl MaxStateBytes = %d, want > 0", perl.MaxStateBytes)
-	}
 	if g := plans[1]; g.Points != 1 || g.Passes != 1 || g.Replays[1] != 1 {
 		t.Errorf("gcc plan: %d points in %d passes (replays %v), want 1 in 1 replaying the kept walk", g.Points, g.Passes, g.Replays)
 	}
@@ -110,22 +107,6 @@ func TestPlanGangs(t *testing.T) {
 		if pl.Passes != pl.Points || pl.Gangs[1] != pl.Points || len(pl.Replays) != 0 {
 			t.Errorf("width 1 %s plan = %+v, want one direct walk per point", pl.Workload, pl)
 		}
-	}
-}
-
-// TestStateBytesAcrossFamilies sanity-checks the planner's footprint
-// estimates: positive for every family and monotone in table size.
-func TestStateBytesAcrossFamilies(t *testing.T) {
-	for _, p := range planPoints() {
-		if p.StateBytes() <= 0 {
-			t.Errorf("%s: StateBytes = %d, want > 0", p.Key(), p.StateBytes())
-		}
-	}
-	small := Point{Family: "ittage", Stage1: 256, Entries: 128, Tables: 5, TagBits: 9, HistBits: 64, History: "pattern"}
-	big := small
-	big.Entries = 1024
-	if small.StateBytes() >= big.StateBytes() {
-		t.Errorf("ittage StateBytes not monotone: %d -> %d", small.StateBytes(), big.StateBytes())
 	}
 }
 

@@ -131,10 +131,6 @@ type RunInfo struct {
 	// executed the VM, hits reused a capture. MemoBytes is the resident
 	// encoded size.
 	MemoCaptures, MemoHits, MemoBytes int64
-	// SegmentedRuns, SegmentsExecuted, and WarmupInstructions describe
-	// segment-parallel replay: runs that split, segments executed, and
-	// instructions replayed purely to warm predictor state before a seam.
-	SegmentedRuns, SegmentsExecuted, WarmupInstructions int64
 	// StoreCacheHits/Misses are the out-of-core trace store's group
 	// counters (trace.CacheStats); SpilledCaptures and SpilledBytes
 	// describe captures spilled to trace-store files instead of held in
@@ -156,16 +152,12 @@ type RunMetrics struct {
 	MemoHits     int64 `json:"memo_hits"`
 	MemoBytes    int64 `json:"memo_bytes"`
 
-	// Segment-parallel replay and out-of-core trace-store counters; all
-	// omitempty so reports from runs that never segment or spill (including
-	// the golden fixtures) are unchanged.
-	SegmentedRuns      int64 `json:"segmented_runs,omitempty"`
-	SegmentsExecuted   int64 `json:"segments_executed,omitempty"`
-	WarmupInstructions int64 `json:"warmup_instructions,omitempty"`
-	StoreCacheHits     int64 `json:"store_cache_hits,omitempty"`
-	StoreCacheMisses   int64 `json:"store_cache_misses,omitempty"`
-	SpilledCaptures    int64 `json:"spilled_captures,omitempty"`
-	SpilledBytes       int64 `json:"spilled_bytes,omitempty"`
+	// Out-of-core trace-store counters; omitempty so reports from runs
+	// that never spill (including the golden fixtures) are unchanged.
+	StoreCacheHits   int64 `json:"store_cache_hits,omitempty"`
+	StoreCacheMisses int64 `json:"store_cache_misses,omitempty"`
+	SpilledCaptures  int64 `json:"spilled_captures,omitempty"`
+	SpilledBytes     int64 `json:"spilled_bytes,omitempty"`
 
 	Workers int     `json:"workers"`
 	WallMS  float64 `json:"wall_ms"`
@@ -226,20 +218,17 @@ type Report struct {
 func (r *Recorder) Report(info RunInfo) *Report {
 	rep := &Report{
 		Run: RunMetrics{
-			MemoCaptures:       info.MemoCaptures,
-			MemoHits:           info.MemoHits,
-			MemoBytes:          info.MemoBytes,
-			SegmentedRuns:      info.SegmentedRuns,
-			SegmentsExecuted:   info.SegmentsExecuted,
-			WarmupInstructions: info.WarmupInstructions,
-			StoreCacheHits:     info.StoreCacheHits,
-			StoreCacheMisses:   info.StoreCacheMisses,
-			SpilledCaptures:    info.SpilledCaptures,
-			SpilledBytes:       info.SpilledBytes,
-			Workers:            info.Workers,
-			WallMS:             float64(info.Wall.Microseconds()) / 1000,
-			Instructions:       info.Instructions,
-			Interrupted:        info.Interrupted,
+			MemoCaptures:     info.MemoCaptures,
+			MemoHits:         info.MemoHits,
+			MemoBytes:        info.MemoBytes,
+			StoreCacheHits:   info.StoreCacheHits,
+			StoreCacheMisses: info.StoreCacheMisses,
+			SpilledCaptures:  info.SpilledCaptures,
+			SpilledBytes:     info.SpilledBytes,
+			Workers:          info.Workers,
+			WallMS:           float64(info.Wall.Microseconds()) / 1000,
+			Instructions:     info.Instructions,
+			Interrupted:      info.Interrupted,
 		},
 	}
 	if r == nil {

@@ -38,6 +38,78 @@ func randomRecords(n int, seed int64) []Record {
 	return recs
 }
 
+// loopingRecords draws n records from a small static program, the way a
+// captured program repeats its code: 256 fixed instructions, each with its
+// own class, op, registers and targets, run from the first and back to it
+// after the last. A conditional branch always carries its one target and
+// is taken with a bias of its own; a direct jump or call goes forward to
+// its target; an indirect jump or call, or a return, goes to one of up to
+// four targets, its last one three times in four; a memory instruction
+// walks its own stride. So a PC mostly repeats what it did last time,
+// which the compressed codec codes as hits (a target-last or address
+// mode), where randomRecords draws every field afresh.
+func loopingRecords(n int, seed int64) []Record {
+	const size = 256
+	const base = uint64(0x40000)
+	type inst struct {
+		rec     Record   // the static fields, and a direct branch's target
+		targets []uint64 // an indirect branch's targets
+		bias    int      // a conditional branch is taken when rng.Intn(8) < bias
+		stride  uint64   // a memory instruction's address stride; 0 for none
+	}
+	rng := rand.New(rand.NewSource(seed))
+	at := func(i int) uint64 { return base + uint64(i%size)*4 }
+	prog := make([]inst, size)
+	for i := range prog {
+		in := &prog[i]
+		in.rec = Record{PC: at(i), Op: OpClass(rng.Intn(NumOpClasses)),
+			Dst: uint8(rng.Intn(33)), Src1: uint8(rng.Intn(33)), Src2: uint8(rng.Intn(33))}
+		if rng.Intn(5) < 2 {
+			in.rec.Class = Class(1 + rng.Intn(numClasses-1))
+		}
+		switch in.rec.Class {
+		case ClassOther:
+			if rng.Intn(3) == 0 {
+				in.rec.Addr = uint64(rng.Intn(1<<16)) * 8
+				in.stride = uint64(rng.Intn(4)) * 8
+			}
+		case ClassCondDirect:
+			in.rec.Target = at(rng.Intn(size))
+			in.bias = rng.Intn(8)
+		case ClassUncondDirect, ClassCall:
+			in.rec.Target = at(i + 1 + rng.Intn(32))
+		default:
+			for range 1 + rng.Intn(4) {
+				in.targets = append(in.targets, at(rng.Intn(size)))
+			}
+			in.rec.Target = in.targets[0]
+		}
+	}
+	recs := make([]Record, n)
+	idx := 0
+	for i := range recs {
+		in := &prog[idx]
+		r := &recs[i]
+		*r = in.rec
+		switch r.Class {
+		case ClassOther:
+			in.rec.Addr += in.stride
+		case ClassCondDirect:
+			r.Taken = rng.Intn(8) < in.bias
+		case ClassUncondDirect, ClassCall:
+			r.Taken = true
+		default:
+			r.Taken = true
+			if rng.Intn(4) == 0 {
+				in.rec.Target = in.targets[rng.Intn(len(in.targets))]
+				r.Target = in.rec.Target
+			}
+		}
+		idx = int((r.NextPC()-base)/4) % size
+	}
+	return recs
+}
+
 func TestReplayRoundTrip(t *testing.T) {
 	recs := randomRecords(5000, 42)
 	rep := Capture(NewSliceSource(recs))

@@ -109,36 +109,43 @@ func assertFlowsAlike(t *testing.T, img []byte) {
 // TestFlowAtMatchesBlockAt pins FlowAt to BlockAt's control-flow columns,
 // block for block: on an in-memory capture, FlowAt is the block's own;
 // on raw and compressed stores read through FlowAt alone, every group
-// decodes in flow form, to the same columns.
+// decodes in flow form, to the same columns. It reads random records and
+// a looping program's, whose PCs mostly repeat their last target and
+// address.
 func TestFlowAtMatchesBlockAt(t *testing.T) {
-	recs := randomRecords(2*BlockLen+2*BlockLen+BlockLen/2+17, 23)
-	rep := Capture(NewSliceSource(recs))
-	for bi := 0; bi < rep.NumBlocks(); bi++ {
-		f, _ := rep.FlowAt(bi)
-		b, _ := rep.BlockAt(bi)
-		if f != &b.Flow {
-			t.Fatalf("Replay block %d: FlowAt is not the block's Flow", bi)
-		}
-	}
-	for _, compress := range []bool{false, true} {
-		img := writeStore(t, recs, StoreOptions{Compress: compress, GroupRecords: 2 * BlockLen})
-		s := openStore(t, img, 0)
-		if s.NumBlocks() != rep.NumBlocks() {
-			t.Fatalf("compress=%v: NumBlocks = %d, want %d", compress, s.NumBlocks(), rep.NumBlocks())
-		}
+	const n = 2*BlockLen + 2*BlockLen + BlockLen/2 + 17
+	for _, data := range []struct {
+		name string
+		recs []Record
+	}{{"random", randomRecords(n, 23)}, {"looping", loopingRecords(n, 23)}} {
+		rep := Capture(NewSliceSource(data.recs))
 		for bi := 0; bi < rep.NumBlocks(); bi++ {
-			got, err := s.FlowAt(bi)
-			if err != nil {
-				t.Fatalf("compress=%v: FlowAt(%d): %v", compress, bi, err)
-			}
-			want, _ := rep.BlockAt(bi)
-			if !flowsEqual(got, &want.Flow) {
-				t.Fatalf("compress=%v: block %d: FlowAt's columns differ from the capture's", compress, bi)
+			f, _ := rep.FlowAt(bi)
+			b, _ := rep.BlockAt(bi)
+			if f != &b.Flow {
+				t.Fatalf("%s: Replay block %d: FlowAt is not the block's Flow", data.name, bi)
 			}
 		}
-		for gi, d := range s.slots {
-			if d == nil || d.full {
-				t.Fatalf("compress=%v: group %d not held in flow form after FlowAt reads", compress, gi)
+		for _, compress := range []bool{false, true} {
+			img := writeStore(t, data.recs, StoreOptions{Compress: compress, GroupRecords: 2 * BlockLen})
+			s := openStore(t, img, 0)
+			if s.NumBlocks() != rep.NumBlocks() {
+				t.Fatalf("%s, compress=%v: NumBlocks = %d, want %d", data.name, compress, s.NumBlocks(), rep.NumBlocks())
+			}
+			for bi := 0; bi < rep.NumBlocks(); bi++ {
+				got, err := s.FlowAt(bi)
+				if err != nil {
+					t.Fatalf("%s, compress=%v: FlowAt(%d): %v", data.name, compress, bi, err)
+				}
+				want, _ := rep.BlockAt(bi)
+				if !flowsEqual(got, &want.Flow) {
+					t.Fatalf("%s, compress=%v: block %d: FlowAt's columns differ from the capture's", data.name, compress, bi)
+				}
+			}
+			for gi, d := range s.slots {
+				if d == nil || d.full {
+					t.Fatalf("%s, compress=%v: group %d not held in flow form after FlowAt reads", data.name, compress, gi)
+				}
 			}
 		}
 	}
@@ -415,68 +422,77 @@ func heldBytes(s *Store) int64 {
 // (FlowAt) decode each group once: 46 decodes, where four BlockAt passes
 // make 76. A later BlockAt pass decodes every group in full, in place of
 // its flow form, and shrinks the resident prefix to 36 groups; after every
-// read the held decodes take no more than the budget.
+// read the held decodes take no more than the budget. It stores random
+// records and a looping program's, whose PCs mostly repeat their last
+// target and address.
 func TestStoreFlowForm(t *testing.T) {
 	const groups = 46
 	budget := int64(storeDefaultBudget / (storeGroupRecords / BlockLen))
 	if flowGroups, fullGroups := budget/(BlockLen*flowBytesPerRecord), budget/(BlockLen*storeBytesPerRecord); flowGroups != 60 || fullGroups != 36 {
 		t.Fatalf("budget holds %d flow-form and %d full groups, want 60 and 36", flowGroups, fullGroups)
 	}
-	img := writeStore(t, randomRecords(groups*BlockLen, 43), StoreOptions{Compress: true, GroupRecords: BlockLen})
-	s := openStore(t, img, budget)
-	if s.flowResident != groups || s.resident != 36 {
-		t.Fatalf("%d groups resident in flow form and %d in full, want %d and 36", s.flowResident, s.resident, groups)
-	}
-	flowAt := func(i int) error { _, err := s.FlowAt(i); return err }
-	blockAt := func(i int) error { _, err := s.BlockAt(i); return err }
-	pass := func(read func(int) error) CacheStats {
-		t.Helper()
-		before := s.CacheStats()
-		for bi := 0; bi < s.NumBlocks(); bi++ {
-			if err := read(bi); err != nil {
-				t.Fatalf("block %d: %v", bi, err)
+	for _, data := range []struct {
+		name string
+		recs []Record
+	}{{"random", randomRecords(groups*BlockLen, 43)}, {"looping", loopingRecords(groups*BlockLen, 43)}} {
+		t.Run(data.name, func(t *testing.T) {
+			img := writeStore(t, data.recs, StoreOptions{Compress: true, GroupRecords: BlockLen})
+			s := openStore(t, img, budget)
+			if s.flowResident != groups || s.resident != 36 {
+				t.Fatalf("%d groups resident in flow form and %d in full, want %d and 36", s.flowResident, s.resident, groups)
 			}
-			if held := heldBytes(s); held > budget {
-				t.Fatalf("block %d: %d bytes of decodes held, budget %d", bi, held, budget)
+			flowAt := func(i int) error { _, err := s.FlowAt(i); return err }
+			blockAt := func(i int) error { _, err := s.BlockAt(i); return err }
+			pass := func(read func(int) error) CacheStats {
+				t.Helper()
+				before := s.CacheStats()
+				for bi := 0; bi < s.NumBlocks(); bi++ {
+					if err := read(bi); err != nil {
+						t.Fatalf("block %d: %v", bi, err)
+					}
+					if held := heldBytes(s); held > budget {
+						t.Fatalf("block %d: %d bytes of decodes held, budget %d", bi, held, budget)
+					}
+				}
+				after := s.CacheStats()
+				return CacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
 			}
-		}
-		after := s.CacheStats()
-		return CacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
-	}
-	var flow CacheStats
-	for p := 0; p < 4; p++ {
-		st := pass(flowAt)
-		flow.Hits += st.Hits
-		flow.Misses += st.Misses
-	}
-	if flow != (CacheStats{Hits: 3 * groups, Misses: groups}) {
-		t.Fatalf("four FlowAt passes %+v, want %d decodes and %d hits", flow, groups, 3*groups)
-	}
-	if got := pass(blockAt); got != (CacheStats{Misses: groups}) {
-		t.Fatalf("BlockAt pass after the FlowAt passes %+v, want %d full decodes", got, groups)
-	}
-	for gi, d := range s.slots {
-		if held := d != nil; held != (gi < 36) || held && !d.full {
-			t.Fatalf("group %d held=%v after the BlockAt pass, want it held in full iff in the 36-group prefix", gi, held)
-		}
-	}
-	if got := pass(blockAt); got != (CacheStats{Hits: 36, Misses: groups - 36}) {
-		t.Fatalf("second BlockAt pass %+v, want 36 hits and %d decodes", got, groups-36)
-	}
-	if got := pass(flowAt); got != (CacheStats{Hits: 36, Misses: groups - 36}) {
-		t.Fatalf("FlowAt pass over the full prefix %+v, want 36 hits and %d decodes", got, groups-36)
-	}
+			var flow CacheStats
+			for p := 0; p < 4; p++ {
+				st := pass(flowAt)
+				flow.Hits += st.Hits
+				flow.Misses += st.Misses
+			}
+			if flow != (CacheStats{Hits: 3 * groups, Misses: groups}) {
+				t.Fatalf("four FlowAt passes %+v, want %d decodes and %d hits", flow, groups, 3*groups)
+			}
+			if got := pass(blockAt); got != (CacheStats{Misses: groups}) {
+				t.Fatalf("BlockAt pass after the FlowAt passes %+v, want %d full decodes", got, groups)
+			}
+			for gi, d := range s.slots {
+				if held := d != nil; held != (gi < 36) || held && !d.full {
+					t.Fatalf("group %d held=%v after the BlockAt pass, want it held in full iff in the 36-group prefix", gi, held)
+				}
+			}
+			if got := pass(blockAt); got != (CacheStats{Hits: 36, Misses: groups - 36}) {
+				t.Fatalf("second BlockAt pass %+v, want 36 hits and %d decodes", got, groups-36)
+			}
+			if got := pass(flowAt); got != (CacheStats{Hits: 36, Misses: groups - 36}) {
+				t.Fatalf("FlowAt pass over the full prefix %+v, want 36 hits and %d decodes", got, groups-36)
+			}
 
-	full := openStore(t, img, budget)
-	for p := 0; p < 4; p++ {
-		for bi := 0; bi < full.NumBlocks(); bi++ {
-			if _, err := full.BlockAt(bi); err != nil {
-				t.Fatal(err)
+			full := openStore(t, img, budget)
+			for p := 0; p < 4; p++ {
+				for bi := 0; bi < full.NumBlocks(); bi++ {
+					if _, err := full.BlockAt(bi); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-	}
-	if got := full.CacheStats().Misses; got != groups+3*(groups-36) {
-		t.Fatalf("four BlockAt passes made %d decodes, want %d", got, groups+3*(groups-36))
+			if got := full.CacheStats().Misses; got != groups+3*(groups-36) {
+				t.Fatalf("four BlockAt passes made %d decodes, want %d", got, groups+3*(groups-36))
+			}
+		})
 	}
 }
 
